@@ -6,17 +6,21 @@ rate and the offline analyses' cost on a fixed workload, so regressions
 in the substrate show up as benchmark deltas.
 """
 
+import time
 import tracemalloc
 
 import pytest
 
+from repro.analysis.dynamic_.happensbefore import compute_happens_before
 from repro.analysis.dynamic_.hybrid import analyze
+from repro.analysis.dynamic_.memraces import find_memory_races
 from repro.analysis.dynamic_.vectorclock import VectorClock
 from repro.analysis.static_ import run_static_analysis
+from repro.faults import builtin_plans
 from repro.home import Home
 from repro.minilang import parse
 from repro.runtime import Interpreter, RunConfig
-from repro.workloads.npb import build_lu_mz, lu_mz_source
+from repro.workloads.npb import build_lu_mz, build_racy_npb, lu_mz_source
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +69,46 @@ def test_interpret_lu_base(benchmark):
 def test_hybrid_analysis_lu(benchmark, lu_home_run):
     reports = benchmark(analyze, lu_home_run.log)
     assert reports[0].pairs
+
+
+# -- dynamic race phase ------------------------------------------------------
+#
+# HOME replays happens-before once per process and hands the replay to
+# the memory-race scan, so the scan's own cost is what the replay does
+# not already pay for.  On a racy-NPB campaign cell (a dense MemAccess
+# stream) the linear scan costs about 0.6 of a replay; the quadratic
+# scan it replaced cost three to four.  A same-machine ratio, so the
+# gate does not depend on the runner's speed.
+
+
+def _fastest(fn, reps=15):
+    best = float("inf")
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_memory_race_scan_costs_at_most_one_replay():
+    home = Home()
+    program, static = home.prepare(build_racy_npb())
+    config = home.run_config(
+        nprocs=2, num_threads=2, seed=1, static=static,
+        fault_plan=builtin_plans(2)["jitter"],
+    )
+    log = Interpreter(program, config).run().log
+    replay = scan = 0.0
+    for proc in log.processes():
+        hb = compute_happens_before(log, proc)
+        assert find_memory_races(log, proc, hb=hb)
+        replay += _fastest(lambda: compute_happens_before(log, proc))
+        scan += _fastest(lambda: find_memory_races(log, proc, hb=hb))
+    print(
+        f"race phase per cell: replay {replay * 1e3:.2f} ms, "
+        f"scan {scan * 1e3:.2f} ms ({scan / replay:.2f}x)"
+    )
+    assert scan <= 1.0 * replay
 
 
 # -- vector-clock hot path ---------------------------------------------------

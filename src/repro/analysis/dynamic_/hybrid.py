@@ -142,17 +142,27 @@ def collect_call_records(log: EventLog, proc: int) -> Dict[int, MPICallRecord]:
 
 
 def analyze_process(
-    log: EventLog, proc: int, config: DetectorConfig = DetectorConfig()
+    log: EventLog,
+    proc: int,
+    config: DetectorConfig = DetectorConfig(),
+    hb: Optional[HBResult] = None,
 ) -> ConcurrencyReport:
-    """Run the hybrid detector over one process's monitored writes."""
+    """Run the hybrid detector over one process's monitored writes.
+
+    *hb*, when given, must be the replay of *proc* under the config's
+    ``lock_edges``/``ignored_locks``; without it the log is replayed
+    here (only when the process made monitored calls).
+    """
     report = ConcurrencyReport(proc)
     report.records = collect_call_records(log, proc)
     if not report.records:
         return report
 
-    hb = compute_happens_before(
-        log, proc, lock_edges=config.lock_edges, ignored_locks=config.ignored_locks
-    )
+    if hb is None:
+        hb = compute_happens_before(
+            log, proc, lock_edges=config.lock_edges,
+            ignored_locks=config.ignored_locks,
+        )
     report.hb = hb
 
     lockset = LocksetAnalysis()
@@ -192,9 +202,17 @@ def analyze_process(
 
 
 def analyze(
-    log: EventLog, config: DetectorConfig = DetectorConfig()
+    log: EventLog,
+    config: DetectorConfig = DetectorConfig(),
+    hbs: Optional[Dict[int, HBResult]] = None,
 ) -> Dict[int, ConcurrencyReport]:
-    """Hybrid concurrency reports for every process in the log."""
+    """Hybrid concurrency reports for every process in the log.
+
+    *hbs* optionally maps processes to replays made under the config's
+    lock settings (see :func:`analyze_process`).
+    """
+    hbs = hbs or {}
     return {
-        proc: analyze_process(log, proc, config) for proc in log.processes()
+        proc: analyze_process(log, proc, config, hbs.get(proc))
+        for proc in log.processes()
     }

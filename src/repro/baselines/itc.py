@@ -99,10 +99,12 @@ class IntelThreadChecker(CheckingTool):
         log = result.log
         reports = {proc: itc_concurrency(log, proc) for proc in log.processes()}
         violations = match_violations(log, reports)
-        # Generic data races on user memory (named criticals invisible).
+        # Generic data races on user memory (named criticals invisible),
+        # over the replay itc_concurrency already made with that config.
         for proc in log.processes():
             for race in find_memory_races(
-                log, proc, lock_edges=True, ignored_locks=itc_ignores_lock
+                log, proc, lock_edges=True, ignored_locks=itc_ignores_lock,
+                hb=reports[proc].hb,
             ):
                 violations.add(
                     Violation(

@@ -23,9 +23,11 @@ Pipeline (paper Fig. 3):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+from ..analysis.dynamic_.happensbefore import compute_happens_before
 from ..analysis.dynamic_.hybrid import DetectorConfig, analyze
 from ..analysis.dynamic_.memraces import MemRace, find_memory_races
 from ..analysis.static_ import (
@@ -78,7 +80,9 @@ class HomeOptions:
 
 
 def triage_race_candidates(
-    result: ExecutionResult, races: StaticRaceReport
+    result: ExecutionResult,
+    races: StaticRaceReport,
+    memory_races: Optional[Dict[int, List[MemRace]]] = None,
 ) -> Dict[str, Any]:
     """Judge each static race candidate against the dynamic phase.
 
@@ -89,12 +93,20 @@ def triage_race_candidates(
     * **missed-by-dynamic** — the monitored run never exercised the
       variable from more than one thread, so the schedule says nothing
       (the candidate stands untested, the classic dynamic-tool gap).
+
+    *memory_races* (process -> :func:`find_memory_races` result) passes
+    in races already found for this run, e.g. by :meth:`Home.analyze`;
+    without it they are computed here.
     """
     log = result.log
     dynamic_races: Dict[str, List[MemRace]] = {}
     if result.config.monitor_memory:
-        for proc in log.processes():
-            for race in find_memory_races(log, proc):
+        if memory_races is None:
+            memory_races = {
+                proc: find_memory_races(log, proc) for proc in log.processes()
+            }
+        for proc_races in memory_races.values():
+            for race in proc_races:
                 dynamic_races.setdefault(race.var, []).append(race)
     threads_by_var: Dict[str, Dict[int, set]] = {}
     for event in log:
@@ -183,6 +195,14 @@ class Home(CheckingTool):
 
     def __init__(self, options: HomeOptions = HomeOptions()) -> None:
         self.options = options
+        #: (weak reference to an execution, its memory races) from the
+        #: last :meth:`analyze`, so :meth:`check`'s triage reuses them
+        self._memory_races: Optional[tuple] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # campaign workers receive the tool pickled; a weak reference
+        # cannot be, and the memo is per-process anyway
+        return {**self.__dict__, "_memory_races": None}
 
     def prepare(self, program: A.Program):
         static = run_static_analysis(
@@ -228,19 +248,35 @@ class Home(CheckingTool):
     def analyze(
         self, result: ExecutionResult, static: Optional[StaticReport]
     ) -> ViolationReport:
-        reports = analyze(result.log, self.options.detector)
-        violations = match_violations(result.log, reports)
-        if (
-            self.options.report_memory_races
-            and static is not None
+        log = result.log
+        detector = self.options.detector
+        scan_races = (
+            static is not None
             and static.races is not None
             and result.config.monitor_memory
-        ):
+        )
+        # One happens-before replay per process, under the memory-race
+        # scan's default lock configuration; the detector shares it when
+        # its own lock configuration is the same, and replays otherwise.
+        hbs = (
+            {proc: compute_happens_before(log, proc) for proc in log.processes()}
+            if scan_races else {}
+        )
+        shared = detector.lock_edges and detector.ignored_locks is None
+        reports = analyze(log, detector, hbs=hbs if shared else None)
+        violations = match_violations(log, reports)
+        if not scan_races:
+            return violations
+        memory_races = {
+            proc: find_memory_races(log, proc, hb=hb) for proc, hb in hbs.items()
+        }
+        self._memory_races = (weakref.ref(result), memory_races)
+        if self.options.report_memory_races:
             locs_by_var: Dict[str, set] = {}
             for cand in static.races.candidates:
                 locs_by_var.setdefault(cand.var, set()).update(cand.locs())
-            for proc in result.log.processes():
-                for race in find_memory_races(result.log, proc):
+            for proc, proc_races in memory_races.items():
+                for race in proc_races:
                     violations.add(
                         Violation(
                             vclass="DataRace",
@@ -275,8 +311,13 @@ class Home(CheckingTool):
             report.extras["race_pruned"] = dict(races.pruned)
             report.extras["static_race_candidates"] = len(races.candidates)
             report.extras["monitored_vars"] = sorted(races.monitored_vars)
+            memo = self._memory_races
+            memory_races = (
+                memo[1] if memo is not None and memo[0]() is report.execution
+                else None
+            )
             report.extras["race_triage"] = triage_race_candidates(
-                report.execution, races
+                report.execution, races, memory_races
             )
         if report.static is not None and report.static.collectives is not None:
             collectives = report.static.collectives
