@@ -40,8 +40,7 @@ from .outcome import (
     violation_from_dict,
     violation_to_dict,
 )
-from .parallel import CellTask, resolve_jobs
-from .queue import DurableWorkQueue, Lease, cell_key
+from .queue import CellTask, DurableWorkQueue, Lease, cell_key, resolve_jobs
 from .runner import (
     CampaignConfig,
     CampaignResult,
@@ -52,7 +51,7 @@ from .runner import (
     run_campaign,
 )
 from .serve import CampaignService, ServeConfig, SPOOL_DIRS, serve
-from .supervisor import Supervisor, SupervisorConfig
+from .supervisor import Supervisor
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -80,7 +79,6 @@ __all__ = [
     "STATUS_QUARANTINED",
     "ServeConfig",
     "Supervisor",
-    "SupervisorConfig",
     "cell_key",
     "default_plan_matrix",
     "load_checkpoint",

@@ -1,11 +1,12 @@
-"""Crash-safe work queue for campaign cells.
+"""Crash-safe work queue for campaign cells, and the one driver that
+runs it.
 
 One :class:`DurableWorkQueue` owns the full canonical matrix of
-:class:`~.parallel.CellTask`\\ s and tracks each cell through
-``pending → leased → done`` (or ``quarantined``).  Every transition is
-journaled (:mod:`.journal`) *before* the in-memory state changes, so a
-coordinator killed at any instant — ``kill -9`` included — restores
-exactly by replaying the journal:
+:class:`CellTask`\\ s and tracks each cell through
+``pending → leased → done`` (or ``quarantined``).  With a journal
+(:mod:`.journal`) every transition is recorded *before* the in-memory
+state changes, so a coordinator killed at any instant — ``kill -9``
+included — restores exactly by replaying the journal:
 
 * a ``done`` record banks the outcome;
 * a ``lease`` with no matching ``done``/``release`` means the holder
@@ -15,20 +16,59 @@ exactly by replaying the journal:
   a deterministic placeholder outcome, is excluded from scheduling,
   and is flagged in the report instead of stalling the campaign.
 
+Without a journal the queue keeps the same state in memory only.
+
 Dedup is deterministic: cells are deterministic simulations, so when a
 reclaimed-then-completed cell delivers twice, the first recorded result
 wins and the duplicate is counted and dropped — both results are
 byte-identical, so arrival order cannot leak into artifacts.
+
+:func:`run_work_queue` is the single cell-execution path that campaigns
+and fuzz sessions share: it opens (and on resume restores) the queue,
+then drains it with a serial in-process lease loop for one worker or
+the :class:`~.supervisor.Supervisor` for more.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .journal import Journal, JournalReplay
+from ..errors import AnalysisError
+from ..faults import FaultPlan
+from .journal import Journal, JournalReplay, replay_journal
 from .outcome import STATUS_QUARANTINED, RunOutcome
-from .parallel import CellTask
+from .supervisor import Supervisor
+
+
+@dataclass(frozen=True)
+class CellTask:
+    """One (seed, plan) cell of the campaign matrix, picklable for
+    dispatch to a worker process."""
+
+    #: canonical position in the matrix — outcomes are merged by this
+    #: index so parallel completion order never leaks into artifacts
+    index: int
+    seed: int
+    plan_name: str
+    plan: Optional[FaultPlan]
+
+
+def resolve_jobs(jobs, cells: int) -> int:
+    """Resolve a ``--jobs`` value to a concrete worker count.
+
+    ``"auto"``/``None``/``0`` mean one worker per CPU core; the result
+    is always capped by the number of runnable cells and floored at 1.
+    """
+    if jobs in (None, 0, "auto", ""):
+        resolved = os.cpu_count() or 1
+    else:
+        resolved = int(jobs)
+        if resolved < 1:
+            raise ValueError(f"--jobs must be >= 1 or 'auto', got {jobs!r}")
+    return max(1, min(resolved, max(cells, 1)))
 
 
 def cell_key(task: CellTask) -> str:
@@ -150,7 +190,10 @@ class DurableWorkQueue:
 
     def task_for(self, index: int) -> CellTask:
         """The cell with canonical matrix index *index*."""
-        return self._task(index)
+        for task in self.cells:
+            if task.index == index:
+                return task
+        raise KeyError(f"no cell with index {index}")
 
     def outcome_list(self) -> List[RunOutcome]:
         """Resolved outcomes (completed + quarantined) in canonical
@@ -196,7 +239,7 @@ class DurableWorkQueue:
         self._leases.pop(index, None)
         if self.resolved(index):
             return False
-        self._log("done", cell=cell_key(self._task(index)),
+        self._log("done", cell=cell_key(self.task_for(index)),
                   outcome=outcome.as_dict())
         self.outcomes[index] = outcome
         return True
@@ -220,7 +263,7 @@ class DurableWorkQueue:
             return False
         crashes = self.crashes.get(index, 0) + 1
         self.crashes[index] = crashes
-        self._log("reclaim", cell=cell_key(self._task(index)), crashes=crashes)
+        self._log("reclaim", cell=cell_key(self.task_for(index)), crashes=crashes)
         if crashes > self.poison_retries:
             self._quarantine(index)
             return True
@@ -237,14 +280,8 @@ class DurableWorkQueue:
 
     # -- internals -----------------------------------------------------------
 
-    def _task(self, index: int) -> CellTask:
-        for task in self.cells:
-            if task.index == index:
-                return task
-        raise KeyError(f"no cell with index {index}")
-
     def _quarantine(self, index: int) -> None:
-        task = self._task(index)
+        task = self.task_for(index)
         crashes = self.crashes.get(index, 0)
         # deterministic fields only: the quarantine record must be
         # byte-identical however (and whenever) the crashes happened
@@ -259,3 +296,79 @@ class DurableWorkQueue:
                   outcome=outcome.as_dict())
         self.quarantined[index] = outcome
         self._leases.pop(index, None)
+
+
+def run_work_queue(
+    executor,
+    tasks: Sequence[CellTask],
+    bank: Callable[[CellTask, RunOutcome], None],
+    on_open: Callable[[DurableWorkQueue], None],
+    *,
+    jobs: "int | str" = 1,
+    journal: Optional[str] = None,
+    meta: Optional[Dict] = None,
+    resume: bool = False,
+    lease_seconds: float = 60.0,
+    poison_retries: int = 2,
+    drill_kill_worker_after: Optional[int] = None,
+    say: Callable[[str], None] = lambda message: None,
+    warn: Optional[Callable[[str], None]] = None,
+    stop=None,
+) -> DurableWorkQueue:
+    """Run every cell of *tasks* on *executor* and return the drained
+    queue; :meth:`DurableWorkQueue.outcome_list` is the artifact.
+
+    *journal* is the journal path, ``None`` for an in-memory queue;
+    *meta* is the journal header.  With *resume* an existing journal is
+    replayed and restored (an unusable one is *warn*\\ ed about and the
+    run starts cold).  *on_open* sees the restored queue before any
+    cell runs.  *bank* fires once per freshly resolved cell, completed
+    or quarantined, in completion order.  One worker runs cells in
+    this process under a lease loop; more run on supervised disposable
+    workers.  A set *stop* event releases in-flight cells and returns
+    what finished.
+    """
+    warn = warn or say
+    replay = None
+    if journal and resume and os.path.exists(journal):
+        try:
+            replay = replay_journal(journal)
+        except AnalysisError as err:
+            warn(f"ignoring unusable journal: {err}; starting cold")
+        else:
+            if replay.truncated:
+                warn(
+                    "journal tail was damaged (interrupted write?); "
+                    f"dropped {replay.dropped} trailing line(s) and "
+                    "kept the valid prefix"
+                )
+    work = DurableWorkQueue(
+        tasks,
+        Journal(journal, meta, fresh=replay is None) if journal else None,
+        lease_seconds=lease_seconds,
+        poison_retries=poison_retries,
+    )
+    try:
+        if replay is not None:
+            work.restore(replay, warn=warn)
+        on_open(work)
+        workers = resolve_jobs(jobs, work.unresolved_count)
+        if workers > 1:
+            Supervisor(
+                executor, work, workers, bank,
+                drill_kill_worker_after=drill_kill_worker_after,
+                say=say, stop=stop,
+            ).run()
+        else:
+            while stop is None or not stop.is_set():
+                lease = work.acquire("serial", time.monotonic())
+                if lease is None:
+                    break
+                task = lease.task
+                outcome = executor.run_cell(task.seed, task.plan_name, task.plan)
+                if work.complete(task.index, outcome):
+                    bank(task, outcome)
+    finally:
+        if work.journal is not None:
+            work.journal.close()
+    return work

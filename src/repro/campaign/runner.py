@@ -25,13 +25,16 @@ Findings from all analyzable cells are merged and deduplicated.  When
 static-only report built from the compile-time candidates — reduced
 evidence, never silence.
 
-Cells are independent deterministic simulations, so the matrix can run
-on ``config.jobs`` worker processes (see :mod:`.parallel`): the static
-phase runs once, a picklable :class:`CellExecutor` ships the prepared
-program to each worker, cells complete out-of-order, and outcomes are
-reassembled in canonical matrix order — the merged report, checkpoint
-and exit code are identical to a serial run (wall-clock timing fields
-aside; ``record_timing=False`` makes even those bit-exact).
+Every campaign runs its cells through the one work-queue driver
+(:func:`~.queue.run_work_queue`): a serial in-process lease loop for one
+worker, supervised disposable worker processes (:mod:`.supervisor`) for
+``config.jobs > 1``, and a crash journal when ``config.journal`` is set.
+The static phase runs once, a picklable :class:`CellExecutor` ships the
+prepared program to each worker, cells complete out-of-order, and
+outcomes are reassembled in canonical matrix order — the merged report,
+checkpoint and exit code are identical to a serial run (wall-clock
+timing fields aside; ``record_timing=False`` makes even those
+bit-exact).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines.base import CheckingTool
-from ..errors import AnalysisError
 from ..faults import FaultPlan, builtin_plans
 from ..home.pipeline import Home, static_only_violations
 from ..minilang import ast_nodes as A
@@ -52,7 +54,6 @@ from ..runtime import make_interpreter
 from ..runtime.scheduler import DEFAULT_MAX_STEPS
 from ..violations.matcher import ViolationReport
 from .checkpoint import load_checkpoint, save_checkpoint
-from .journal import Journal, replay_journal
 from .outcome import (
     STATUS_BUDGET,
     STATUS_ERROR,
@@ -62,9 +63,7 @@ from .outcome import (
     RunOutcome,
     report_violation_dicts,
 )
-from .parallel import CellTask, resolve_jobs, run_cells_parallel
-from .queue import DurableWorkQueue, cell_key
-from .supervisor import Supervisor, SupervisorConfig
+from .queue import CellTask, DurableWorkQueue, cell_key, run_work_queue
 
 #: large odd prime so derived retry seeds never collide with the seed
 #: grid itself (campaign seeds are small consecutive integers)
@@ -103,17 +102,15 @@ class CampaignConfig:
     #: stamp host wall-clock seconds on outcomes; switch off for
     #: bit-exact artifacts across repeated or differently-parallel runs
     record_timing: bool = True
-    #: path of the append-only campaign journal.  Setting this turns on
-    #: the durable service path: every cell transition is journaled
-    #: before it happens, ``kill -9`` at any instant resumes exactly,
-    #: and (with ``jobs > 1``) cells run on supervised disposable
-    #: workers instead of a fragile process pool.
+    #: path of the append-only campaign journal.  Setting this makes the
+    #: campaign durable: every cell transition is journaled before it
+    #: happens, so ``kill -9`` at any instant resumes exactly.
     journal: Optional[str] = None
-    #: durable path only: seconds a cell may run without a heartbeat
-    #: before its worker is presumed dead and the cell is reclaimed
+    #: ``jobs > 1``: seconds a cell may run without a heartbeat before
+    #: its worker is presumed dead and the cell is reclaimed
     lease_seconds: float = 60.0
-    #: durable path only: crash-reclaims a cell may survive before it
-    #: is quarantined as a poison cell (quarantined on crash
+    #: ``jobs > 1``: crash-reclaims a cell may survive before it is
+    #: quarantined as a poison cell (quarantined on crash
     #: ``poison_retries + 1``)
     poison_retries: int = 2
     #: chaos drill: SIGKILL one busy supervised worker right after the
@@ -261,8 +258,8 @@ class CellExecutor:
 
     Picklable: a parallel campaign ships one executor to every worker
     process (program prepared and static analysis done exactly once, in
-    the parent), and the serial path runs the very same object
-    in-process — both paths execute identical per-cell code.
+    the parent), and a serial campaign runs the very same object
+    in-process — both execute identical per-cell code.
     """
 
     def __init__(
@@ -395,12 +392,14 @@ class CampaignRunner:
         else:
             print(f"warning: {message}", file=sys.stderr)
 
-    def _matrix(self) -> List[Tuple[int, str, Optional[FaultPlan]]]:
-        cells = []
-        for plan_name, plan in self.config.resolved_plans().items():
-            for seed in self.config.seeds:
-                cells.append((int(seed), plan_name, plan))
-        return cells
+    def _matrix(self) -> List[CellTask]:
+        """The seed × plan cells in canonical (plan-major) order."""
+        cells = [
+            (int(seed), plan_name, plan)
+            for plan_name, plan in self.config.resolved_plans().items()
+            for seed in self.config.seeds
+        ]
+        return [CellTask(index, *cell) for index, cell in enumerate(cells)]
 
     def _checkpoint_meta(self) -> Dict:
         cfg = self.config
@@ -424,8 +423,6 @@ class CampaignRunner:
         cfg = self.config
         if not (cfg.resume and cfg.checkpoint):
             return {}
-        import os
-
         if not os.path.exists(cfg.checkpoint):
             return {}  # nothing to resume: a normal first run
         try:
@@ -465,147 +462,28 @@ class CampaignRunner:
         flagged ``interrupted``.  *on_cell*, when given, receives the
         canonical-order outcome list after every banked cell — the hook
         the streaming service uses to publish partial reports.
-
-        With ``config.journal`` set the campaign takes the durable
-        service path (journaled work queue + supervised workers);
-        otherwise the legacy pool path runs unchanged.
         """
-        if self.config.journal:
-            return self._run_durable(stop, on_cell)
-        return self._run_pool(stop, on_cell)
-
-    def _finish(
-        self, outcomes: List[RunOutcome], total: int, interrupted: bool
-    ) -> CampaignResult:
-        merged, degraded = merge_outcomes(outcomes, self._static)
-        return CampaignResult(
-            program=self.program.name,
-            outcomes=outcomes,
-            report=merged,
-            static=self._static,
-            degraded=degraded,
-            interrupted=interrupted,
-            planned_runs=total,
-        )
-
-    def _run_pool(
-        self,
-        stop: Optional[threading.Event],
-        on_cell: Optional[Callable[[List[RunOutcome]], None]],
-    ) -> CampaignResult:
         cfg = self.config
-        banked = self._load_resume()
-        cells = self._matrix()
-        total = len(cells)
-        #: canonical matrix index -> outcome; artifacts are always
-        #: assembled from this in index order, so completion order (and
-        #: therefore the worker count) never changes what is written
-        completed: Dict[int, RunOutcome] = {}
-        pending: List[CellTask] = []
-        for index, (seed, plan_name, plan) in enumerate(cells):
-            cached = banked.get(f"{seed}/{plan_name}")
-            if cached is not None:
-                completed[index] = cached
-            else:
-                pending.append(CellTask(index, seed, plan_name, plan))
-        announced = 0
-        for index in sorted(completed):
-            announced += 1
-            self._say(f"[{announced}/{total}] {completed[index].describe()} (resumed)")
-
-        def bank(task: CellTask, outcome: RunOutcome) -> None:
-            nonlocal announced
-            completed[task.index] = outcome
-            announced += 1
-            self._say(f"[{announced}/{total}] {outcome.describe()}")
-            if cfg.checkpoint:
-                save_checkpoint(
-                    cfg.checkpoint,
-                    self._checkpoint_meta(),
-                    [completed[i] for i in sorted(completed)],
-                )
-            if on_cell is not None:
-                on_cell([completed[i] for i in sorted(completed)])
-
-        jobs = resolve_jobs(cfg.jobs, len(pending))
-        if pending and jobs > 1:
-            _, pool_error = run_cells_parallel(
-                self._executor, pending, jobs, bank, stop=stop
-            )
-            if pool_error is not None:
-                self._say(
-                    f"worker pool failed ({pool_error}); remaining cells "
-                    "were completed in-process"
-                )
-        else:
-            for task in pending:
-                if stop is not None and stop.is_set():
-                    break
-                bank(task, self._executor.run_cell(task.seed, task.plan_name, task.plan))
-        outcomes = [completed[index] for index in sorted(completed)]
-        interrupted = len(outcomes) < total
-        if cfg.checkpoint:
-            # final save covers the all-resumed case and guarantees the
-            # on-disk state is the canonical-order (partial) matrix
-            save_checkpoint(cfg.checkpoint, self._checkpoint_meta(), outcomes)
-        return self._finish(outcomes, total, interrupted)
-
-    # -- the durable service path --------------------------------------------
-
-    def _open_journal(self, tasks: List[CellTask]) -> DurableWorkQueue:
-        """Open (or resume) the journal and build the restored queue."""
-        cfg = self.config
-        replay = None
-        fresh = True
-        if cfg.resume and os.path.exists(cfg.journal):
-            try:
-                replay = replay_journal(cfg.journal)
-            except AnalysisError as err:
-                self._warn(f"ignoring unusable journal: {err}; starting cold")
-            else:
-                fresh = False
-                if replay.truncated:
-                    self._warn(
-                        "journal tail was damaged (interrupted write?); "
-                        f"dropped {replay.dropped} trailing line(s) and "
-                        "kept the valid prefix"
-                    )
-        journal = Journal(cfg.journal, self._checkpoint_meta(), fresh=fresh)
-        work = DurableWorkQueue(
-            tasks, journal,
-            lease_seconds=cfg.lease_seconds,
-            poison_retries=cfg.poison_retries,
-        )
-        if replay is not None:
-            work.restore(replay, warn=self._warn)
-        return work
-
-    def _run_durable(
-        self,
-        stop: Optional[threading.Event],
-        on_cell: Optional[Callable[[List[RunOutcome]], None]],
-    ) -> CampaignResult:
-        cfg = self.config
-        cells = self._matrix()
-        tasks = [
-            CellTask(index, seed, plan_name, plan)
-            for index, (seed, plan_name, plan) in enumerate(cells)
-        ]
+        tasks = self._matrix()
         total = len(tasks)
-        work = self._open_journal(tasks)
-        # fold in a checkpoint resumed without (or beyond) the journal;
-        # complete() journals each, so the journal converges to the
-        # union of both artifacts
-        banked = self._load_resume()
-        for task in tasks:
-            cached = banked.get(cell_key(task))
-            if cached is not None and not work.resolved(task.index):
-                work.complete(task.index, cached)
+        work: Optional[DurableWorkQueue] = None
         announced = 0
-        for outcome in work.outcome_list():
-            announced += 1
-            self._say(f"[{announced}/{total}] {outcome.describe()} (resumed)")
         fresh_done = 0
+
+        def on_open(queue: DurableWorkQueue) -> None:
+            nonlocal work, announced
+            work = queue
+            # fold in a checkpoint resumed without (or beyond) the
+            # journal; complete() journals each, so the journal
+            # converges to the union of both artifacts
+            banked = self._load_resume()
+            for task in tasks:
+                cached = banked.get(cell_key(task))
+                if cached is not None and not work.resolved(task.index):
+                    work.complete(task.index, cached)
+            for outcome in work.outcome_list():
+                announced += 1
+                self._say(f"[{announced}/{total}] {outcome.describe()} (resumed)")
 
         def bank(task: CellTask, outcome: RunOutcome) -> None:
             nonlocal announced, fresh_done
@@ -629,38 +507,34 @@ class CampaignRunner:
                 sys.stderr.flush()
                 os._exit(137)
 
-        try:
-            jobs = resolve_jobs(cfg.jobs, work.unresolved_count)
-            if jobs > 1:
-                supervisor = Supervisor(
-                    self._executor, work,
-                    SupervisorConfig(
-                        jobs=jobs,
-                        lease_seconds=cfg.lease_seconds,
-                        drill_kill_worker_after=cfg.drill_kill_worker_after,
-                    ),
-                    on_complete=bank, say=self._say, stop=stop,
-                )
-                supervisor.run()
-            else:
-                while not work.all_resolved():
-                    if stop is not None and stop.is_set():
-                        break
-                    lease = work.acquire("serial", time.monotonic())
-                    if lease is None:
-                        break
-                    outcome = self._executor.run_cell(
-                        lease.task.seed, lease.task.plan_name, lease.task.plan
-                    )
-                    if work.complete(lease.task.index, outcome):
-                        bank(lease.task, outcome)
-        finally:
-            work.journal.close()
+        run_work_queue(
+            self._executor, tasks, bank, on_open,
+            jobs=cfg.jobs,
+            journal=cfg.journal,
+            meta=self._checkpoint_meta(),
+            resume=cfg.resume,
+            lease_seconds=cfg.lease_seconds,
+            poison_retries=cfg.poison_retries,
+            drill_kill_worker_after=cfg.drill_kill_worker_after,
+            say=self._say,
+            warn=self._warn,
+            stop=stop,
+        )
         outcomes = work.outcome_list()
-        interrupted = not work.all_resolved()
         if cfg.checkpoint:
+            # final save covers the all-resumed case and guarantees the
+            # on-disk state is the canonical-order (partial) matrix
             save_checkpoint(cfg.checkpoint, self._checkpoint_meta(), outcomes)
-        return self._finish(outcomes, total, interrupted)
+        merged, degraded = merge_outcomes(outcomes, self._static)
+        return CampaignResult(
+            program=self.program.name,
+            outcomes=outcomes,
+            report=merged,
+            static=self._static,
+            degraded=degraded,
+            interrupted=not work.all_resolved(),
+            planned_runs=total,
+        )
 
 
 def run_campaign(

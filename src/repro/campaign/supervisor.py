@@ -1,18 +1,17 @@
-"""Supervised worker pool for durable campaigns.
+"""Supervised disposable workers: how a campaign or fuzz session runs
+cells on more than one process.
 
-The legacy parallel dispatcher (:mod:`.parallel`) treats the process
-pool as fragile: one killed worker breaks the whole pool and the
-dispatcher falls back to in-process execution.  The supervisor inverts
-that: workers are **disposable** and the pool is self-healing.
+Workers are **disposable** and the pool is self-healing: a worker that
+dies costs one lease, never the run.
 
 * Each worker is a separate ``multiprocessing.Process`` with its own
   task queue; the supervisor hands it one cell at a time under a
   time-bounded **lease** and the worker heartbeats while it runs, so a
   hung cell cannot stall the campaign past its lease.
 * A dead worker (SIGKILLed, segfaulted, OOM-killed) or an expired
-  lease **reclaims** the cell through the durable queue — the journal
-  records the crash — and the worker is restarted with capped
-  exponential backoff.
+  lease **reclaims** the cell through the work queue — which counts
+  the crash, and journals it when the run has a journal — and the
+  worker is restarted with capped exponential backoff.
 * A cell that keeps killing its workers is a **poison cell**: past the
   queue's retry cap it is quarantined with a deterministic placeholder
   outcome and the rest of the matrix proceeds.
@@ -36,44 +35,34 @@ import os
 import queue as _queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..faults.injector import DISPOSABLE_WORKER_ENV
 from .outcome import STATUS_ERROR, RunOutcome
-from .parallel import CellTask
-from .queue import DurableWorkQueue, Lease
+
+if TYPE_CHECKING:
+    from .queue import CellTask, DurableWorkQueue, Lease
 
 
-@dataclass
-class SupervisorConfig:
-    """Knobs of the supervised pool (all host-time, never sim-time)."""
-
-    jobs: int = 2
-    #: a cell whose worker neither heartbeats nor completes for this
-    #: long is presumed hung; its worker is killed and the cell reclaimed
-    lease_seconds: float = 60.0
-    #: worker heartbeat period (well under the lease)
-    heartbeat_seconds: float = 0.5
-    #: supervisor event-loop pacing
-    poll_seconds: float = 0.05
-    #: capped exponential backoff for restarting crashed workers
-    backoff_base_seconds: float = 0.05
-    backoff_cap_seconds: float = 2.0
-    #: chaos drill: SIGKILL one busy worker right after the Nth fresh
-    #: completion (exactly once) — self-test for lease reclaim
-    drill_kill_worker_after: Optional[int] = None
+#: worker heartbeat period (well under any lease)
+HEARTBEAT_SECONDS = 0.5
+#: supervisor event-loop pacing
+POLL_SECONDS = 0.05
+#: capped exponential backoff for restarting crashed workers
+BACKOFF_BASE_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 2.0
 
 
 def _worker_main(executor, worker_id: str, task_q, result_q,
-                 heartbeat_seconds: float, parent_pid: int) -> None:
+                 parent_pid: int) -> None:
     """Worker process body: pull cells, heartbeat, return outcomes."""
     os.environ[DISPOSABLE_WORKER_ENV] = "1"
     current = {"index": None}
     stop_hb = threading.Event()
 
     def _heartbeats() -> None:
-        while not stop_hb.wait(heartbeat_seconds):
+        while not stop_hb.wait(HEARTBEAT_SECONDS):
             if os.getppid() != parent_pid:
                 # coordinator hard-killed: die rather than linger as an
                 # orphan holding the result pipe open
@@ -99,8 +88,8 @@ def _worker_main(executor, worker_id: str, task_q, result_q,
         current["index"] = task.index
         try:
             outcome = executor.run_cell(task.seed, task.plan_name, task.plan)
-        except BaseException as err:  # noqa: BLE001 - same contract as
-            # the pool workers: always hand back *an* outcome
+        except BaseException as err:  # noqa: BLE001 - a worker must
+            # always hand back *an* outcome
             outcome = RunOutcome(
                 seed=task.seed, plan=task.plan_name, status=STATUS_ERROR,
                 error=f"worker: {type(err).__name__}: {err}",
@@ -119,7 +108,6 @@ class _Slot:
     busy: Optional[Lease] = None
     restarts: int = 0
     respawn_at: float = 0.0
-    kills: int = field(default=0)  # workers this slot lost (stats)
 
 
 class Supervisor:
@@ -130,22 +118,25 @@ class Supervisor:
         self,
         executor,
         work: DurableWorkQueue,
-        config: SupervisorConfig,
+        jobs: int,
+        on_complete: Callable[[CellTask, RunOutcome], None],
         *,
-        on_complete: Optional[Callable[[CellTask, RunOutcome], None]] = None,
+        drill_kill_worker_after: Optional[int] = None,
         say: Optional[Callable[[str], None]] = None,
         stop: Optional[threading.Event] = None,
     ) -> None:
         self.executor = executor
         self.work = work
-        self.config = config
+        #: chaos drill: SIGKILL one busy worker right after the Nth
+        #: fresh completion (exactly once) — self-test for lease reclaim
+        self.drill_kill_worker_after = drill_kill_worker_after
         self.on_complete = on_complete
         self._say = say or (lambda message: None)
         self._stop = stop
         self._mp = multiprocessing.get_context()
         self._result_q = self._mp.Queue()
         self._slots: List[_Slot] = [
-            _Slot(worker_id=f"w{i}") for i in range(max(1, config.jobs))
+            _Slot(worker_id=f"w{i}") for i in range(max(1, jobs))
         ]
         self._completed = 0
         self._drill_fired = False
@@ -177,7 +168,7 @@ class Supervisor:
         while True:
             try:
                 message = self._result_q.get(
-                    timeout=self.config.poll_seconds if (block and first) else 0
+                    timeout=POLL_SECONDS if (block and first) else 0
                 )
             except _queue.Empty:
                 return
@@ -206,14 +197,12 @@ class Supervisor:
         task = self.work.task_for(index)
         if self.work.complete(index, outcome):
             self._completed += 1
-            if self.on_complete is not None:
-                self.on_complete(task, outcome)
+            self.on_complete(task, outcome)
             self._maybe_drill_kill()
 
     def _maybe_drill_kill(self) -> None:
-        cfg = self.config
-        if (cfg.drill_kill_worker_after is None or self._drill_fired
-                or self._completed < cfg.drill_kill_worker_after):
+        after = self.drill_kill_worker_after
+        if after is None or self._drill_fired or self._completed < after:
             return
         busy = [s for s in self._slots
                 if s.busy is not None and s.proc is not None and s.proc.is_alive()]
@@ -270,8 +259,7 @@ class Supervisor:
                 )
                 outcome = self.work.quarantined[lease.task.index]
                 self._completed += 1
-                if self.on_complete is not None:
-                    self.on_complete(lease.task, outcome)
+                self.on_complete(lease.task, outcome)
             else:
                 self._say(
                     f"worker {slot.worker_id} {why} running cell {key}; "
@@ -282,11 +270,10 @@ class Supervisor:
             slot.proc.join()
         slot.proc = None
         slot.task_q = None
-        slot.kills += 1
         slot.restarts += 1
         backoff = min(
-            self.config.backoff_cap_seconds,
-            self.config.backoff_base_seconds * (2 ** min(slot.restarts - 1, 16)),
+            BACKOFF_CAP_SECONDS,
+            BACKOFF_BASE_SECONDS * (2 ** min(slot.restarts - 1, 16)),
         )
         slot.respawn_at = now + backoff
 
@@ -304,11 +291,13 @@ class Supervisor:
 
     def _spawn(self, slot: _Slot) -> None:
         slot.task_q = self._mp.Queue()
+        # not daemonic: a cell may itself run a supervised campaign (the
+        # fuzz jobs oracle does), and daemonic processes cannot have
+        # children.  The parent-pid watch and _shutdown reap workers.
         slot.proc = self._mp.Process(
             target=_worker_main,
             args=(self.executor, slot.worker_id, slot.task_q, self._result_q,
-                  self.config.heartbeat_seconds, os.getpid()),
-            daemon=True,
+                  os.getpid()),
         )
         slot.proc.start()
 

@@ -17,8 +17,8 @@ Subcommands
 ``demo``
     Run HOME over the built-in case studies.
 ``campaign FILE``
-    Multi-seed fault-injection campaign; ``--journal`` turns on the
-    durable crash-safe service path.
+    Multi-seed fault-injection campaign; ``--journal`` makes it
+    crash-safe and exactly resumable.
 ``serve SPOOL``
     Durable campaign server over a spool directory of submissions.
 ``bench``
@@ -86,6 +86,20 @@ def _graceful_stop_event() -> threading.Event:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
     return stop
+
+
+def _parse_jobs(value):
+    """A ``--jobs`` value as a positive int or ``"auto"``; ``None``,
+    after an error line on stderr, when it is neither."""
+    try:
+        jobs = value if value == "auto" else int(value)
+    except ValueError:
+        jobs = 0
+    if jobs == "auto" or jobs >= 1:
+        return jobs
+    print(f"error: --jobs must be a positive integer or 'auto', "
+          f"got {value!r}", file=sys.stderr)
+    return None
 
 
 def _load_program(path: str):
@@ -380,16 +394,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except KeyError as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
-    jobs = args.jobs
-    if jobs != "auto":
-        try:
-            jobs = int(jobs)
-            if jobs < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: --jobs must be a positive integer or 'auto', "
-                  f"got {args.jobs!r}", file=sys.stderr)
-            return 2
+    jobs = _parse_jobs(args.jobs)
+    if jobs is None:
+        return 2
     config = CampaignConfig(
         seeds=range(args.seeds),
         plans=plans,
@@ -428,16 +435,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Durable campaign server over a spool directory."""
     from .campaign import CampaignService, ServeConfig
 
-    jobs = args.jobs
-    if jobs != "auto":
-        try:
-            jobs = int(jobs)
-            if jobs < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: --jobs must be a positive integer or 'auto', "
-                  f"got {args.jobs!r}", file=sys.stderr)
-            return 2
+    jobs = _parse_jobs(args.jobs)
+    if jobs is None:
+        return 2
     stop = _graceful_stop_event()
     service = CampaignService(
         ServeConfig(
@@ -482,16 +482,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs = args.jobs
-    if jobs != "auto":
-        try:
-            jobs = int(jobs)
-            if jobs < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: --jobs must be a positive integer or 'auto', "
-                  f"got {args.jobs!r}", file=sys.stderr)
-            return 2
+    jobs = _parse_jobs(args.jobs)
+    if jobs is None:
+        return 2
     generator = GeneratorConfig()
     if args.max_stmts is not None:
         if args.max_stmts < 2:
@@ -829,25 +822,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero the wall_seconds fields so report/checkpoint "
                         "files are bit-exact across repeated runs")
     p.add_argument("--journal", metavar="PATH",
-                   help="append-only crash journal; turns on the durable "
-                        "service path (supervised workers, lease reclaim, "
-                        "poison-cell quarantine) and makes --resume exact "
-                        "even after kill -9")
+                   help="append-only crash journal: every cell transition "
+                        "is journaled, so --resume is exact even after "
+                        "kill -9")
     p.add_argument("--lease-seconds", type=float, default=60.0,
-                   help="durable path: seconds a cell may run without a "
+                   help="jobs > 1: seconds a cell may run without a "
                         "heartbeat before its worker is presumed dead "
                         "(default 60)")
     p.add_argument("--poison-retries", type=int, default=2,
-                   help="durable path: crash-reclaims a cell survives "
+                   help="jobs > 1: crash-reclaims a cell survives "
                         "before quarantine (default 2)")
     p.add_argument("--drill-kill-worker", type=int, default=None,
                    metavar="N",
                    help="chaos drill: SIGKILL one busy worker after the "
-                        "Nth completed cell (durable path, jobs > 1)")
+                        "Nth completed cell (jobs > 1)")
     p.add_argument("--drill-abort-after", type=int, default=None,
                    metavar="N",
                    help="chaos drill: hard-kill the coordinator (exit 137) "
-                        "after the Nth fresh cell (durable path)")
+                        "after the Nth fresh cell (--journal makes the "
+                        "resume exact)")
     p.add_argument("--json", metavar="PATH",
                    help="write the merged campaign report as JSON")
     p.add_argument(
@@ -920,15 +913,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel fuzz-cell workers (positive int or "
                         "'auto'; default 1)")
     p.add_argument("--journal", metavar="PATH",
-                   help="append-only journal; turns on the durable "
-                        "campaign-service path (leases, supervised "
-                        "workers, poison-program quarantine)")
+                   help="append-only journal: every cell transition is "
+                        "journaled, so --resume continues the session "
+                        "exactly")
     p.add_argument("--resume", action="store_true",
                    help="resume a journaled fuzz session")
     p.add_argument("--lease-seconds", type=float, default=60.0,
-                   help="durable path: worker heartbeat lease (default 60)")
+                   help="jobs > 1: worker heartbeat lease (default 60)")
     p.add_argument("--poison-retries", type=int, default=2,
-                   help="durable path: crash-reclaims before a generated "
+                   help="jobs > 1: crash-reclaims before a generated "
                         "program is quarantined as poison (default 2)")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="print per-program progress lines")

@@ -3,16 +3,13 @@
 One fuzz *cell* = generate program ``seed`` from the grammar, run the
 selected oracles, and fold what happened into a
 :class:`~repro.campaign.outcome.RunOutcome` — the same crash-isolated,
-JSON-round-trippable record campaign cells use.  That lets the whole
-campaign execution machinery carry fuzzing unchanged:
-
-* ``jobs > 1`` dispatches cells on the campaign worker pool
-  (:func:`~repro.campaign.parallel.run_cells_parallel`);
-* a journal turns the session durable: cells become leased queue items
-  (:class:`~repro.campaign.queue.DurableWorkQueue`) run by supervised
-  disposable workers, and a generated program that kills its worker
-  repeatedly is quarantined as a poison cell instead of stalling the
-  session.
+JSON-round-trippable record campaign cells use.  That lets the
+campaign's one cell-execution path
+(:func:`~repro.campaign.queue.run_work_queue`) carry fuzzing unchanged:
+cells are leased work-queue items, ``jobs > 1`` runs them on supervised
+disposable workers (a generated program that kills its worker
+repeatedly is quarantined as a poison cell instead of stalling the
+session), and a journal makes the session durable and resumable.
 
 The coordinator then triages outcomes (:mod:`.triage`), optionally
 reduces one reproducer per signature (:mod:`.reduce`), and emits an
@@ -34,7 +31,7 @@ from ..campaign.outcome import (
     STATUS_OK,
     RunOutcome,
 )
-from ..campaign.parallel import CellTask, resolve_jobs, run_cells_parallel
+from ..campaign.queue import CellTask, run_work_queue
 from ..errors import MiniLangError
 from ..minilang import parse, validate
 from .generator import (
@@ -76,7 +73,7 @@ class FuzzConfig:
     reduce: bool = True
     #: parallel cell workers, as in campaigns (int or ``"auto"``)
     jobs: "int | str" = 1
-    #: journal path; set -> durable queue + supervised workers
+    #: journal path; set -> the session is durable and resumable
     journal: Optional[str] = None
     resume: bool = False
     lease_seconds: float = 60.0
@@ -146,7 +143,7 @@ def _violation_to_finding(seed: int, data: Dict[str, Any]) -> OracleFinding:
 
 class FuzzCellExecutor:
     """Picklable per-cell executor with the campaign ``run_cell``
-    contract — pool workers and supervised durable workers both drive
+    contract — the serial lease loop and supervised workers both drive
     fuzz cells through this."""
 
     def __init__(self, config: FuzzConfig) -> None:
@@ -461,12 +458,10 @@ def run_fuzz(
         for i in range(config.seeds)
     ]
     total = len(tasks)
-    completed: Dict[int, RunOutcome] = {}
     announced = 0
 
-    def bank_cell(task: CellTask, outcome: RunOutcome) -> None:
+    def announce(outcome: RunOutcome) -> None:
         nonlocal announced
-        completed[task.index] = outcome
         announced += 1
         # describe() counts the piggybacked fuzz:meta record as a
         # violation; report oracle findings only
@@ -485,28 +480,30 @@ def run_fuzz(
             line += " error=" + repr(outcome.error.splitlines()[0])
         say(f"[{announced}/{total}] {line}")
 
-    if config.journal:
-        outcomes = _run_durable(executor, tasks, config, bank_cell, say, stop)
-    else:
-        jobs = resolve_jobs(config.jobs, total)
-        if jobs > 1:
-            _, pool_error = run_cells_parallel(
-                executor, tasks, jobs, bank_cell, stop=stop
-            )
-            if pool_error is not None:
-                say(
-                    f"worker pool failed ({pool_error}); remaining cells "
-                    "were completed in-process"
-                )
-        else:
-            for task in tasks:
-                if stop is not None and stop.is_set():
-                    break
-                bank_cell(
-                    task, executor.run_cell(task.seed, task.plan_name, task.plan)
-                )
-    if not config.journal:
-        outcomes = [completed[i] for i in sorted(completed)]
+    def on_open(work) -> None:
+        for outcome in work.outcome_list():
+            announce(outcome)
+
+    work = run_work_queue(
+        executor, tasks, lambda task, outcome: announce(outcome), on_open,
+        jobs=config.jobs,
+        journal=config.journal,
+        meta={
+            "kind": "fuzz",
+            "grammar_version": GRAMMAR_VERSION,
+            "seeds": config.seeds,
+            "seed_base": config.seed_base,
+            "oracles": list(config.oracles),
+        },
+        resume=config.resume,
+        lease_seconds=config.lease_seconds,
+        poison_retries=config.poison_retries,
+        say=say,
+        stop=stop,
+    )
+    # canonical order, quarantined cells included — the completion
+    # callbacks are an announcement stream, not the artifact
+    outcomes = work.outcome_list()
     bank = _triage_outcomes(outcomes, config)
     if config.reduce and bank.entries:
         _reduce_bank(bank, config, say, stop=stop)
@@ -517,92 +514,6 @@ def run_fuzz(
         wall_seconds=time.perf_counter() - started,
         interrupted=len(outcomes) < total,
     )
-
-
-def _run_durable(
-    executor: FuzzCellExecutor,
-    tasks: List[CellTask],
-    config: FuzzConfig,
-    bank_cell: Callable[[CellTask, RunOutcome], None],
-    say: Callable[[str], None],
-    stop=None,
-) -> List[RunOutcome]:
-    """Durable path: journaled queue + supervised workers, exactly the
-    campaign service's machinery (poison programs end up quarantined)."""
-    import os
-
-    from ..campaign.journal import Journal, replay_journal
-    from ..campaign.queue import DurableWorkQueue
-    from ..campaign.supervisor import Supervisor, SupervisorConfig
-    from ..errors import AnalysisError
-
-    replay = None
-    fresh = True
-    if config.resume and os.path.exists(config.journal):
-        try:
-            replay = replay_journal(config.journal)
-        except AnalysisError as err:
-            say(f"ignoring unusable journal: {err}; starting cold")
-        else:
-            fresh = False
-            if replay.truncated:
-                say(
-                    "journal tail was damaged (interrupted write?); "
-                    f"dropped {replay.dropped} trailing line(s)"
-                )
-    meta = {
-        "kind": "fuzz",
-        "grammar_version": GRAMMAR_VERSION,
-        "seeds": config.seeds,
-        "seed_base": config.seed_base,
-        "oracles": list(config.oracles),
-    }
-    journal = Journal(config.journal, meta, fresh=fresh)
-    work = DurableWorkQueue(
-        tasks,
-        journal,
-        lease_seconds=config.lease_seconds,
-        poison_retries=config.poison_retries,
-    )
-    if replay is not None:
-        work.restore(replay, warn=say)
-    for task in tasks:
-        if work.resolved(task.index):
-            resumed = work.outcomes.get(task.index)
-            if resumed is None:
-                resumed = work.quarantined.get(task.index)
-            bank_cell(task, resumed)
-    try:
-        jobs = resolve_jobs(config.jobs, work.unresolved_count)
-        if jobs > 1:
-            supervisor = Supervisor(
-                executor,
-                work,
-                SupervisorConfig(
-                    jobs=jobs, lease_seconds=config.lease_seconds
-                ),
-                on_complete=bank_cell,
-                say=say,
-                stop=stop,
-            )
-            supervisor.run()
-        else:
-            while not work.all_resolved():
-                if stop is not None and stop.is_set():
-                    break
-                lease = work.acquire("serial", time.monotonic())
-                if lease is None:
-                    break
-                outcome = executor.run_cell(
-                    lease.task.seed, lease.task.plan_name, lease.task.plan
-                )
-                if work.complete(lease.task.index, outcome):
-                    bank_cell(lease.task, outcome)
-    finally:
-        work.journal.close()
-    # canonical order, quarantined cells included — the supervisor's
-    # completion callbacks are an announcement stream, not the artifact
-    return work.outcome_list()
 
 
 # keep the public name list tidy for ``from repro.fuzz import *`` users

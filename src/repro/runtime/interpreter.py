@@ -291,32 +291,54 @@ class Interpreter:
 
         result = ExecutionResult(self.program.name, self.config)
         try:
-            self.scheduler.run()
-        except DeadlockError as err:
-            if self.config.raise_on_deadlock:
-                raise
-            result.deadlock = diagnose(err.blocked)
-        except SchedulerError as err:
-            # Step/wall budget exhaustion: the partial trace is still a
-            # valid prefix of the execution — salvage it when asked.
-            if not self.config.capture_partial:
-                raise
-            result.failure = str(err)
-        result.log = self.log
-        result.outputs = self.outputs
-        result.notes = self.notes
-        result.makespan = self.scheduler.makespan()
-        result.proc_clocks = self.scheduler.clocks_by_process()
-        result.stats = {
-            "scheduler_steps": self.scheduler.total_steps,
-            "messages_sent": self.world.messages_sent,
-            "mpi_calls": self._mpi_calls,
-            "events": len(self.log),
-        }
-        if self.faults.enabled:
-            result.stats["faults"] = self.faults.summary()
-            result.stats["faults_injected"] = list(self.faults.injected)
-        return result
+            try:
+                self.scheduler.run()
+            except DeadlockError as err:
+                if self.config.raise_on_deadlock:
+                    raise
+                result.deadlock = diagnose(err.blocked)
+            except SchedulerError as err:
+                # Step/wall budget exhaustion: the partial trace is still a
+                # valid prefix of the execution — salvage it when asked.
+                if not self.config.capture_partial:
+                    raise
+                result.failure = str(err)
+            result.log = self.log
+            result.outputs = self.outputs
+            result.notes = self.notes
+            result.makespan = self.scheduler.makespan()
+            result.proc_clocks = self.scheduler.clocks_by_process()
+            result.stats = {
+                "scheduler_steps": self.scheduler.total_steps,
+                "messages_sent": self.world.messages_sent,
+                "mpi_calls": self._mpi_calls,
+                "events": len(self.log),
+            }
+            if self.faults.enabled:
+                result.stats["faults"] = self.faults.summary()
+                result.stats["faults_injected"] = list(self.faults.injected)
+            return result
+        finally:
+            self._close_suspended_threads()
+
+    def _close_suspended_threads(self) -> None:
+        """Close the threads a run left suspended (deadlock, rank abort,
+        budget) now, with the log and notes detached: they never
+        finished, so what their unwinding emits (``ThreadEnd``,
+        ``LockRelease``) must never reach the result, as it did when
+        the garbage collector closed them after the run."""
+        log, notes = self.log, self.notes
+        self.log, self.notes = EventLog(), []
+        self._log_append = self.log.raw_append()
+        for task in self.scheduler.tasks:
+            try:
+                task.gen.close()
+            except Exception:  # noqa: BLE001 - the run is over; an error
+                # unwinding a thread that never finished is not part of
+                # it (the garbage collector ignored these too)
+                pass
+        self.log, self.notes = log, notes
+        self._log_append = log.raw_append()
 
     def _main_task(self, ctx: ThreadCtx) -> Gen:
         try:

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.campaign import (
+    STATUS_QUARANTINED,
     CampaignConfig,
     CellTask,
     default_plan_matrix,
@@ -174,9 +175,10 @@ class WorkerKillingTool(Home):
 
 
 class TestCrashIsolation:
-    def test_broken_pool_falls_back_to_inprocess(self):
+    def test_every_worker_killed_quarantines_every_cell(self):
         """Killing every worker process outright still completes the
-        campaign with the same findings as a serial run."""
+        campaign: each cell is quarantined as poison and flagged, and
+        the report degrades to the static-only candidates."""
         lines = []
         result = run_campaign(
             case_study_2(),
@@ -184,11 +186,12 @@ class TestCrashIsolation:
             tool=WorkerKillingTool(os.getpid()),
             progress=lines.append,
         )
+        assert not result.interrupted
         assert len(result.outcomes) == 6
-        assert all(o.analyzable for o in result.outcomes)
-        assert any("worker pool failed" in line for line in lines)
-        serial = run_campaign(case_study_2(), _config(1))
-        assert result.report.classes() == serial.report.classes()
+        assert all(o.status == STATUS_QUARANTINED for o in result.outcomes)
+        assert sum("QUARANTINED" in line for line in lines) == 6
+        assert "QUARANTINED" in result.summary()
+        assert result.degraded
 
 
 class TestCliJobs:
@@ -222,7 +225,13 @@ class TestCliJobs:
             blobs[jobs] = report.read_bytes()
         assert blobs["1"] == blobs["4"]
 
-    def test_bad_jobs_value_rejected(self, racy_file, capsys):
-        code = main(["campaign", racy_file, "--jobs", "zero"])
+    @pytest.mark.parametrize("command", ["campaign", "serve", "fuzz"])
+    def test_bad_jobs_value_rejected(self, command, racy_file, tmp_path, capsys):
+        target = {
+            "campaign": [racy_file],
+            "serve": [str(tmp_path / "spool")],
+            "fuzz": [],
+        }[command]
+        code = main([command, *target, "--jobs", "zero"])
         assert code == 2
         assert "--jobs" in capsys.readouterr().err

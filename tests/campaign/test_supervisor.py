@@ -20,6 +20,7 @@ from repro.campaign import (
     default_plan_matrix,
     run_campaign,
 )
+from repro.home import Home
 from repro.workloads.case_studies import case_study_2
 
 RACY = """
@@ -153,6 +154,51 @@ class TestPoisonCell:
         (outcome,) = result.outcomes
         assert outcome.status == "error"
         assert "worker-kill drill" in outcome.error
+
+
+class PidTool(Home):
+    """Fails every run with the pid of the process the run was in."""
+
+    def run_config(self, *args, **kwargs):
+        raise RuntimeError(f"pid={os.getpid()}")
+
+
+class NestedCampaignTool(Home):
+    """Every run is a ``jobs=2`` campaign of its own (as in the fuzz
+    jobs oracle); the cell's error reports which processes ran what."""
+
+    def run_config(self, *args, **kwargs):
+        from repro.minilang import parse
+
+        inner = run_campaign(
+            parse(RACY),
+            CampaignConfig(seeds=range(2),
+                           plans=default_plan_matrix(2, ["none"]),
+                           retries=0, record_timing=False, jobs=2),
+            tool=PidTool(),
+        )
+        pids = sorted(int(o.error.rsplit("=", 1)[1]) for o in inner.outcomes)
+        raise RuntimeError(json.dumps({"outer": os.getpid(), "inner": pids}))
+
+
+class TestNestedSupervision:
+    def test_supervised_cell_runs_a_supervised_campaign(self, tmp_path):
+        from repro.minilang import parse
+
+        result = run_campaign(
+            parse(RACY),
+            _config(tmp_path, "nested", jobs=2, seeds=range(2),
+                    plans=default_plan_matrix(2, ["none"]), retries=0),
+            tool=NestedCampaignTool(),
+        )
+        assert len(result.outcomes) == 2
+        for outcome in result.outcomes:
+            ran = json.loads(outcome.error.split(": ", 1)[1])
+            assert ran["outer"] != os.getpid()
+            # each inner cell ran on its own worker of the outer cell
+            assert len(set(ran["inner"])) == 2
+            assert ran["outer"] not in ran["inner"]
+            assert os.getpid() not in ran["inner"]
 
 
 class TestInterruption:
