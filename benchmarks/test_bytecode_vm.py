@@ -19,7 +19,11 @@ import time
 
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig
-from repro.runtime.bytecode.compiler import clear_compile_cache, compile_program
+from repro.runtime.bytecode.compiler import (
+    MONITOR_OFF,
+    clear_compile_cache,
+    compile_program,
+)
 from repro.runtime.bytecode.vm import BytecodeInterpreter
 from repro.runtime.interpreter import Interpreter
 from repro.workloads.npb import BENCHMARKS
@@ -63,6 +67,23 @@ class TestCompileCost:
         first = compile_program(program)
         assert compile_program(program) is first
 
+    def test_memo_is_keyed_on_monitoring_spec(self):
+        """One compilation per (program, monitoring spec): the same spec
+        hits the memo, a different monitored set compiles afresh, and
+        the spec-less call keeps meaning "no memory monitoring"."""
+        program = BENCHMARKS["lu"](inject=True)
+        clear_compile_cache()
+        plain = compile_program(program)
+        assert plain.codes
+        field = compile_program(program, frozenset({"field"}))
+        assert compile_program(program, frozenset({"field"})) is field
+        tmp = compile_program(program, frozenset({"tmp"}))
+        everything = compile_program(program, None)
+        assert compile_program(program, None) is everything
+        assert len({id(plain), id(field), id(tmp), id(everything)}) == 4
+        assert compile_program(program) is plain
+        assert compile_program(program, MONITOR_OFF) is plain
+
     def test_shared_across_interpreter_instances(self):
         """A campaign cell's repeated runs of one program object reuse
         one compilation — the compile-once contract."""
@@ -70,6 +91,8 @@ class TestCompileCost:
         clear_compile_cache()
         a = BytecodeInterpreter(program, RunConfig(nprocs=2, num_threads=2))
         b = BytecodeInterpreter(program, RunConfig(nprocs=2, num_threads=2))
+        a.run()
+        b.run()
         assert a.compiled is b.compiled
 
 

@@ -51,8 +51,11 @@ class Event:
 class MemAccess(Event):
     """A read or write of a *shared* program variable.
 
-    Only emitted when full memory monitoring is on (the ITC model) —
-    HOME deliberately does not monitor computation variables.
+    Only emitted while memory monitoring is on: for every shared
+    variable under the ITC model, and under HOME's race-directed
+    narrowing for just the variables its static race pass flagged
+    (``RunConfig.monitored_vars``).  HOME monitors no other computation
+    variables.
     """
 
     is_write: bool = False

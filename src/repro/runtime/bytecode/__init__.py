@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :func:`compile_program` — lower a program to closure arrays (memoized
-  per program object; shared across campaign cells and serve workers);
+* :func:`compile_program` — lower a program to closure arrays under a
+  memory-monitoring spec (memoized per program object and spec; shared
+  across campaign cells and serve workers);
 * :class:`BytecodeInterpreter` — drop-in interpreter running compiled
   code with byte-identical traces to the tree-walk;
 * :func:`clear_compile_cache` — drop memoized compilations (tests).

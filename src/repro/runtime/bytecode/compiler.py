@@ -17,7 +17,11 @@ body **once per program** into flat tuples of compiled closures
 * variable references are resolved to *scope hops* against a compile-time
   model of the lexical scope chain, replacing the per-access name walk
   with ``k`` pointer dereferences plus one dict probe.  Scopes that can
-  never receive a declaration are elided entirely.
+  never receive a declaration are elided entirely;
+* memory monitoring is decided at compile time, as binary
+  instrumentation patches only the selected variables: a variable site
+  whose identifier the run's monitoring spec does not select compiles
+  with no hook, and a selected site calls one lean emitter.
 
 Byte-identity contract: yield-point placement is computed here so the
 compiled program presents the scheduler with *exactly* the same sequence
@@ -39,7 +43,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...errors import SimAbort
-from ...events import ThreadBegin, ThreadEnd, ThreadFork, ThreadJoin
+from ...events import MemAccess, ThreadBegin, ThreadEnd, ThreadFork, ThreadJoin
 from ...events.event import COLLECTIVE_OPS
 from ...minilang import ast_nodes as A
 from ...mpi import LANGUAGE_CONSTANTS
@@ -69,6 +73,37 @@ GEN = True  # generator closure, driven with ``yield from``
 Code = Tuple[Tuple[Tuple[bool, Callable], ...], bool]
 
 _MISSING = object()
+
+#: the monitoring spec of a program compiled with no memory monitoring;
+#: the other specs are None (every shared variable) and a frozenset of
+#: the monitored variable names
+MONITOR_OFF = False
+
+
+def monitor_spec(config) -> Any:
+    """The monitoring spec a run under *config* compiles its program with."""
+    if not config.monitor_memory:
+        return MONITOR_OFF
+    monitored = config.monitored_vars
+    return None if monitored is None else frozenset(monitored)
+
+
+def _mem_event(vm, ctx: ThreadCtx, cell, is_write: bool, callsite: int,
+               index: int) -> None:
+    """Memory hook of a monitored site: ``Interpreter._mem_access`` with
+    the monitoring-spec checks settled at compile time.
+
+    Exact because every resolved cell's ``name`` is the identifier of
+    the site that resolved it.  Charges, then takes seq and time in
+    :meth:`Interpreter.emit`'s order.
+    """
+    if cell.shared and ctx.in_parallel:
+        task = ctx.task
+        task.clock += vm.charge_cfg.mem_event_cost
+        vm._log_append(MemAccess(
+            ctx.proc.rank, ctx.tid, vm.log.next_seq(), task.clock,
+            is_write, cell.cid, cell.name, callsite, index,
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +460,9 @@ _PURE_BUILTINS = {
 
 
 class _Compiler:
-    def __init__(self, program: A.Program) -> None:
+    def __init__(self, program: A.Program, monitor: Any = MONITOR_OFF) -> None:
         self.program = program
+        self.monitor = monitor
         self.functions = {fn.name: fn for fn in program.functions}
         from .. import mpi_builtins  # deferred: import cycle with runtime
 
@@ -441,6 +477,14 @@ class _Compiler:
         for fn in self.program.functions:
             codes[fn.name] = self._compile_func(fn, gframe)
         return CompiledProgram(self.program, codes)
+
+    def _mem_hook(self, ident: str) -> Optional[Callable]:
+        """The memory hook for a variable site on *ident*: None when the
+        monitoring spec leaves *ident* unmonitored (no hook is compiled)."""
+        monitor = self.monitor
+        if monitor is MONITOR_OFF or (monitor is not None and ident not in monitor):
+            return None
+        return _mem_event
 
     def _compile_func(self, fn: A.FuncDef, gframe: _Frame) -> FuncCode:
         needs_frame = bool(fn.params) or _block_declares(fn.body)
@@ -581,14 +625,15 @@ class _Compiler:
         target = node.target
         if isinstance(target, A.Name):
             resolve = _make_resolver(frame, target.ident)
+            hook = self._mem_hook(target.ident)
             tnid = target.nid
             if not vg:
                 # superinstruction: eval + store in one closure
                 def fn(vm, ctx):
                     value = vf(vm, ctx)
                     cell = resolve(ctx)
-                    if vm._monitor:
-                        vm._mem_access(ctx, cell, is_write=True, callsite=tnid)
+                    if hook is not None:
+                        hook(vm, ctx, cell, True, tnid, -1)
                     cell.value = value
                     return None
 
@@ -597,8 +642,8 @@ class _Compiler:
             def fn(vm, ctx):
                 value = yield from vf(vm, ctx)
                 cell = resolve(ctx)
-                if vm._monitor:
-                    vm._mem_access(ctx, cell, is_write=True, callsite=tnid)
+                if hook is not None:
+                    hook(vm, ctx, cell, True, tnid, -1)
                 cell.value = value
                 return None
 
@@ -609,6 +654,7 @@ class _Compiler:
             base = target.base
             if isinstance(base, A.Name):
                 resolve = _make_resolver(frame, base.ident)
+                hook = self._mem_hook(base.ident)
                 not_array = f"{base.ident!r} is not an array"
                 if not vg and not ig:
                     def fn(vm, ctx):
@@ -620,10 +666,8 @@ class _Compiler:
                         idx = idxf(vm, ctx)
                         if type(idx) is not int:
                             idx = as_int(idx, "array index")
-                        if vm._monitor:
-                            vm._mem_access(
-                                ctx, cell, is_write=True, callsite=tnid, index=idx
-                            )
+                        if hook is not None:
+                            hook(vm, ctx, cell, True, tnid, idx)
                         arr.set(idx, value)
                         return None
 
@@ -637,10 +681,8 @@ class _Compiler:
                     if not isinstance(arr, ArrayValue):
                         raise SimAbort(not_array)
                     idx = as_int((yield from igen(vm, ctx)), "array index")
-                    if vm._monitor:
-                        vm._mem_access(
-                            ctx, cell, is_write=True, callsite=tnid, index=idx
-                        )
+                    if hook is not None:
+                        hook(vm, ctx, cell, True, tnid, idx)
                     arr.set(idx, value)
                     return None
 
@@ -1528,12 +1570,13 @@ class _Compiler:
             return (PURE, fn)
         if isinstance(node, A.Name):
             resolve = _make_resolver(frame, node.ident)
+            hook = self._mem_hook(node.ident)
             nid = node.nid
 
             def fn(vm, ctx):
                 cell = resolve(ctx)
-                if vm._monitor:
-                    vm._mem_access(ctx, cell, is_write=False, callsite=nid)
+                if hook is not None:
+                    hook(vm, ctx, cell, False, nid, -1)
                 return cell.value
 
             return (PURE, fn)
@@ -1579,6 +1622,7 @@ class _Compiler:
         base = node.base
         if isinstance(base, A.Name):
             resolve = _make_resolver(frame, base.ident)
+            hook = self._mem_hook(base.ident)
             not_array = f"{base.ident!r} is not an array"
             if not ig:
                 def fn(vm, ctx):
@@ -1589,10 +1633,8 @@ class _Compiler:
                     idx = idxf(vm, ctx)
                     if type(idx) is not int:
                         idx = as_int(idx, "array index")
-                    if vm._monitor:
-                        vm._mem_access(
-                            ctx, cell, is_write=False, callsite=nid, index=idx
-                        )
+                    if hook is not None:
+                        hook(vm, ctx, cell, False, nid, idx)
                     return arr.get(idx)
 
                 return (PURE, fn)
@@ -1603,8 +1645,8 @@ class _Compiler:
                 if not isinstance(arr, ArrayValue):
                     raise SimAbort(not_array)
                 idx = as_int((yield from idxf(vm, ctx)), "array index")
-                if vm._monitor:
-                    vm._mem_access(ctx, cell, is_write=False, callsite=nid, index=idx)
+                if hook is not None:
+                    hook(vm, ctx, cell, False, nid, idx)
                 return arr.get(idx)
 
             return (GEN, fn)
@@ -1808,21 +1850,26 @@ _RETURN_NONE = ("return", None)
 # Compile cache
 # ---------------------------------------------------------------------------
 
-#: program-id -> (program ref, compiled) — the strong ref both keeps the
-#: id stable and lets campaign cells / serve workers that re-run the same
-#: Program object (varying seeds, plans, monitored vars) compile once.
-_COMPILE_CACHE: "OrderedDict[int, Tuple[A.Program, CompiledProgram]]" = OrderedDict()
+#: (program id, monitoring spec) -> (program ref, compiled) — the strong
+#: ref both keeps the id stable and lets campaign cells / serve workers
+#: that re-run the same Program object (varying seeds and plans) compile
+#: once per monitoring spec.
+_COMPILE_CACHE: "OrderedDict[Tuple[int, Any], Tuple[A.Program, CompiledProgram]]" = (
+    OrderedDict()
+)
 _COMPILE_CACHE_SIZE = 8
 
 
-def compile_program(program: A.Program) -> CompiledProgram:
-    """Compile *program* (memoized on program identity, LRU-bounded)."""
-    key = id(program)
+def compile_program(program: A.Program, monitor: Any = MONITOR_OFF) -> CompiledProgram:
+    """Compile *program* under the monitoring spec *monitor* (see
+    :func:`monitor_spec`; default: no memory monitoring), memoized on
+    (program identity, spec) and LRU-bounded."""
+    key = (id(program), monitor)
     hit = _COMPILE_CACHE.get(key)
     if hit is not None and hit[0] is program:
         _COMPILE_CACHE.move_to_end(key)
         return hit[1]
-    compiled = _Compiler(program).compile()
+    compiled = _Compiler(program, monitor).compile()
     _COMPILE_CACHE[key] = (program, compiled)
     _COMPILE_CACHE.move_to_end(key)
     while len(_COMPILE_CACHE) > _COMPILE_CACHE_SIZE:

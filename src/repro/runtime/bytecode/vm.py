@@ -8,7 +8,9 @@ emission, the pthread model, run() orchestration — is inherited
 unchanged, which is what keeps the two engines byte-identical: they
 share one implementation of every scheduling-relevant primitive.
 
-Compilation is memoized per program object (see
+Compilation happens in :meth:`BytecodeInterpreter.run`, under the
+memory-monitoring spec of the config at that moment, and is memoized
+per (program object, spec) (see
 :func:`~repro.runtime.bytecode.compiler.compile_program`), so a campaign
 cell re-running one program across hundreds of seed/plan cells compiles
 it exactly once per worker process.
@@ -20,11 +22,10 @@ from typing import Any, List
 
 from ...errors import SimAbort
 from ...minilang import ast_nodes as A
-from ..config import RunConfig
 from ..interpreter import Interpreter, ThreadCtx
 from ..scheduler import Step
 from ..values import Scope
-from .compiler import compile_program
+from .compiler import compile_program, monitor_spec
 
 _RETURN = "return"
 
@@ -32,19 +33,11 @@ _RETURN = "return"
 class BytecodeInterpreter(Interpreter):
     """Interpreter variant executing compiled closure arrays."""
 
-    def __init__(self, program: A.Program, config: RunConfig) -> None:
-        super().__init__(program, config)
-        self.compiled = compile_program(program)
+    def run(self):
+        self.compiled = compile_program(self.program, monitor_spec(self.config))
         self._codes = self.compiled.codes
         #: interned Step for the per-statement charge (frozen dataclass,
         #: so one instance serves every statement yield)
-        self._step_stmt = Step(self.cm.stmt)
-        self._monitor = bool(config.monitor_memory)
-
-    def run(self):
-        # Pick up config changes made between construction and run();
-        # _mem_access re-checks the config, _monitor only gates the call.
-        self._monitor = bool(self.config.monitor_memory)
         self._step_stmt = Step(self.cm.stmt)
         return super().run()
 

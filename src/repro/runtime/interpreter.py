@@ -65,7 +65,6 @@ class ProcessCtx:
     """Per-process interpreter state (one MPI rank)."""
 
     def __init__(self, interp: "Interpreter", rank: int) -> None:
-        self.interp = interp
         self.rank = rank
         self.globals = Scope()
         self.locks = LockTable(rank)
@@ -846,6 +845,10 @@ class Interpreter:
 
         Array accesses carry their element index so the race analyses are
         address-granular, like a real binary-instrumentation checker.
+        The bytecode VM settles the ``monitor_memory``/``monitored_vars``
+        checks when it compiles a variable site and calls
+        ``compiler._mem_event`` instead; reduction folds come here on
+        both engines.
         """
         if not self.config.monitor_memory:
             return

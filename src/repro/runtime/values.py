@@ -91,14 +91,15 @@ class Scope:
         self.cells: Dict[str, Cell] = {}
 
     def declare(self, name: str, value: Any = 0) -> Cell:
-        """Declare a variable in *this* scope (shadowing any outer binding)."""
+        """Declare a variable in *this* scope (shadowing any outer binding).
+
+        This is the only way a cell enters a scope, so a cell is always
+        found under its own ``name``; the bytecode compiler's per-site
+        memory monitoring relies on that.
+        """
         cell = Cell(name, value)
         self.cells[name] = cell
         return cell
-
-    def bind(self, name: str, cell: Cell) -> None:
-        """Bind an existing cell under *name* (used for shared captures)."""
-        self.cells[name] = cell
 
     def lookup(self, name: str) -> Cell:
         scope: Optional[Scope] = self

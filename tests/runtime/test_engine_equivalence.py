@@ -20,6 +20,7 @@ import pytest
 from helpers import wrap_main
 
 from repro.errors import WorkerKillFault
+from repro.events import MemAccess
 from repro.events.serialize import dump_log
 from repro.faults.plan import builtin_plans
 from repro.minilang import ast_nodes, parse, validate
@@ -27,7 +28,7 @@ from repro.runtime import RunConfig, make_interpreter, reset_sim_counters
 from repro.runtime.bytecode.compiler import clear_compile_cache
 from repro.runtime.bytecode.vm import BytecodeInterpreter
 from repro.runtime.interpreter import Interpreter
-from repro.workloads.npb import BENCHMARKS
+from repro.workloads.npb import BENCHMARKS, build_racy_npb
 
 # ---------------------------------------------------------------------------
 # harness
@@ -47,18 +48,19 @@ def _fresh_program(build):
     return build()
 
 
-def _run_engine(engine, build, **cfg):
-    program = _fresh_program(build)
-    config = RunConfig(engine=engine, **cfg)
-    interp = (
-        BytecodeInterpreter(program, config)
-        if engine == "bytecode"
-        else Interpreter(program, config)
-    )
-    result = interp.run()
+def _run_program(cls, program, config):
+    """Run an already-built *program* from reset simulation counters."""
+    reset_sim_counters()
+    result = cls(program, config).run()
     buf = io.StringIO()
     dump_log(result.log, buf)
     return result, buf.getvalue()
+
+
+def _run_engine(engine, build, **cfg):
+    program = _fresh_program(build)
+    cls = BytecodeInterpreter if engine == "bytecode" else Interpreter
+    return _run_program(cls, program, RunConfig(engine=engine, **cfg))
 
 
 def assert_equivalent(build, **cfg):
@@ -183,6 +185,53 @@ class TestMonitoringNarrowing:
             monitor_collectives=True,
             collective_sites=frozenset({"9999:1"}),
         )
+
+    def test_one_program_across_monitoring_specs(self):
+        """The VM compiles monitoring in, memoized per (program, spec):
+        one Program object run under a sequence of specs must hit the
+        right compilation each time, including the first spec again."""
+        program = _fresh_program(build_racy_npb)
+        specs = [
+            {},
+            {"monitor_memory": True, "monitored_vars": frozenset({"field"})},
+            {"monitor_memory": True, "monitored_vars": frozenset({"tmp"})},
+            {"monitor_memory": True},
+            {},
+        ]
+        seen = []
+        for spec in specs:
+            traces = []
+            for cls in (Interpreter, BytecodeInterpreter):
+                result, trace = _run_program(cls, program, RunConfig(
+                    nprocs=2, num_threads=2, seed=1, **spec
+                ))
+                traces.append(trace)
+            assert traces[0] == traces[1], spec
+            seen.append({e.var for e in result.log if type(e) is MemAccess})
+        assert seen[0] == seen[4] == set()
+        assert seen[1] == {"field"}
+        assert seen[2] == {"tmp"}
+        assert seen[3] >= {"field", "tmp", "local_norm"}
+
+    def test_config_change_before_run_is_honoured(self):
+        """The monitoring spec is read when run() starts, not when the
+        interpreter is built."""
+        program = _fresh_program(build_racy_npb)
+        expected = {}
+        for cls in (Interpreter, BytecodeInterpreter):
+            config = RunConfig(
+                nprocs=2, num_threads=2, seed=1,
+                monitor_memory=True, monitored_vars=frozenset({"field"}),
+            )
+            reset_sim_counters()
+            interp = cls(program, config)
+            config.monitored_vars = frozenset({"tmp"})
+            result = interp.run()
+            buf = io.StringIO()
+            dump_log(result.log, buf)
+            expected[cls] = buf.getvalue()
+            assert {e.var for e in result.log if type(e) is MemAccess} == {"tmp"}
+        assert expected[Interpreter] == expected[BytecodeInterpreter]
 
 
 # ---------------------------------------------------------------------------

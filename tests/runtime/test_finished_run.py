@@ -4,7 +4,8 @@ A run that ends with threads still suspended (deadlock, rank abort)
 leaves their generators open.  Whatever unwinding those threads does
 when they are closed — ``ThreadEnd`` and ``LockRelease`` from
 ``finally`` blocks — must not reach the finished trace, whenever the
-garbage collector gets to them.
+garbage collector gets to them.  And a finished run's interpreter is
+freed as soon as it is dropped, not by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import io
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from repro.events.serialize import dump_log
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig, make_interpreter
+from repro.workloads.npb import build_racy_npb
 
 #: both ranks receive inside a critical section and nobody sends: one
 #: thread per rank blocks holding the lock, its sibling blocks on it
@@ -80,6 +83,31 @@ def test_trace_unchanged_by_garbage_collection(source, engine):
     assert result.deadlock is not None
     assert before == after
     assert result.notes == notes
+
+
+@pytest.mark.parametrize("engine", ["ast", "bytecode"])
+@pytest.mark.parametrize("source", [None, DEADLOCK], ids=["racy-npb", "deadlock"])
+def test_finished_interpreter_freed_without_cycle_collection(source, engine):
+    """Dropping a finished run's interpreter frees it, and the trace it
+    holds, at once: no run state refers back to it, so a campaign's
+    finished cells do not pile up waiting for the cyclic collector."""
+    if source is None:
+        program = build_racy_npb()
+    else:
+        program = parse(source)
+        validate(program)
+    config = RunConfig(
+        nprocs=2, num_threads=2, seed=0, engine=engine, monitor_memory=True
+    )
+    gc.disable()
+    try:
+        interp = make_interpreter(program, config)
+        interp.run()
+        dead = weakref.ref(interp)
+        del interp
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_engine_oracle_clean_on_seed_run_first_in_fresh_process():

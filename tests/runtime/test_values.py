@@ -85,13 +85,6 @@ class TestScope:
     def test_try_lookup_returns_none(self):
         assert Scope().try_lookup("ghost") is None
 
-    def test_bind_existing_cell(self):
-        outer = Scope()
-        cell = outer.declare("x", 5)
-        inner = Scope()
-        inner.bind("alias", cell)
-        assert inner.lookup("alias") is cell
-
     def test_visible_cells_shadowing(self):
         outer = Scope()
         outer.declare("x", 1)
