@@ -21,7 +21,7 @@ from .threadlevel import StaticWarning, ThreadLevelInfo, check_thread_level, inf
 
 #: version of the ``repro static --json`` payload.  Bumped whenever a
 #: section is added or reshaped so downstream consumers can detect
-#: reports newer than themselves (mirror of the campaign checkpoint
+#: reports newer than themselves (mirror of the campaign journal's
 #: ``schema_version`` pattern).  Version 2 added the ``schema_version``
 #: field itself and the ``collectives`` divergence section.  Version 3
 #: added the ``interproc`` summary section and reshaped ``prunes`` from

@@ -1,11 +1,12 @@
 """The campaign journal: append-only, fsync'd, CRC-checked.
 
-The durable work queue's only persistent state is this journal.  Every
-state transition — a cell leased to a worker, a finished outcome, a
-reclaimed lease after a worker death, a poison-cell quarantine — is one
-record appended, flushed and ``fsync``'d before the coordinator acts on
-it, so a ``kill -9`` at *any* instant loses at most the record being
-written, and replay resumes exactly where the campaign stopped.
+This journal is the only persistent state of a campaign, a ``serve``
+submission or a fuzz session.  Every state transition — a cell leased
+to a worker, a finished outcome, a reclaimed lease after a worker
+death, a poison-cell quarantine — is one record appended, flushed and
+``fsync``'d before the coordinator acts on it, so a ``kill -9`` at
+*any* instant loses at most the record being written, and replay
+resumes exactly where the campaign stopped.
 
 Format: JSON lines.  Each line is an envelope ``{"crc": C, "rec": R}``
 where ``C`` is the CRC-32 of the canonical (sorted-key, no-whitespace)
@@ -15,6 +16,9 @@ carrying the format name, schema version and the campaign's matrix
 metadata.  A damaged tail is handled by the same salvage policy as
 event traces (:func:`repro.jsonlines.read_json_lines`): the valid
 prefix is trusted, the bad line and everything after it are dropped.
+A journal whose header is unreadable or belongs to another run is moved
+aside to ``<path>.corrupt`` by :func:`~.queue.run_work_queue`, never
+overwritten.
 
 Record types written by the queue (see :mod:`.queue`):
 
@@ -50,6 +54,9 @@ JOURNAL_SCHEMA_VERSION = 1
 #: record type of the mandatory first line
 HEADER_TYPE = "header"
 
+#: suffix an unusable journal is moved aside under before a cold start
+CORRUPT_SUFFIX = ".corrupt"
+
 
 def _canonical(rec: Dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
@@ -61,7 +68,7 @@ def encode_journal_line(rec: Dict) -> str:
     The CRC is computed over the *canonical* (sorted-key) encoding, but
     the stored record keeps its insertion order: nested payloads such
     as outcome dicts must round-trip byte-identically into resumed
-    reports and checkpoints.
+    reports.
     """
     body = _canonical(rec)
     return json.dumps(
@@ -98,10 +105,8 @@ class Journal:
         meta: Optional[Dict] = None,
         *,
         fresh: bool = False,
-        sync: bool = True,
     ) -> None:
         self.path = path
-        self.sync = sync
         exists = os.path.exists(path) and os.path.getsize(path) > 0
         self._fh = open(path, "w" if (fresh or not exists) else "a")
         if fresh or not exists:
@@ -117,8 +122,7 @@ class Journal:
         rec.update(fields)
         self._fh.write(encode_journal_line(rec) + "\n")
         self._fh.flush()
-        if self.sync:
-            os.fsync(self._fh.fileno())
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if not self._fh.closed:

@@ -3,8 +3,9 @@
 A :class:`RunOutcome` is the crash-isolated record of one (seed, fault
 plan) cell of the campaign matrix: what happened, which faults fired,
 and the violations the analyzers salvaged from the (possibly partial)
-trace.  Outcomes are plain JSON-serializable data so the campaign can
-checkpoint after every run and resume exactly.
+trace.  Outcomes are plain JSON-serializable data so the campaign
+journal can record each one as it completes and a resume replays it
+exactly.
 """
 
 from __future__ import annotations

@@ -23,14 +23,17 @@ reclaimed-then-completed cell delivers twice, the first recorded result
 wins and the duplicate is counted and dropped — both results are
 byte-identical, so arrival order cannot leak into artifacts.
 
-:func:`run_work_queue` is the single cell-execution path that campaigns
-and fuzz sessions share: it opens (and on resume restores) the queue,
-then drains it with a serial in-process lease loop for one worker or
-the :class:`~.supervisor.Supervisor` for more.
+:func:`run_work_queue` is the single cell-execution path that campaigns,
+``serve`` and fuzz sessions share: it opens (and on resume restores) the
+queue, then drains it with a serial in-process lease loop for one worker
+or the :class:`~.supervisor.Supervisor` for more.  It is also the one
+resume policy: a journal from another run, or with an unreadable header,
+is moved aside rather than restored or overwritten.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -38,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..faults import FaultPlan
-from .journal import Journal, JournalReplay, replay_journal
+from .journal import CORRUPT_SUFFIX, Journal, JournalReplay, replay_journal
 from .outcome import STATUS_QUARANTINED, RunOutcome
 from .supervisor import Supervisor
 
@@ -298,6 +301,50 @@ class DurableWorkQueue:
         self._leases.pop(index, None)
 
 
+#: header keys that name the matrix itself: a resume may grow or shrink
+#: it, and records for cells outside the new matrix are skipped
+_MATRIX_AXES = ("seeds", "plans")
+
+
+def _resumable_replay(
+    path: str, meta: Optional[Dict], warn: Callable[[str], None]
+) -> Optional[JournalReplay]:
+    """The replay of the journal at *path*, or ``None`` after moving it
+    aside to ``<path>.corrupt`` (never truncating it) when its header is
+    unreadable or its ``meta`` differs from *meta* on any key but the
+    matrix axes: another program, tool or budget would leak foreign
+    findings into this run.  A damaged *tail* keeps the valid prefix.
+    """
+    try:
+        replay = replay_journal(path)
+    except AnalysisError as err:
+        problem = f"unusable journal: {err}"
+    else:
+        # compare in JSON form: the header went through a JSON round trip
+        current = json.loads(json.dumps(meta or {}))
+        differing = sorted(
+            key for key in set(replay.meta) | set(current)
+            if key not in _MATRIX_AXES
+            and replay.meta.get(key) != current.get(key)
+        )
+        if not differing:
+            if replay.truncated:
+                warn(
+                    "journal tail was damaged (interrupted write?); "
+                    f"dropped {replay.dropped} trailing line(s) and "
+                    "kept the valid prefix"
+                )
+            return replay
+        problem = (
+            f"journal {path!r} is for another run (header differs in "
+            f"{', '.join(differing)})"
+        )
+    target = path + CORRUPT_SUFFIX
+    os.replace(path, target)
+    warn(f"{problem}; moved it to {target!r} and starting cold")
+    return None
+
+
 def run_work_queue(
     executor,
     tasks: Sequence[CellTask],
@@ -320,28 +367,19 @@ def run_work_queue(
 
     *journal* is the journal path, ``None`` for an in-memory queue;
     *meta* is the journal header.  With *resume* an existing journal is
-    replayed and restored (an unusable one is *warn*\\ ed about and the
-    run starts cold).  *on_open* sees the restored queue before any
-    cell runs.  *bank* fires once per freshly resolved cell, completed
-    or quarantined, in completion order.  One worker runs cells in
-    this process under a lease loop; more run on supervised disposable
-    workers.  A set *stop* event releases in-flight cells and returns
-    what finished.
+    replayed and restored — unless its header is unreadable or its
+    *meta* differs from this run's (see :func:`_resumable_replay`), in
+    which case the file is moved aside and the run starts cold.
+    *on_open* sees the restored queue before any cell runs.  *bank*
+    fires once per freshly resolved cell, completed or quarantined, in
+    completion order.  One worker runs cells in this process under a
+    lease loop; more run on supervised disposable workers.  A set *stop*
+    event releases in-flight cells and returns what finished.
     """
     warn = warn or say
     replay = None
     if journal and resume and os.path.exists(journal):
-        try:
-            replay = replay_journal(journal)
-        except AnalysisError as err:
-            warn(f"ignoring unusable journal: {err}; starting cold")
-        else:
-            if replay.truncated:
-                warn(
-                    "journal tail was damaged (interrupted write?); "
-                    f"dropped {replay.dropped} trailing line(s) and "
-                    "kept the valid prefix"
-                )
+        replay = _resumable_replay(journal, meta, warn)
     work = DurableWorkQueue(
         tasks,
         Journal(journal, meta, fresh=replay is None) if journal else None,

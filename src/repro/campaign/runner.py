@@ -31,14 +31,16 @@ worker, supervised disposable worker processes (:mod:`.supervisor`) for
 ``config.jobs > 1``, and a crash journal when ``config.journal`` is set.
 The static phase runs once, a picklable :class:`CellExecutor` ships the
 prepared program to each worker, cells complete out-of-order, and
-outcomes are reassembled in canonical matrix order — the merged report,
-checkpoint and exit code are identical to a serial run (wall-clock
-timing fields aside; ``record_timing=False`` makes even those
-bit-exact).
+outcomes are reassembled in canonical matrix order — the merged report
+and exit code are identical to a serial run (wall-clock timing fields
+aside; ``record_timing=False`` makes even those bit-exact).  The journal
+is the campaign's only persistent state: ``resume`` continues from
+``config.journal``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import threading
@@ -50,10 +52,10 @@ from ..baselines.base import CheckingTool
 from ..faults import FaultPlan, builtin_plans
 from ..home.pipeline import Home, static_only_violations
 from ..minilang import ast_nodes as A
+from ..minilang.printer import print_program
 from ..runtime import make_interpreter
 from ..runtime.scheduler import DEFAULT_MAX_STEPS
 from ..violations.matcher import ViolationReport
-from .checkpoint import load_checkpoint, save_checkpoint
 from .outcome import (
     STATUS_BUDGET,
     STATUS_ERROR,
@@ -63,7 +65,7 @@ from .outcome import (
     RunOutcome,
     report_violation_dicts,
 )
-from .queue import CellTask, DurableWorkQueue, cell_key, run_work_queue
+from .queue import CellTask, DurableWorkQueue, run_work_queue
 
 #: large odd prime so derived retry seeds never collide with the seed
 #: grid itself (campaign seeds are small consecutive integers)
@@ -89,15 +91,15 @@ class CampaignConfig:
     #: yields a shorter but complete-enough partial trace)
     retry_budget_factor: float = 0.5
     thread_level_mode: str = "permissive"
-    checkpoint: Optional[str] = None
+    #: continue from ``journal``: its completed cells are not re-run
     resume: bool = False
     #: degradation drill: pretend every dynamic run failed
     force_fail: bool = False
     #: parallel cell workers: an int, or ``"auto"`` for one per CPU
     #: core.  1 (the default) runs strictly serially in-process.  Every
     #: cell is deterministic and independent, so any worker count
-    #: produces the same merged report, checkpoint and exit code — only
-    #: wall-clock timing fields differ (see ``record_timing``).
+    #: produces the same merged report and exit code — only wall-clock
+    #: timing fields differ (see ``record_timing``).
     jobs: "int | str" = 1
     #: stamp host wall-clock seconds on outcomes; switch off for
     #: bit-exact artifacts across repeated or differently-parallel runs
@@ -386,7 +388,7 @@ class CampaignRunner:
     def _warn(self, message: str) -> None:
         """One-line warning that must reach the user even without a
         progress callback (e.g. a quiet ``--resume`` that found an
-        unusable checkpoint)."""
+        unusable journal)."""
         if self._progress is not None:
             self._progress(f"warning: {message}")
         else:
@@ -401,10 +403,15 @@ class CampaignRunner:
         ]
         return [CellTask(index, *cell) for index, cell in enumerate(cells)]
 
-    def _checkpoint_meta(self) -> Dict:
+    def _journal_meta(self) -> Dict:
+        """The journal header: a resume restores only a journal whose
+        header matches this on every key but the matrix axes."""
         cfg = self.config
+        source = print_program(self.program).encode("utf-8")
         return {
             "program": self.program.name,
+            # same name, edited body: must not resume the old findings
+            "program_sha256": hashlib.sha256(source).hexdigest(),
             "tool": self.tool.name,
             "nprocs": cfg.nprocs,
             "num_threads": cfg.num_threads,
@@ -416,30 +423,10 @@ class CampaignRunner:
             "budget_steps": cfg.budget_steps,
             "budget_seconds": cfg.budget_seconds,
             "retries": cfg.retries,
+            "retry_budget_factor": cfg.retry_budget_factor,
+            "thread_level_mode": cfg.thread_level_mode,
+            "force_fail": cfg.force_fail,
         }
-
-    def _load_resume(self) -> Dict[str, RunOutcome]:
-        """Outcomes already banked in the checkpoint, keyed by cell."""
-        cfg = self.config
-        if not (cfg.resume and cfg.checkpoint):
-            return {}
-        if not os.path.exists(cfg.checkpoint):
-            return {}  # nothing to resume: a normal first run
-        try:
-            # quarantine=True: a corrupt file is moved to <path>.corrupt
-            # so the evidence survives and the next save starts clean
-            state = load_checkpoint(cfg.checkpoint, quarantine=True)
-        except Exception as err:  # noqa: BLE001 - a bad checkpoint must
-            # never kill the campaign; it just means a cold start
-            self._warn(f"ignoring unusable checkpoint: {err}; starting cold")
-            return {}
-        if state["meta"].get("program") not in (None, self.program.name):
-            self._warn(
-                "checkpoint is for program "
-                f"{state['meta'].get('program')!r}; starting cold"
-            )
-            return {}
-        return {o.key: o for o in state["outcomes"]}
 
     # -- one cell ------------------------------------------------------------
 
@@ -458,10 +445,11 @@ class CampaignRunner:
 
         *stop* makes the campaign interruptible: set it (e.g. from a
         SIGTERM handler) and the runner finishes or releases in-flight
-        cells, checkpoints what it has, and returns a partial result
-        flagged ``interrupted``.  *on_cell*, when given, receives the
-        canonical-order outcome list after every banked cell — the hook
-        the streaming service uses to publish partial reports.
+        cells and returns a partial result flagged ``interrupted``; with
+        a journal, ``resume`` continues from there.  *on_cell*, when
+        given, receives the canonical-order outcome list after every
+        banked cell — the hook the streaming service uses to publish
+        partial reports.
         """
         cfg = self.config
         tasks = self._matrix()
@@ -473,14 +461,6 @@ class CampaignRunner:
         def on_open(queue: DurableWorkQueue) -> None:
             nonlocal work, announced
             work = queue
-            # fold in a checkpoint resumed without (or beyond) the
-            # journal; complete() journals each, so the journal
-            # converges to the union of both artifacts
-            banked = self._load_resume()
-            for task in tasks:
-                cached = banked.get(cell_key(task))
-                if cached is not None and not work.resolved(task.index):
-                    work.complete(task.index, cached)
             for outcome in work.outcome_list():
                 announced += 1
                 self._say(f"[{announced}/{total}] {outcome.describe()} (resumed)")
@@ -489,10 +469,6 @@ class CampaignRunner:
             nonlocal announced, fresh_done
             announced += 1
             self._say(f"[{announced}/{total}] {outcome.describe()}")
-            if cfg.checkpoint:
-                save_checkpoint(
-                    cfg.checkpoint, self._checkpoint_meta(), work.outcome_list()
-                )
             if on_cell is not None:
                 on_cell(work.outcome_list())
             fresh_done += 1
@@ -501,7 +477,7 @@ class CampaignRunner:
                     and not work.all_resolved():
                 self._say(
                     "drill: hard-killing the coordinator mid-campaign "
-                    "(journal + checkpoint must carry the resume)"
+                    "(the journal must carry the resume)"
                 )
                 sys.stdout.flush()
                 sys.stderr.flush()
@@ -511,7 +487,7 @@ class CampaignRunner:
             self._executor, tasks, bank, on_open,
             jobs=cfg.jobs,
             journal=cfg.journal,
-            meta=self._checkpoint_meta(),
+            meta=self._journal_meta(),
             resume=cfg.resume,
             lease_seconds=cfg.lease_seconds,
             poison_retries=cfg.poison_retries,
@@ -521,10 +497,6 @@ class CampaignRunner:
             stop=stop,
         )
         outcomes = work.outcome_list()
-        if cfg.checkpoint:
-            # final save covers the all-resumed case and guarantees the
-            # on-disk state is the canonical-order (partial) matrix
-            save_checkpoint(cfg.checkpoint, self._checkpoint_meta(), outcomes)
         merged, degraded = merge_outcomes(outcomes, self._static)
         return CampaignResult(
             program=self.program.name,

@@ -9,10 +9,10 @@ every piece of state survives a hard kill of the server:
 
     <spool>/
       incoming/   drop submissions here: one JSON file per campaign
-      active/     claimed submissions + their journal and checkpoint
+      active/     claimed submissions + their <name>.journal.jsonl
       reports/    <name>.report.json, atomically replaced per cell
                   ("partial": true) and on completion ("partial": false)
-      done/       finished submissions and their durability artifacts
+      done/       finished submissions and their journals
       failed/     rejected submissions, with <name>.error.txt
 
 A submission is a JSON object: ``{"program": "<minilang source>"}``
@@ -40,6 +40,7 @@ from typing import Callable, List, Optional
 
 from ..errors import AnalysisError
 from ..minilang import parse, renumber_nids
+from .journal import CORRUPT_SUFFIX
 from .outcome import RunOutcome, report_violation_dicts
 from .runner import (
     CampaignConfig,
@@ -126,8 +127,7 @@ class CampaignService:
     def _claimed(self) -> List[str]:
         active = self._dir("active")
         return sorted(
-            name for name in os.listdir(active)
-            if name.endswith(".json") and not name.endswith(".checkpoint.json")
+            name for name in os.listdir(active) if name.endswith(".json")
         )
 
     def _claim_incoming(self) -> int:
@@ -174,9 +174,6 @@ class CampaignService:
             # must finish byte-identical to an uninterrupted one
             record_timing=bool(spec.get("record_timing", False)),
             journal=os.path.join(self._dir("active"), f"{stem}.journal.jsonl"),
-            checkpoint=os.path.join(
-                self._dir("active"), f"{stem}.checkpoint.json"
-            ),
             resume=True,
             lease_seconds=float(spec.get("lease_seconds", 60.0)),
             poison_retries=int(spec.get("poison_retries", 2)),
@@ -198,8 +195,8 @@ class CampaignService:
 
         result = runner.run(stop=self._stop, on_cell=publish)
         if result.interrupted:
-            # leave the submission in active/: journal + checkpoint
-            # resume it on the next start
+            # leave the submission in active/: its journal resumes it
+            # on the next start
             publish(result.outcomes)
             self._say(f"[{stem}] interrupted with "
                       f"{len(result.outcomes)}/{total} cell(s) resolved")
@@ -241,10 +238,11 @@ class CampaignService:
         self._retire(stem, path, "failed")
 
     def _retire(self, stem: str, path: str, target: str) -> None:
-        """Move a submission and its durability artifacts out of active/."""
+        """Move a submission and its journal (plus any journal a resume
+        moved aside) out of active/."""
         dest = self._dir(target)
         os.replace(path, os.path.join(dest, os.path.basename(path)))
-        for suffix in (".journal.jsonl", ".checkpoint.json"):
+        for suffix in (".journal.jsonl", ".journal.jsonl" + CORRUPT_SUFFIX):
             artifact = os.path.join(self._dir("active"), stem + suffix)
             if os.path.exists(artifact):
                 os.replace(

@@ -59,8 +59,8 @@ TOOLS = {
     "base": BaseRunner,
 }
 
-#: a SIGTERM/SIGINT landed: the journal/checkpoint were flushed and a
-#: partial report emitted before exiting
+#: a SIGTERM/SIGINT landed: in-flight work was finished or released,
+#: the journal (if any) is current, and a partial report was emitted
 EXIT_INTERRUPTED = 3
 
 
@@ -68,8 +68,8 @@ def _graceful_stop_event() -> threading.Event:
     """Install SIGTERM/SIGINT handlers that request a graceful stop.
 
     The first signal sets the returned event; long-running commands
-    poll it, finish or release in-flight work, flush their durable
-    state (journal, checkpoint, partial report) and exit with
+    poll it, finish or release in-flight work, leave their journal
+    current, emit a partial report and exit with
     :data:`EXIT_INTERRUPTED`.  A second SIGINT falls back to the
     default KeyboardInterrupt so an impatient operator can still bail.
     """
@@ -100,6 +100,28 @@ def _parse_jobs(value):
     print(f"error: --jobs must be a positive integer or 'auto', "
           f"got {value!r}", file=sys.stderr)
     return None
+
+
+def _journal_given(journal, flags) -> bool:
+    """``False``, after an error line on stderr, when a flag in *flags*
+    (``{"--resume": given, ...}``) is set without ``--journal``."""
+    for flag, given in flags.items():
+        if given and not journal:
+            print(f"error: {flag} needs --journal (the journal is the only "
+                  "state a run resumes from)", file=sys.stderr)
+            return False
+    return True
+
+
+def _interrupted(command: str, journal) -> int:
+    """Explain a graceful stop on stderr; returns :data:`EXIT_INTERRUPTED`."""
+    if journal:
+        print(f"{command} interrupted: partial state saved; rerun with "
+              "--resume to continue", file=sys.stderr)
+    else:
+        print(f"{command} interrupted: partial results reported; without "
+              "--journal there is nothing to resume", file=sys.stderr)
+    return EXIT_INTERRUPTED
 
 
 def _load_program(path: str):
@@ -373,6 +395,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print("error: give either FILE or --npb, not both / neither",
               file=sys.stderr)
         return 2
+    if not _journal_given(args.journal, {
+        "--resume": args.resume,
+        "--drill-abort-after": args.drill_abort_after is not None,
+    }):
+        return 2
     if args.npb == "div":
         from .workloads.npb import build_divergent_npb
 
@@ -406,7 +433,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         budget_seconds=args.budget_seconds,
         retries=args.retries,
         thread_level_mode=args.thread_level_mode or "permissive",
-        checkpoint=args.checkpoint,
         resume=args.resume,
         force_fail=args.force_fail,
         jobs=jobs,
@@ -425,9 +451,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         Path(args.json).write_text(json.dumps(result.as_dict(), indent=2) + "\n")
         print(f"campaign report written to {args.json}")
     if result.interrupted:
-        print("campaign interrupted: partial state saved; rerun with "
-              "--resume to continue", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _interrupted("campaign", args.journal)
     return 1 if result.degraded else 0
 
 
@@ -464,6 +488,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import GeneratorConfig, FuzzConfig, ORACLES, run_fuzz
     from .fuzz.oracles import INJECT_KINDS
 
+    if not _journal_given(args.journal, {"--resume": args.resume}):
+        return 2
     oracle_names = tuple(
         name.strip() for name in args.oracles.split(",") if name.strip()
     )
@@ -537,9 +563,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             written += 1
         print(f"{written} program(s) written to {corpus}/")
     if report.interrupted:
-        print("fuzz interrupted: partial results reported; rerun with "
-              "--journal + --resume for exact continuation", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _interrupted("fuzz", args.journal)
     return 0 if report.clean else 1
 
 
@@ -807,20 +831,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-run host wall-clock budget (0 = unlimited)")
     p.add_argument("--retries", type=int, default=1,
                    help="retry attempts per failed run (default 1)")
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="JSON checkpoint written after every run")
     p.add_argument("--resume", action="store_true",
-                   help="reuse finished runs from --checkpoint")
+                   help="continue from --journal: finished cells are not "
+                        "re-run")
     p.add_argument("--force-fail", action="store_true",
                    help="degradation drill: fail every dynamic run")
     p.add_argument("--jobs", default="auto", metavar="N",
                    help="parallel cell worker processes (positive int or "
                         "'auto' = one per CPU core; 1 = serial; default "
-                        "auto).  The merged report, checkpoint and exit "
-                        "code are identical for every worker count")
+                        "auto).  The merged report and exit code are "
+                        "identical for every worker count")
     p.add_argument("--no-timing", action="store_true",
-                   help="zero the wall_seconds fields so report/checkpoint "
-                        "files are bit-exact across repeated runs")
+                   help="zero the wall_seconds fields so reports are "
+                        "bit-exact across repeated runs")
     p.add_argument("--journal", metavar="PATH",
                    help="append-only crash journal: every cell transition "
                         "is journaled, so --resume is exact even after "
@@ -839,8 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drill-abort-after", type=int, default=None,
                    metavar="N",
                    help="chaos drill: hard-kill the coordinator (exit 137) "
-                        "after the Nth fresh cell (--journal makes the "
-                        "resume exact)")
+                        "after the Nth fresh cell (needs --journal, which "
+                        "makes the resume exact)")
     p.add_argument("--json", metavar="PATH",
                    help="write the merged campaign report as JSON")
     p.add_argument(

@@ -3,7 +3,7 @@
 A :class:`FaultSpec` names one misbehaviour of the simulated MPI
 library or runtime; a :class:`FaultPlan` is the ordered set of specs
 one execution runs under.  Plans are plain data — JSON-serializable for
-campaign checkpoints, hashable enough to dedup, and buildable either
+campaign journal headers, hashable enough to dedup, and buildable either
 from the named presets (:func:`builtin_plans`) or deterministically
 from a seed (:func:`random_plan`).
 

@@ -118,7 +118,7 @@ def _budget_signature(failure_line: str) -> Signature:
 
 def _finding_to_violation(finding: OracleFinding) -> Dict[str, Any]:
     """Encode an oracle finding in violation-dict form so it rides the
-    campaign checkpoint/journal round trip unchanged."""
+    campaign journal round trip unchanged."""
     return {
         "class": f"fuzz:{finding.oracle}",
         "proc": -1,

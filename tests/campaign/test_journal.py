@@ -129,6 +129,10 @@ class TestJournalFile:
         with pytest.raises(AnalysisError, match="schema_version 99"):
             replay_journal(str(path))
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(AnalysisError, match="cannot read"):
+            replay_journal(str(tmp_path / "absent.jsonl"))
+
 
 class TestSharedTailPolicy:
     """The journal and load_log really use one salvage helper."""

@@ -1,10 +1,10 @@
 """Parallel campaign execution: determinism, resume, crash isolation.
 
 The contract under test: the worker count is *only* a wall-clock knob.
-For any ``jobs`` value the merged report, the checkpoint file and the
-exit status must be identical to a serial run (with ``record_timing``
-off, bit-exact), and a checkpoint written by a parallel run must resume
-cleanly under any other worker count.
+For any ``jobs`` value the merged report and the exit status must be
+identical to a serial run (with ``record_timing`` off, bit-exact), and
+a journal written by a parallel run must resume cleanly under any other
+worker count.
 """
 
 import json
@@ -16,11 +16,11 @@ from repro.campaign import (
     STATUS_QUARANTINED,
     CampaignConfig,
     CellTask,
+    Journal,
     default_plan_matrix,
-    load_checkpoint,
+    replay_journal,
     resolve_jobs,
     run_campaign,
-    save_checkpoint,
 )
 from repro.cli import main
 from repro.home import Home
@@ -47,15 +47,19 @@ func main() {
 """
 
 
-def _config(jobs, checkpoint=None, resume=False):
+def _config(jobs, journal=None, resume=False):
     return CampaignConfig(
         seeds=range(3),
         plans=default_plan_matrix(2, ["none", "downgrade"]),
         jobs=jobs,
         record_timing=False,
-        checkpoint=checkpoint,
+        journal=journal,
         resume=resume,
     )
+
+
+def _report_bytes(result):
+    return json.dumps(result.as_dict(), indent=2).encode("utf-8")
 
 
 class TestResolveJobs:
@@ -81,26 +85,13 @@ class TestResolveJobs:
 
 
 class TestParallelDeterminism:
-    def test_merged_report_and_checkpoint_bit_identical(self, tmp_path):
-        """jobs=4 and jobs=1 produce byte-for-byte identical artifacts."""
+    def test_merged_report_bit_identical(self):
+        """jobs=4 and jobs=1 produce byte-for-byte identical reports."""
         # one program object: AST node ids are assigned by a
         # process-global counter, so rebuilding would shift callsites
         program = case_study_2()
-        paths = {}
-        results = {}
-        for jobs in (1, 4):
-            path = str(tmp_path / f"ck-{jobs}.json")
-            paths[jobs] = path
-            results[jobs] = run_campaign(program, _config(jobs, path))
-        with open(paths[1], "rb") as fh:
-            serial_bytes = fh.read()
-        with open(paths[4], "rb") as fh:
-            parallel_bytes = fh.read()
-        assert serial_bytes == parallel_bytes
-        assert (
-            json.dumps(results[1].as_dict(), sort_keys=True)
-            == json.dumps(results[4].as_dict(), sort_keys=True)
-        )
+        results = {jobs: run_campaign(program, _config(jobs)) for jobs in (1, 4)}
+        assert _report_bytes(results[1]) == _report_bytes(results[4])
         assert results[1].degraded == results[4].degraded is False
         assert results[4].report.classes() == results[1].report.classes()
 
@@ -124,22 +115,24 @@ class TestParallelDeterminism:
 
 
 class TestParallelResume:
-    def test_resume_half_finished_parallel_checkpoint(self, tmp_path):
-        """A truncated parallel checkpoint resumes to the full result
-        under both serial and parallel execution."""
+    def test_resume_half_finished_parallel_journal(self, tmp_path):
+        """A parallel journal cut to half its cells resumes to the full
+        result under both serial and parallel execution."""
         program = case_study_2()
-        full_path = str(tmp_path / "full.json")
-        run_campaign(program, _config(4, full_path))
-        with open(full_path, "rb") as fh:
-            full_bytes = fh.read()
-        state = load_checkpoint(full_path)
-        assert len(state["outcomes"]) == 6
+        full_path = str(tmp_path / "full.journal")
+        full = run_campaign(program, _config(4, full_path))
+        replay = replay_journal(full_path)
+        done = [r for r in replay.records if r["type"] == "done"]
+        assert len(done) == 6
 
         for jobs in (1, 4):
-            half_path = str(tmp_path / f"half-{jobs}.json")
+            half_path = str(tmp_path / f"half-{jobs}.journal")
             # keep an arbitrary (non-prefix) half, as an interrupted
             # out-of-order parallel run would have banked
-            save_checkpoint(half_path, state["meta"], state["outcomes"][::2])
+            with Journal(half_path, replay.meta, fresh=True) as journal:
+                for rec in done[::2]:
+                    journal.append("done", cell=rec["cell"],
+                                   outcome=rec["outcome"])
             lines = []
             result = run_campaign(
                 program,
@@ -148,17 +141,7 @@ class TestParallelResume:
             )
             assert sum("(resumed)" in line for line in lines) == 3
             assert len(result.outcomes) == 6
-            with open(half_path, "rb") as fh:
-                assert fh.read() == full_bytes
-
-    def test_all_resumed_rewrites_canonical_checkpoint(self, tmp_path):
-        program = case_study_2()
-        path = str(tmp_path / "ck.json")
-        first = run_campaign(program, _config(4, path))
-        second = run_campaign(program, _config(1, path, resume=True))
-        assert [o.as_dict() for o in second.outcomes] == [
-            o.as_dict() for o in first.outcomes
-        ]
+            assert _report_bytes(result) == _report_bytes(full)
 
 
 class WorkerKillingTool(Home):

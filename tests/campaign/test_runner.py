@@ -1,5 +1,7 @@
 """Campaign runner tests: isolation, merging, resume, degradation."""
 
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -7,10 +9,11 @@ from repro.campaign import (
     STATUS_ERROR,
     STATUS_FORCED,
     STATUS_OK,
+    CORRUPT_SUFFIX,
     CampaignConfig,
     CampaignRunner,
     default_plan_matrix,
-    load_checkpoint,
+    replay_journal,
     run_campaign,
 )
 from repro.faults import RANK_CRASH, FaultPlan, FaultSpec, builtin_plans
@@ -18,7 +21,8 @@ from repro.home import Home
 from repro.minilang import parse, validate
 from repro.violations.matcher import ViolationReport
 from repro.violations.spec import Violation
-from repro.workloads.case_studies import case_study_2
+from repro.workloads.case_studies import case_study_2, safe_funneled
+from repro.workloads.npb.lu_mz import build_lu_mz
 
 SPIN = """
 program spin;
@@ -156,25 +160,25 @@ class TestDegradation:
         assert all(v.proc == -1 for v in result.report)
 
 
-class TestCheckpointResume:
+class TestJournalResume:
     def config(self, path, resume=False):
         return CampaignConfig(
             seeds=range(2),
             plans=default_plan_matrix(2, ["none", "downgrade"]),
-            checkpoint=path,
+            journal=path,
             resume=resume,
         )
 
-    def test_checkpoint_written_incrementally(self, tmp_path):
-        path = str(tmp_path / "c.json")
+    def test_journal_records_every_cell(self, tmp_path):
+        path = str(tmp_path / "c.journal")
         run_campaign(case_study_2(), self.config(path))
-        state = load_checkpoint(path)
-        assert len(state["outcomes"]) == 4
-        assert state["meta"]["program"] == case_study_2().name
-        assert "downgrade" in state["meta"]["plans"]
+        replay = replay_journal(path)
+        assert sum(r["type"] == "done" for r in replay.records) == 4
+        assert replay.meta["program"] == case_study_2().name
+        assert "downgrade" in replay.meta["plans"]
 
     def test_resume_reuses_banked_outcomes(self, tmp_path):
-        path = str(tmp_path / "c.json")
+        path = str(tmp_path / "c.journal")
         first = run_campaign(case_study_2(), self.config(path))
         lines = []
         second = run_campaign(
@@ -187,24 +191,112 @@ class TestCheckpointResume:
         ]
         assert second.report.classes() == first.report.classes()
 
-    def test_resume_with_unusable_checkpoint_starts_cold(self, tmp_path):
-        path = tmp_path / "c.json"
+    def test_resume_with_unusable_journal_starts_cold(self, tmp_path):
+        path = tmp_path / "c.journal"
         path.write_text("not json at all")
         result = run_campaign(case_study_2(), self.config(str(path), resume=True))
         assert len(result.outcomes) == 4
 
-    def test_resume_rejects_other_programs_checkpoint(self, tmp_path):
-        path = str(tmp_path / "c.json")
+    def test_resume_rejects_other_programs_journal(self, tmp_path):
+        path = str(tmp_path / "c.journal")
         run_campaign(case_study_2(), self.config(path))
         lines = []
         result = run_campaign(
             spin_program(),
-            CampaignConfig(seeds=[0], checkpoint=path, resume=True,
+            CampaignConfig(seeds=[0], journal=path, resume=True,
                            budget_steps=2000),
             progress=lines.append,
         )
         assert not any("(resumed)" in line for line in lines)
         assert len(result.outcomes) == 1
+
+    def test_grown_matrix_still_resumes(self, tmp_path):
+        # seeds and plans are the matrix axes, not part of the identity
+        path = str(tmp_path / "c.journal")
+        run_campaign(safe_funneled(),
+                     CampaignConfig(seeds=[0], journal=path))
+        lines = []
+        result = run_campaign(
+            safe_funneled(),
+            CampaignConfig(seeds=[0, 1], journal=path, resume=True),
+            progress=lines.append,
+        )
+        assert sum("(resumed)" in line for line in lines) == 1
+        assert len(result.outcomes) == 2
+        assert not os.path.exists(path + CORRUPT_SUFFIX)
+
+    def test_foreign_program_findings_do_not_leak(self, tmp_path):
+        # same seeds and plans, so every cell key matches: only the
+        # journal header can tell the two campaigns apart
+        path = str(tmp_path / "c.journal")
+        config = CampaignConfig(seeds=[0, 1], plans={"none": None},
+                                journal=path, resume=True)
+        racy = run_campaign(build_lu_mz(inject=True), config)
+        assert racy.report.classes()
+        lines = []
+        clean = run_campaign(safe_funneled(), config, progress=lines.append)
+        assert not any("(resumed)" in line for line in lines)
+        assert clean.report.classes() == []
+        assert any("header differs in program" in line for line in lines)
+        assert os.path.exists(path + CORRUPT_SUFFIX)
+
+    def test_edited_source_with_same_name_starts_cold(self, tmp_path):
+        path = str(tmp_path / "c.journal")
+        config = CampaignConfig(seeds=[0], journal=path, resume=True,
+                                budget_steps=2000)
+        run_campaign(spin_program(), config)
+        edited = parse(SPIN.replace("100000", "10"))
+        validate(edited)
+        assert edited.name == spin_program().name
+        lines = []
+        result = run_campaign(edited, config, progress=lines.append)
+        assert not any("(resumed)" in line for line in lines)
+        assert any("program_sha256" in line for line in lines)
+        assert result.outcomes[0].status == STATUS_OK
+
+    def test_changed_run_settings_start_cold(self, tmp_path):
+        path = str(tmp_path / "c.journal")
+        run_campaign(safe_funneled(), CampaignConfig(seeds=[0], journal=path))
+        lines = []
+        result = run_campaign(
+            safe_funneled(),
+            CampaignConfig(seeds=[0], journal=path, resume=True,
+                           force_fail=True),
+            progress=lines.append,
+        )
+        assert any("header differs in force_fail" in line for line in lines)
+        assert result.outcomes[0].status == STATUS_FORCED
+
+    def test_quarantine_moves_corrupt_file_aside(self, tmp_path):
+        path = tmp_path / "c.journal"
+        path.write_text('{"torn write')
+        lines = []
+        result = run_campaign(
+            safe_funneled(),
+            CampaignConfig(seeds=[0], journal=str(path), resume=True),
+            progress=lines.append,
+        )
+        moved = tmp_path / ("c.journal" + CORRUPT_SUFFIX)
+        assert moved.read_text() == '{"torn write'
+        assert any(str(moved) in line for line in lines)
+        # the path now holds this run's fresh journal
+        replay = replay_journal(str(path))
+        assert replay.meta["program"] == result.program
+        assert sum(r["type"] == "done" for r in replay.records) == 1
+
+    def test_runner_resumes_cold_after_quarantine(self, tmp_path):
+        path = tmp_path / "c.journal"
+        config = self.config(str(path), resume=True)
+        first = run_campaign(case_study_2(), config)
+        path.write_bytes(path.read_bytes()[:40])  # cut inside the header
+        lines = []
+        second = run_campaign(case_study_2(), config, progress=lines.append)
+        assert not any("(resumed)" in line for line in lines)
+        assert (tmp_path / ("c.journal" + CORRUPT_SUFFIX)).exists()
+        assert [o.events for o in second.outcomes] == [
+            o.events for o in first.outcomes
+        ]
+        assert second.report.classes() == first.report.classes()
 
 
 class TestPlanMatrix:

@@ -69,9 +69,9 @@ class TestSpoolLifecycle:
         assert service.processed == 1 and service.failed == 0
         assert not os.listdir(spool / "incoming")
         assert not os.listdir(spool / "active")
-        # submission and both durability artifacts retired together
+        # submission and its journal retired together
         assert sorted(os.listdir(spool / "done")) == [
-            "racy.checkpoint.json", "racy.journal.jsonl", "racy.json",
+            "racy.journal.jsonl", "racy.json",
         ]
         report = json.load(open(spool / "reports" / "racy.report.json"))
         assert report["partial"] is False

@@ -3,7 +3,7 @@
 The invariant under test, end to end: however a durable campaign is
 disturbed — a worker SIGKILLed mid-cell, the coordinator hard-killed
 and resumed, a poison cell that murders every worker it touches — the
-merged report and checkpoint are byte-identical to an undisturbed run
+merged report is byte-identical to an undisturbed run
 (with ``record_timing`` off), and the campaign always terminates.
 """
 
@@ -50,7 +50,6 @@ def _config(tmp_path, tag, **overrides):
         plans=default_plan_matrix(2, ["none", "downgrade"]),
         record_timing=False,
         journal=str(tmp_path / f"{tag}.journal.jsonl"),
-        checkpoint=str(tmp_path / f"{tag}.ckpt.json"),
         lease_seconds=120.0,
     )
     settings.update(overrides)
@@ -263,13 +262,11 @@ class TestCoordinatorKillDrill:
         ]
         clean = self._cli(base + [
             "--journal", str(tmp_path / "c.journal"),
-            "--checkpoint", str(tmp_path / "c.ckpt"),
             "--json", str(tmp_path / "c.json"),
         ])
         assert clean.returncode == 0, clean.stderr
         drilled = self._cli(base + [
             "--journal", str(tmp_path / "d.journal"),
-            "--checkpoint", str(tmp_path / "d.ckpt"),
             "--json", str(tmp_path / "d.json"),
             "--drill-abort-after", "1",
         ])
@@ -277,12 +274,9 @@ class TestCoordinatorKillDrill:
         assert not (tmp_path / "d.json").exists()
         resumed = self._cli(base + [
             "--journal", str(tmp_path / "d.journal"),
-            "--checkpoint", str(tmp_path / "d.ckpt"),
             "--json", str(tmp_path / "d.json"),
             "--resume",
         ])
         assert resumed.returncode == 0, resumed.stderr
         assert (tmp_path / "c.json").read_bytes() \
             == (tmp_path / "d.json").read_bytes()
-        assert (tmp_path / "c.ckpt").read_bytes() \
-            == (tmp_path / "d.ckpt").read_bytes()

@@ -354,30 +354,44 @@ class TestCampaignCommand:
         assert "DEGRADED REPORT" in out
         assert "STATIC-ONLY" in out
 
-    def test_campaign_json_and_checkpoint(self, racy_file, tmp_path, capsys):
+    def test_campaign_json_and_journal(self, racy_file, tmp_path, capsys):
         import json
 
+        from repro.campaign import replay_journal
+
         report = tmp_path / "r.json"
-        ckpt = tmp_path / "c.json"
+        journal = tmp_path / "c.journal"
         code = main(["campaign", racy_file, "--seeds", "2", "--plans", "none",
-                     "--json", str(report), "--checkpoint", str(ckpt)])
+                     "--jobs", "1", "--json", str(report),
+                     "--journal", str(journal)])
         assert code == 0
         data = json.loads(report.read_text())
         assert data["runs"] == 2 and not data["degraded"]
-        state = json.loads(ckpt.read_text())
-        assert state["format"] == "repro-campaign"
-        assert len(state["outcomes"]) == 2
+        done = [r for r in replay_journal(str(journal)).records
+                if r["type"] == "done"]
+        assert [r["outcome"] for r in done] == data["outcomes"]
 
-    def test_campaign_resume_from_checkpoint(self, racy_file, tmp_path, capsys):
-        ckpt = str(tmp_path / "c.json")
+    def test_campaign_resume_from_journal(self, racy_file, tmp_path, capsys):
+        journal = str(tmp_path / "c.journal")
         main(["campaign", racy_file, "--seeds", "2", "--plans", "none",
-              "--checkpoint", ckpt])
+              "--journal", journal])
         capsys.readouterr()
         code = main(["campaign", racy_file, "--seeds", "2", "--plans", "none",
-                     "--checkpoint", ckpt, "--resume", "-v"])
+                     "--journal", journal, "--resume", "-v"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("(resumed)") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--npb", "lu", "--resume"],
+        ["campaign", "--npb", "lu", "--drill-abort-after", "1"],
+        ["fuzz", "--seeds", "1", "--resume"],
+    ])
+    def test_journal_only_flags_need_journal(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "needs --journal" in err[0]
 
     def test_campaign_npb_smoke(self, capsys):
         code = main(["campaign", "--npb", "lu", "--seeds", "1",
