@@ -43,7 +43,7 @@ from ..campaign import CampaignConfig, run_campaign
 from ..events.serialize import dump_log
 from ..home import Home
 from ..minilang import ast_nodes as A
-from ..runtime import RunConfig, reset_sim_counters, run_program
+from ..runtime import RunConfig, run_program
 
 #: Injection modes understood by :func:`run_oracles` (drill hooks).
 INJECT_KINDS = ("engine-divergence",)
@@ -134,8 +134,8 @@ def _diff_kind(line_a: str, line_b: str) -> str:
 
 
 def _run_one(program: A.Program, engine: str, ctx: OracleContext) -> Dict[str, Any]:
-    """One measured run; counters reset so traces are comparable."""
-    reset_sim_counters()
+    """One measured run; every id in its trace is per-run, so traces of
+    the same program and config are comparable byte for byte."""
     config = RunConfig(
         nprocs=ctx.nprocs,
         num_threads=ctx.num_threads,
@@ -306,7 +306,6 @@ def oracle_narrowing(
         {},  # narrowed (pipeline default)
         {"monitor_memory": True, "monitored_vars": None},  # everything
     ):
-        reset_sim_counters()
         config = tool.run_config(
             ctx.nprocs,
             ctx.num_threads,

@@ -11,13 +11,11 @@ distinct communicator (or tag) per thread", so the simulator supports
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import MPIUsageError
 from .constants import MPI_COMM_WORLD
-
-_COMM_COUNTER = itertools.count(1)  # 0 is MPI_COMM_WORLD
 
 
 @dataclass
@@ -59,6 +57,8 @@ class CommRegistry:
         self.world_size = world_size
         world = Communicator(MPI_COMM_WORLD, "MPI_COMM_WORLD", list(range(world_size)))
         self.comms: Dict[int, Communicator] = {MPI_COMM_WORLD: world}
+        #: ids of derived communicators (0 is MPI_COMM_WORLD)
+        self._cids = itertools.count(1)
         # Pending split/dup coordination: (parent_cid, instance) -> per-rank info.
         self._dup_slots: Dict[tuple, Dict[int, bool]] = {}
         self._dup_results: Dict[tuple, int] = {}
@@ -78,7 +78,7 @@ class CommRegistry:
     def derive(self, name: str, members: List[int]) -> int:
         """Allocate and register a fresh communicator (dup/split/shrink
         results all funnel through the same id counter)."""
-        new_cid = next(_COMM_COUNTER)
+        new_cid = next(self._cids)
         self.comms[new_cid] = Communicator(new_cid, name, list(members))
         return new_cid
 
@@ -103,7 +103,7 @@ class CommRegistry:
         key = (cid, instance)
         if key not in self._dup_results:
             parent = self.get(cid)
-            new_cid = next(_COMM_COUNTER)
+            new_cid = next(self._cids)
             self.comms[new_cid] = Communicator(
                 new_cid, f"dup{instance}({parent.name})", list(parent.members)
             )
@@ -136,7 +136,7 @@ class CommRegistry:
             for color, entries in sorted(by_color.items()):
                 entries.sort()
                 members = [wrank for _key, wrank in entries]
-                new_cid = next(_COMM_COUNTER)
+                new_cid = next(self._cids)
                 self.comms[new_cid] = Communicator(
                     new_cid, f"split{instance}({parent.name}, color={color})", members
                 )

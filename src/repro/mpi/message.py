@@ -15,15 +15,12 @@ matching rules implement the MPI standard's semantics:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .constants import MPI_ANY_SOURCE, MPI_ANY_TAG
-
-_MSG_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -37,10 +34,12 @@ class Message:
     payload: np.ndarray
     sent_time: float
     avail_time: float
+    #: unique within one :class:`~repro.mpi.world.MPIWorld`, from 1 (0
+    #: means "no message" to the trace analyses)
+    msg_id: int
     sync: bool = False           # sender blocks until consumed (rendezvous)
     consumed: bool = False
     consumed_time: float = 0.0
-    msg_id: int = field(default_factory=lambda: next(_MSG_COUNTER))
     sender_thread: int = 0
 
     @property

@@ -67,7 +67,8 @@ class MPIWorld:
         self._mailboxes: Dict[tuple, Mailbox] = {}
         #: virtual time at which the (Marmot-style) central manager frees up
         self.manager_free_at: float = 0.0
-        #: messages ever sent (diagnostics / tests)
+        #: messages ever sent; also the id of the latest message, so
+        #: message ids are per-world and start at 1
         self.messages_sent: int = 0
 
     # -- accessors -----------------------------------------------------------
@@ -106,6 +107,7 @@ class MPIWorld:
         comm = self.comm(comm_id)
         dst_world = comm.world_rank(dst_local)
         src_local = comm.local_rank(src_world)
+        self.messages_sent += 1
         msg = Message(
             src=src_local,
             dst=dst_local,
@@ -114,11 +116,11 @@ class MPIWorld:
             payload=payload,
             sent_time=sent_time,
             avail_time=sent_time + latency + per_elem * len(payload),
+            msg_id=self.messages_sent,
             sync=sync,
             sender_thread=sender_thread,
         )
         self.mailbox(dst_world, comm_id).deliver(msg)
-        self.messages_sent += 1
         return msg
 
     def perturb_mailbox(self, dst_world: int, comm_id: int, rng) -> bool:

@@ -28,31 +28,6 @@ def make_interpreter(program, config: RunConfig) -> Interpreter:
     return Interpreter(program, config)
 
 
-def reset_sim_counters() -> None:
-    """Reset the process-global simulation id counters.
-
-    Cell ids, MPI message ids and communicator ids are process-global
-    monotone counters, so two otherwise identical runs in one process
-    serialize different ``msg_id``/``comm`` values into their traces.
-    Callers that compare traces byte-for-byte across runs (the engine
-    differential oracle, the equivalence test suite) call this before
-    each run so both start from bit-identical worlds.
-
-    Deliberately does **not** touch the AST node-id counter: programs
-    already built would collide with ones built after the reset, and
-    the static-analysis memo cache keys on node identity.
-    """
-    import itertools
-
-    from ..mpi import communicator as _communicator
-    from ..mpi import message as _message
-    from . import values as _values
-
-    _values._CELL_COUNTER = itertools.count(1)
-    _message._MSG_COUNTER = itertools.count(1)
-    _communicator._COMM_COUNTER = itertools.count(1)
-
-
 def run_program(program, config: RunConfig | None = None, **kwargs) -> ExecutionResult:
     """Convenience: run *program* under a fresh interpreter.
 
@@ -90,6 +65,5 @@ __all__ = [
     "truthy",
     "as_int",
     "make_interpreter",
-    "reset_sim_counters",
     "run_program",
 ]

@@ -50,7 +50,6 @@ class RunConfig:
     #: default OpenMP team size (paper experiments use 2 threads/process)
     num_threads: int = 2
     seed: int = 0
-    schedule_policy: str = "random"
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     charge: InstrumentationCharge = field(default_factory=lambda: NO_INSTRUMENTATION)
     #: make blocking sends rendezvous (sender waits for the matching recv)

@@ -66,7 +66,7 @@ class ProcessCtx:
 
     def __init__(self, interp: "Interpreter", rank: int) -> None:
         self.rank = rank
-        self.globals = Scope()
+        self.globals = Scope(cell_ids=interp.cell_ids)
         self.locks = LockTable(rank)
         self.mpi = interp.world.proc(rank)
         self._tid_counter = itertools.count(1)  # 0 is the main thread
@@ -178,7 +178,6 @@ class Interpreter:
         )
         self.scheduler = Scheduler(
             seed=config.seed,
-            policy=config.schedule_policy,
             max_steps=config.max_steps,
             max_wall_seconds=config.max_wall_seconds,
         )
@@ -194,6 +193,9 @@ class Interpreter:
         self.outputs: List[tuple] = []
         self.notes: List[str] = []
         self.procs: List[ProcessCtx] = []
+        #: the run's cell ids: every rank's root scope shares this one
+        #: counter, so cells are numbered in global creation order
+        self.cell_ids = itertools.count(1)
         self._call_id = itertools.count(1)
         self._team_id = itertools.count(1)
         self._functions = {fn.name: fn for fn in program.functions}

@@ -6,11 +6,10 @@ member) is a Python generator that yields scheduling points:
 * :class:`Step` — "I did work costing *cost* virtual time units".
 * :class:`Block` — "park me until *is_ready()* returns True".
 
-The scheduler repeatedly picks one runnable task — uniformly at random
-from a seeded RNG (policy ``random``) or round-robin (policy ``rr``) —
-and advances it by one yield.  Runnability of blocked tasks is
-re-evaluated every iteration, so a task whose wake condition was
-consumed by a competitor (e.g. two receives racing for one message)
+The scheduler repeatedly picks one runnable task, uniformly at random
+from a seeded RNG, and advances it by one yield.  Runnability of blocked
+tasks is re-evaluated every iteration, so a task whose wake condition
+was consumed by a competitor (e.g. two receives racing for one message)
 simply stays blocked.
 
 Deadlock detection: when no task is runnable and at least one is
@@ -25,7 +24,7 @@ from __future__ import annotations
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, List, Optional, Union
+from typing import Callable, Generator, List, Optional, Union
 
 from ..errors import (
     DeadlockError,
@@ -82,10 +81,6 @@ class Task:
         self.block: Optional[Block] = None
         self.steps = 0
 
-    @property
-    def done(self) -> bool:
-        return self.state == _DONE
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name} p{self.proc}t{self.thread} {self.state} t={self.clock:.1f}>"
 
@@ -121,24 +116,20 @@ class Scheduler:
     def __init__(
         self,
         seed: int = 0,
-        policy: str = "random",
         max_steps: int = DEFAULT_MAX_STEPS,
         max_wall_seconds: float = 0.0,
     ) -> None:
-        if policy not in ("random", "rr"):
-            raise SchedulerError(f"unknown scheduling policy {policy!r}")
         self.rng = random.Random(seed)
-        self.policy = policy
         self.max_steps = max_steps
         #: host wall-clock budget for the whole run; 0 = unlimited
         self.max_wall_seconds = max_wall_seconds
         self._deadline: Optional[float] = None
         self.tasks: List[Task] = []
-        #: not-yet-done tasks in spawn order (lazily pruned) — scanning
-        #: finished tasks every step dominated the profile otherwise
+        #: not-yet-done tasks in spawn order (a task leaves the moment
+        #: it finishes) — scanning finished tasks every step dominated
+        #: the profile otherwise
         self._live: List[Task] = []
         self.total_steps = 0
-        self._rr_cursor = -1
         #: called when no task is runnable but some are blocked; returns
         #: True if it unblocked something (e.g. timed out a waiter), in
         #: which case runnability is re-evaluated instead of raising
@@ -163,96 +154,7 @@ class Scheduler:
         self._live.append(task)
         return task
 
-    def live_tasks(self) -> List[Task]:
-        return [t for t in self.tasks if not t.done]
-
     # -- execution ------------------------------------------------------------
-
-    def _runnable(self) -> List[Task]:
-        out = []
-        live = self._live
-        needs_prune = False
-        for task in live:
-            state = task.state
-            if state == _READY:
-                out.append(task)
-            elif state == _BLOCKED:
-                if task.block.is_ready():
-                    out.append(task)
-            else:  # _DONE: prune lazily, preserving spawn order
-                needs_prune = True
-        if needs_prune:
-            self._live = [t for t in live if t.state != _DONE]
-        return out
-
-    def _pick(self, runnable: List[Task]) -> Task:
-        if self.policy == "random":
-            return runnable[self.rng.randrange(len(runnable))]
-        # Round-robin over task creation order.
-        for _ in range(len(self.tasks)):
-            self._rr_cursor = (self._rr_cursor + 1) % len(self.tasks)
-            candidate = self.tasks[self._rr_cursor]
-            if candidate in runnable:
-                return candidate
-        return runnable[0]
-
-    def step_one(self) -> bool:
-        """Advance one task by one yield.
-
-        Returns False when all tasks are done.  Raises DeadlockError if
-        live tasks exist but none can run.
-        """
-        runnable = self._runnable()
-        if not runnable:
-            blocked = [t for t in self._live if t.state == _BLOCKED]
-            if not blocked:
-                return False  # everything finished
-            while not runnable and self.stall_handler and self.stall_handler():
-                runnable = self._runnable()
-            if not runnable:
-                infos = [
-                    BlockedInfo(t.name, t.proc, t.thread, t.block.reason if t.block else "?")
-                    for t in blocked
-                ]
-                raise DeadlockError(
-                    f"deadlock: {len(blocked)} task(s) blocked with no "
-                    f"runnable task; {_blocked_by_rank(infos)}",
-                    blocked=infos,
-                )
-        task = self._pick(runnable)
-        task.state = _READY
-        task.block = None
-        try:
-            yielded = next(task.gen)
-        except StopIteration:
-            task.state = _DONE
-            return True
-        task.steps += 1
-        self.total_steps += 1
-        if self.total_steps > self.max_steps:
-            raise StepLimitError(
-                f"scheduler exceeded {self.max_steps} steps; "
-                "simulated program is probably in an infinite loop "
-                f"({self._busiest_tasks()})",
-                task_steps={t.name: t.steps for t in self.tasks},
-            )
-        if (
-            self._deadline is not None
-            and self.total_steps % _WALL_CHECK_INTERVAL == 0
-            and _time.monotonic() > self._deadline
-        ):
-            raise WallClockLimitError(
-                f"scheduler exceeded its {self.max_wall_seconds:.1f}s "
-                f"wall-clock budget after {self.total_steps} steps"
-            )
-        if isinstance(yielded, Step):
-            task.clock += yielded.cost
-        elif isinstance(yielded, Block):
-            task.state = _BLOCKED
-            task.block = yielded
-        else:
-            raise SchedulerError(f"task {task.name} yielded {yielded!r}")
-        return True
 
     def _busiest_tasks(self, top: int = 4) -> str:
         """Per-task step counts of the hungriest tasks, for diagnostics."""
@@ -262,37 +164,22 @@ class Scheduler:
         )
 
     def run(self) -> None:
-        """Run all tasks to completion; raises DeadlockError on deadlock."""
+        """Run all tasks to completion; raises DeadlockError on deadlock.
+
+        Each step makes one RNG draw over the runnable tasks in spawn
+        order (blocked tasks re-evaluated in place); a StopIteration is
+        not counted as a step.  A blocked-task counter lets the common
+        all-ready iteration pick straight from the live list without
+        rebuilding it.
+        """
         if self.max_wall_seconds > 0:
             self._deadline = _time.monotonic() + self.max_wall_seconds
-        if self.policy != "random":
-            while self.step_one():
-                pass
-            return
-        self._run_random()
-
-    def _run_random(self) -> None:
-        """Inlined hot loop for the default random policy.
-
-        Byte-identical to ``while step_one(): pass``: one RNG draw per
-        step over the same runnable list (spawn order, blocked tasks
-        re-evaluated in place), StopIteration not counted as a step, the
-        same limit/deadlock error messages.  The win is structural: a
-        blocked-task counter lets the common all-ready iteration pick
-        straight from the live list without rebuilding it, and done
-        tasks are pruned immediately instead of rescanned.
-        """
-        live = self._live = [t for t in self._live if t.state != _DONE]
+        live = self._live
         nblocked = sum(1 for t in live if t.state == _BLOCKED)
-        rng_draw = self.rng.randrange
         # Inline random.Random's _randbelow_with_getrandbits: the same
-        # getrandbits consumption as randrange(n) (so seed-for-seed
-        # schedules stay identical to step_one and the ast engine)
-        # without the randrange/_randbelow call frames on every step.
-        # A subclassed RNG keeps the portable randrange call.
-        getrandbits = (
-            self.rng.getrandbits if type(self.rng) is random.Random else None
-        )
+        # getrandbits consumption as randrange(n) without the
+        # randrange/_randbelow call frames on every step.
+        getrandbits = self.rng.getrandbits
         max_steps = self.max_steps
         deadline = self._deadline
         total = self.total_steps
@@ -308,38 +195,13 @@ class Scheduler:
                         if t.state == _READY or t.block.is_ready()
                     ]
                     if not runnable:
-                        blocked = [t for t in live if t.state == _BLOCKED]
-                        while (not runnable and self.stall_handler
-                               and self.stall_handler()):
-                            runnable = self._runnable()
-                        if not runnable:
-                            infos = [
-                                BlockedInfo(
-                                    t.name, t.proc, t.thread,
-                                    t.block.reason if t.block else "?",
-                                )
-                                for t in blocked
-                            ]
-                            raise DeadlockError(
-                                f"deadlock: {len(blocked)} task(s) blocked "
-                                f"with no runnable task; "
-                                f"{_blocked_by_rank(infos)}",
-                                blocked=infos,
-                            )
-                        # the stall handler may have pruned/rebound _live
-                        live = self._live
-                        nblocked = sum(
-                            1 for t in live if t.state == _BLOCKED
-                        )
+                        runnable = self._stalled(live)
                 n = len(runnable)
-                if getrandbits is not None:
-                    k = n.bit_length()
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
                     r = getrandbits(k)
-                    while r >= n:
-                        r = getrandbits(k)
-                    task = runnable[r]
-                else:
-                    task = runnable[rng_draw(n)]
+                task = runnable[r]
                 if task.state == _BLOCKED:
                     nblocked -= 1
                     task.state = _READY
@@ -375,12 +237,6 @@ class Scheduler:
                     task.state = _BLOCKED
                     task.block = yielded
                     nblocked += 1
-                elif isinstance(yielded, Step):
-                    task.clock += yielded.cost
-                elif isinstance(yielded, Block):
-                    task.state = _BLOCKED
-                    task.block = yielded
-                    nblocked += 1
                 else:
                     raise SchedulerError(
                         f"task {task.name} yielded {yielded!r}"
@@ -389,6 +245,21 @@ class Scheduler:
             # keep the public counter accurate however the loop exits
             # (done, limit raise, a fault propagating out of a task)
             self.total_steps = total
+
+    def _stalled(self, live: List[Task]) -> List[Task]:
+        """No live task is runnable (so every one is blocked): let the
+        stall handler unblock some and return them, or raise
+        :class:`DeadlockError` naming every blocked task."""
+        while self.stall_handler and self.stall_handler():
+            runnable = [t for t in live if t.block.is_ready()]
+            if runnable:
+                return runnable
+        infos = [BlockedInfo(t.name, t.proc, t.thread, t.block.reason) for t in live]
+        raise DeadlockError(
+            f"deadlock: {len(live)} task(s) blocked with no runnable "
+            f"task; {_blocked_by_rank(infos)}",
+            blocked=infos,
+        )
 
     # -- results ------------------------------------------------------------
 

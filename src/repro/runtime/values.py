@@ -3,8 +3,10 @@
 Variables live in :class:`Cell` objects so OpenMP data-sharing semantics
 work naturally: a *shared* variable is one whose cell is visible to more
 than one thread; ``private``/``firstprivate`` clauses give each team
-member a fresh cell.  Cells carry a unique id used by the ITC model's
-full memory-access monitoring and by race reports.
+member a fresh cell.  Cells carry an id, unique within one run, used by
+the ITC model's full memory-access monitoring and by race reports.  The
+ids come from the run's own counter, which every scope of the run
+shares, so a trace never depends on what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -16,16 +18,14 @@ import numpy as np
 
 from ..errors import SimAbort
 
-_CELL_COUNTER = itertools.count(1)
-
 
 class Cell:
     """One storage location holding a scalar or an array value."""
 
     __slots__ = ("cid", "name", "value", "shared")
 
-    def __init__(self, name: str, value: Any = 0) -> None:
-        self.cid: int = next(_CELL_COUNTER)
+    def __init__(self, cid: int, name: str, value: Any = 0) -> None:
+        self.cid = cid
         self.name = name
         self.value = value
         #: Marked True when the cell becomes visible to an OpenMP team.
@@ -82,13 +82,26 @@ class ArrayValue:
 
 
 class Scope:
-    """A lexical scope: name -> Cell, chained to a parent scope."""
+    """A lexical scope: name -> Cell, chained to a parent scope.
 
-    __slots__ = ("parent", "cells")
+    A root scope takes the run's cell-id counter (*cell_ids*; a fresh
+    one starting at 1 when omitted); child scopes inherit their
+    parent's, so every cell of a run draws from one sequence.
+    """
 
-    def __init__(self, parent: Optional["Scope"] = None) -> None:
+    __slots__ = ("parent", "cells", "cell_ids")
+
+    def __init__(
+        self,
+        parent: Optional["Scope"] = None,
+        cell_ids: Optional[Iterator[int]] = None,
+    ) -> None:
         self.parent = parent
         self.cells: Dict[str, Cell] = {}
+        if parent is not None:
+            self.cell_ids = parent.cell_ids
+        else:
+            self.cell_ids = itertools.count(1) if cell_ids is None else cell_ids
 
     def declare(self, name: str, value: Any = 0) -> Cell:
         """Declare a variable in *this* scope (shadowing any outer binding).
@@ -97,7 +110,7 @@ class Scope:
         found under its own ``name``; the bytecode compiler's per-site
         memory monitoring relies on that.
         """
-        cell = Cell(name, value)
+        cell = Cell(next(self.cell_ids), name, value)
         self.cells[name] = cell
         return cell
 

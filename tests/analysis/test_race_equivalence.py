@@ -27,7 +27,7 @@ from repro.fuzz.oracles import _race_set
 from repro.home import Home
 from repro.home.pipeline import triage_race_candidates
 from repro.minilang import parse
-from repro.runtime import reset_sim_counters, run_program
+from repro.runtime import run_program
 from repro.workloads.npb import SPECS, build_racy_npb
 
 CORPUS = Path(__file__).resolve().parents[2] / "examples" / "fuzz_corpus"
@@ -144,7 +144,6 @@ def home_run(log_id):
         return report, report.execution
     tool = Home()
     to_run, static = tool.prepare(parse((CORPUS / f"{rest}.mini").read_text()))
-    reset_sim_counters()
     config = tool.run_config(
         2, 2, 0, static=static, max_steps=200_000, capture_partial=True,
         monitor_memory=True, monitored_vars=None,

@@ -5,12 +5,14 @@ import pytest
 
 from repro.mpi.constants import MPI_ANY_SOURCE, MPI_ANY_TAG
 from repro.mpi.message import Mailbox, Message, envelope_matches
+from repro.mpi.world import MPIWorld
 
 
-def msg(src=0, tag=1, comm=0, payload=(1.0,), sent=0.0):
+def msg(src=0, tag=1, comm=0, payload=(1.0,), sent=0.0, msg_id=1):
     return Message(
         src=src, dst=1, tag=tag, comm=comm,
         payload=np.asarray(payload), sent_time=sent, avail_time=sent + 1.0,
+        msg_id=msg_id,
     )
 
 
@@ -91,7 +93,16 @@ class TestMailbox:
         assert box.delivered == 2
 
     def test_message_ids_unique(self):
-        assert msg().msg_id != msg().msg_id
+        """Ids are distinct within one world and restart at 1 in a new
+        one (0 means "no message" to the trace analyses)."""
+        def send_ids(world, n):
+            return [
+                world.post_send(0, 1, 0, 0, np.zeros(1), 0.0, 1.0, 0.0).msg_id
+                for _ in range(n)
+            ]
+
+        assert send_ids(MPIWorld(2), 3) == [1, 2, 3]
+        assert send_ids(MPIWorld(2), 1) == [1]
 
     def test_message_count_property(self):
         assert msg(payload=(1.0, 2.0, 3.0)).count == 3

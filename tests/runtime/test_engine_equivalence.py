@@ -4,16 +4,15 @@ The bytecode VM's contract is not "similar results" — it is
 *byte-identical traces*: the same events in the same order with the
 same payloads, the same virtual clocks, the same RNG consumption, for
 every workload, fault plan and monitoring configuration.  These tests
-enforce that contract by running each program twice from identical
-initial state (cell/node id counters reset, compile cache cleared) and
-comparing the fully serialized traces plus every observable result
-field.
+enforce that contract by running one program object under both engines
+and comparing the fully serialized traces plus every observable result
+field.  No state is reset between the runs: every id a trace carries
+is per-run.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 
 import pytest
 
@@ -23,9 +22,8 @@ from repro.errors import WorkerKillFault
 from repro.events import MemAccess
 from repro.events.serialize import dump_log
 from repro.faults.plan import builtin_plans
-from repro.minilang import ast_nodes, parse, validate
-from repro.runtime import RunConfig, make_interpreter, reset_sim_counters
-from repro.runtime.bytecode.compiler import clear_compile_cache
+from repro.minilang import parse, validate
+from repro.runtime import RunConfig, make_interpreter
 from repro.runtime.bytecode.vm import BytecodeInterpreter
 from repro.runtime.interpreter import Interpreter
 from repro.workloads.npb import BENCHMARKS, build_racy_npb
@@ -34,39 +32,23 @@ from repro.workloads.npb import BENCHMARKS, build_racy_npb
 # harness
 
 
-def _fresh_program(build):
-    """Build a program from pristine global state.
-
-    Cell ids, AST node ids and MPI message ids are process-global
-    counters; resetting them (and the compile cache keyed on program
-    identity) before each build makes the two engine runs start from
-    bit-identical worlds.
-    """
-    ast_nodes._NODE_COUNTER = itertools.count(1)
-    reset_sim_counters()
-    clear_compile_cache()
-    return build()
-
-
 def _run_program(cls, program, config):
-    """Run an already-built *program* from reset simulation counters."""
-    reset_sim_counters()
+    """Run an already-built *program*; return the result and its trace."""
     result = cls(program, config).run()
     buf = io.StringIO()
     dump_log(result.log, buf)
     return result, buf.getvalue()
 
 
-def _run_engine(engine, build, **cfg):
-    program = _fresh_program(build)
-    cls = BytecodeInterpreter if engine == "bytecode" else Interpreter
-    return _run_program(cls, program, RunConfig(engine=engine, **cfg))
-
-
 def assert_equivalent(build, **cfg):
     """Run *build()* under both engines and require byte-identity."""
-    ast_result, ast_trace = _run_engine("ast", build, **cfg)
-    vm_result, vm_trace = _run_engine("bytecode", build, **cfg)
+    program = build()
+    ast_result, ast_trace = _run_program(
+        Interpreter, program, RunConfig(engine="ast", **cfg)
+    )
+    vm_result, vm_trace = _run_program(
+        BytecodeInterpreter, program, RunConfig(engine="bytecode", **cfg)
+    )
     assert ast_trace == vm_trace, "serialized traces differ between engines"
     assert ast_result.outputs == vm_result.outputs
     assert ast_result.notes == vm_result.notes
@@ -132,8 +114,8 @@ class TestWorkloads:
         same point with the same message and identical partial state."""
         plan = builtin_plans(2)["killworker"]
         outcomes = {}
+        program = BENCHMARKS["lu"]()
         for engine in ("ast", "bytecode"):
-            program = _fresh_program(BENCHMARKS["lu"])
             config = RunConfig(
                 engine=engine, nprocs=2, num_threads=2, seed=0, fault_plan=plan
             )
@@ -190,7 +172,7 @@ class TestMonitoringNarrowing:
         """The VM compiles monitoring in, memoized per (program, spec):
         one Program object run under a sequence of specs must hit the
         right compilation each time, including the first spec again."""
-        program = _fresh_program(build_racy_npb)
+        program = build_racy_npb()
         specs = [
             {},
             {"monitor_memory": True, "monitored_vars": frozenset({"field"})},
@@ -216,14 +198,13 @@ class TestMonitoringNarrowing:
     def test_config_change_before_run_is_honoured(self):
         """The monitoring spec is read when run() starts, not when the
         interpreter is built."""
-        program = _fresh_program(build_racy_npb)
+        program = build_racy_npb()
         expected = {}
         for cls in (Interpreter, BytecodeInterpreter):
             config = RunConfig(
                 nprocs=2, num_threads=2, seed=1,
                 monitor_memory=True, monitored_vars=frozenset({"field"}),
             )
-            reset_sim_counters()
             interp = cls(program, config)
             config.monitored_vars = frozenset({"tmp"})
             result = interp.run()

@@ -61,19 +61,6 @@ class TestBasicExecution:
             return log
         assert trace(3) == trace(3)
 
-    def test_round_robin_policy_alternates(self):
-        log = []
-        sched = Scheduler(seed=0, policy="rr")
-        sched.spawn("a", 0, 0, make_counter_task(log, "a", 3))
-        sched.spawn("b", 0, 1, make_counter_task(log, "b", 3))
-        sched.run()
-        names = [n for n, _ in log]
-        assert names == ["a", "b", "a", "b", "a", "b"]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(SchedulerError):
-            Scheduler(policy="lifo")
-
 
 class TestBlocking:
     def test_block_until_condition(self):

@@ -1,5 +1,7 @@
 """Cells, arrays, scopes, operator semantics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,22 @@ from repro.runtime.values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
 
 class TestCell:
     def test_unique_ids(self):
-        assert Cell("a").cid != Cell("a").cid
+        """Cell ids are distinct across one run's scopes and restart at 1
+        for a new run: a trace never depends on earlier runs."""
+        run = Scope()
+        child = Scope(parent=run)
+        cids = [run.declare("a").cid, child.declare("a").cid, run.declare("b").cid]
+        assert cids == [1, 2, 3]
+        assert Scope().declare("a").cid == 1
+
+    def test_root_scope_takes_the_run_counter(self):
+        ids = itertools.count(1)
+        ranks = [Scope(cell_ids=ids), Scope(cell_ids=ids)]
+        cids = [Scope(parent=r).declare("x").cid for r in ranks]
+        assert cids == [1, 2]
 
     def test_default_not_shared(self):
-        assert not Cell("a").shared
+        assert not Cell(1, "a").shared
 
 
 class TestArrayValue:

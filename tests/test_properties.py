@@ -153,6 +153,7 @@ class TestMatchingLaws:
             box.deliver(Message(
                 src=src, dst=0, tag=tag, comm=0,
                 payload=np.asarray([float(i)]), sent_time=0.0, avail_time=0.0,
+                msg_id=i + 1,
             ))
         for src, tag in set(sends):
             taken = []
@@ -167,6 +168,7 @@ class TestMatchingLaws:
             box.deliver(Message(
                 src=src, dst=0, tag=tag, comm=0,
                 payload=np.asarray([float(i)]), sent_time=0.0, avail_time=0.0,
+                msg_id=i + 1,
             ))
         order = []
         while (m := box.take(MPI_ANY_SOURCE, MPI_ANY_TAG)) is not None:
@@ -180,6 +182,7 @@ class TestMatchingLaws:
             box.deliver(Message(
                 src=src, dst=0, tag=tag, comm=0,
                 payload=np.asarray([float(i)]), sent_time=0.0, avail_time=0.0,
+                msg_id=i + 1,
             ))
         src, tag = probe_env
         found = box.find(src, tag)
