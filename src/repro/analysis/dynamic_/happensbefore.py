@@ -28,12 +28,24 @@ it needs neither a full clock walk nor the replay position of either
 event (loaded traces may carry seq values out of replay order).  The
 equivalence also means an event replayed later is never ordered before
 an earlier one, which the memory-race scan relies on.
+
+**Epoch/view storage.**  The epoch test of events on different threads
+reads only the own-thread component of one event and the *other*
+thread's components of the other.  Between two synchronization events a
+thread's clock changes in its own component alone, so every event is
+stored as its epoch (an int) plus its thread's *view*: the clock
+computed at the thread's last synchronization event, shared by
+reference with every event up to the next one.  A memory access, MPI
+call or any other non-synchronization event therefore costs a few dict
+stores and allocates no clock.  Full clocks are built only at fork,
+begin, join, barrier and lock events — exactly where edges are joined —
+and on demand by :meth:`HBResult.clock`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ...events import (
     BarrierEvent,
@@ -44,7 +56,6 @@ from ...events import (
     ThreadFork,
     ThreadJoin,
 )
-from ...events.event import Event
 from .vectorclock import VectorClock, VectorClockBuilder
 
 
@@ -56,31 +67,42 @@ _SYNC_EVENTS = frozenset({
 
 @dataclass
 class HBResult:
-    """Vector clocks and lockset snapshots for one process's events."""
+    """Epochs, views and lockset snapshots for one process's events."""
 
     proc: int
-    #: event seq -> vector clock at that event
-    clocks: Dict[int, VectorClock] = field(default_factory=dict)
+    #: event seq -> the event's own-thread clock component
+    epoch: Dict[int, int] = field(default_factory=dict)
+    #: event seq -> its thread's clock at the thread's last sync event
+    #: (one shared object per sync event; see the module docstring)
+    view: Dict[int, VectorClock] = field(default_factory=dict)
     #: event seq -> frozenset of lock names held by the thread at the event
     locks_held: Dict[int, frozenset] = field(default_factory=dict)
     threads: Set[int] = field(default_factory=set)
-    #: event seq -> thread that executed it (the clock component the
-    #: event ticked, so ``clocks[seq].get(thread_of[seq])`` is its epoch)
+    #: event seq -> thread that executed it
     thread_of: Dict[int, int] = field(default_factory=dict)
+
+    def clock(self, seq: int) -> VectorClock:
+        """The full vector clock at event *seq*, built on demand."""
+        components = dict(self.view[seq]._c)
+        components[self.thread_of[seq]] = self.epoch[seq]
+        return VectorClock._adopt(components)
 
     def ordered(self, seq_a: int, seq_b: int) -> bool:
         """True iff the two events are happens-before ordered (either way).
 
         O(1): the epoch test of the module docstring, equal to
-        ``clocks[a].leq(clocks[b]) or clocks[b].leq(clocks[a])``.
+        ``clock(a).leq(clock(b)) or clock(b).leq(clock(a))``.  Events of
+        one thread are always ordered by program order.
         """
-        # the component dicts directly: this is the race scans' hot path
-        clock_a, clock_b = self.clocks[seq_a]._c, self.clocks[seq_b]._c
-        tid = self.thread_of[seq_a]
-        if clock_a[tid] <= clock_b.get(tid, 0):
+        tid_a, tid_b = self.thread_of[seq_a], self.thread_of[seq_b]
+        if tid_a == tid_b:
             return True
-        tid = self.thread_of[seq_b]
-        return clock_b[tid] <= clock_a.get(tid, 0)
+        epoch, view = self.epoch, self.view
+        # the component dicts directly: this is the race scans' hot path
+        return (
+            epoch[seq_a] <= view[seq_b]._c.get(tid_a, 0)
+            or epoch[seq_b] <= view[seq_a]._c.get(tid_b, 0)
+        )
 
     def concurrent(self, seq_a: int, seq_b: int) -> bool:
         return not self.ordered(seq_a, seq_b)
@@ -89,13 +111,17 @@ class HBResult:
         return not (self.locks_held[seq_a] & self.locks_held[seq_b])
 
 
+#: the view of a thread that has passed no sync event yet
+_NO_EDGES = VectorClock()
+
+
 def compute_happens_before(
     log: EventLog,
     proc: int,
     lock_edges: bool = True,
     ignored_locks=None,
 ) -> HBResult:
-    """Compute vector clocks for every event of process *proc*.
+    """Replay the events of process *proc* into epochs and views.
 
     ``ignored_locks``: a set of lock names, or a predicate
     ``name -> bool``, describing locks the analysis cannot see — used to
@@ -114,10 +140,14 @@ def compute_happens_before(
         def _is_ignored(name: str) -> bool:
             return name in _ignored_set
     result = HBResult(proc)
-    clocks = result.clocks
+    epoch = result.epoch
+    view = result.view
     locks_held = result.locks_held
     thread_of = result.thread_of
-    vc: Dict[int, VectorClock] = {}
+    #: per thread: its clock at its last sync event, and its current own
+    #: component (the thread's full clock is the view with that epoch)
+    views: Dict[int, VectorClock] = {}
+    epochs: Dict[int, int] = {}
     #: locks each thread holds; one frozenset shared by all the thread's
     #: events until its next acquire/release replaces it
     held: Dict[int, frozenset] = {}
@@ -130,80 +160,81 @@ def compute_happens_before(
     #: team id -> member thread ids (learned from fork/begin events)
     team_members: Dict[int, Set[int]] = {}
 
-    def start_thread(tid: int) -> VectorClock:
-        vc[tid] = VectorClock({tid: 1})
-        held[tid] = frozenset()
-        result.threads.add(tid)
-        return vc[tid]
-
-    #: clocks this event must absorb before its program-order tick;
-    #: reused across iterations so the common no-edge event stays
-    #: allocation-free until the tick itself
-    incoming: List[VectorClock] = []
+    def join_thread(builder: VectorClockBuilder, tid: int) -> None:
+        """Join *tid*'s current full clock into *builder*."""
+        builder.join(views[tid])
+        if epochs[tid] > builder.get(tid):
+            builder._c[tid] = epochs[tid]
 
     for event in log:
         if event.proc != proc:
             continue
         tid = event.thread
-        current = vc.get(tid)
-        if current is None:
-            current = start_thread(tid)
+        own = epochs.get(tid)
+        if own is None:
+            views[tid] = _NO_EDGES
+            held[tid] = frozenset()
+            result.threads.add(tid)
+            own = 1
+        seq = event.seq
         kind = type(event)
 
         if kind not in _SYNC_EVENTS:
-            pass  # memory accesses, MPI calls...: program order only
-        elif kind is ThreadFork:
-            # Clocks are immutable, so the fork snapshot is the clock
-            # itself — no defensive copy.
-            fork_vc[event.team] = current
+            # memory accesses, MPI calls...: program order only, so
+            # the clock moves in its own component alone
+            own += 1
+            epochs[tid] = own
+            epoch[seq] = own
+            view[seq] = views[tid]
+            locks_held[seq] = held[tid]
+            thread_of[seq] = tid
+            continue
+
+        # A sync event builds the thread's full clock, absorbs its
+        # edges and advances program order in one mutating pass.
+        builder = views[tid].mutable()
+        builder._c[tid] = own
+        if kind is ThreadFork:
+            # workers start from the clock before the fork's own tick
+            fork_vc[event.team] = builder.freeze()
             team_members.setdefault(event.team, set()).add(tid)
             team_members[event.team].update(event.children)
         elif kind is ThreadBegin:
             base = fork_vc.get(event.team)
             if base is not None:
-                incoming.append(base)
+                builder.join(base)
             team_members.setdefault(event.team, set()).add(tid)
         elif kind is ThreadJoin:
             for child in event.children:
-                child_vc = vc.get(child)
-                if child_vc is not None:
-                    incoming.append(child_vc)
+                if child in views:
+                    join_thread(builder, child)
         elif kind is BarrierEvent:
             key = (event.team, event.epoch)
             joined = barrier_vc.get(key)
             if joined is None:
                 members = team_members.get(event.team, {tid})
-                builder = VectorClockBuilder()
+                team = VectorClockBuilder()
                 for member in members:
-                    member_vc = vc.get(member)
-                    if member_vc is not None:
-                        builder.join(member_vc)
-                builder.join(current)
-                joined = builder.into_clock()
+                    if member in views and member != tid:
+                        join_thread(team, member)
+                team.join(builder)
+                joined = team.into_clock()
                 barrier_vc[key] = joined
-            incoming.append(joined)
+            builder.join(joined)
         elif kind is LockAcquire:
             if not _is_ignored(event.lock):
                 if lock_edges and event.lock in lock_vc:
-                    incoming.append(lock_vc[event.lock])
+                    builder.join(lock_vc[event.lock])
                 held[tid] = held[tid] | {event.lock}
         elif kind is LockRelease:
             if not _is_ignored(event.lock):
                 held[tid] = held[tid] - {event.lock}
 
-        # Absorb the synchronization edges and advance program order in
-        # one mutating pass — a single dict allocation per event.
-        if incoming:
-            builder = current.mutable()
-            for clock in incoming:
-                builder.join(clock)
-            current = builder.tick(tid).into_clock()
-            incoming.clear()
-        else:
-            current = current.tick(tid)
-        vc[tid] = current
-        seq = event.seq
-        clocks[seq] = current
+        current = builder.tick(tid).into_clock()
+        views[tid] = current
+        epochs[tid] = own = current._c[tid]
+        epoch[seq] = own
+        view[seq] = current
         locks_held[seq] = held[tid]
         thread_of[seq] = tid
 

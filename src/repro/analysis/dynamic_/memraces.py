@@ -11,11 +11,19 @@ filtering is so much cheaper.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ...events import EventLog, MemAccess
 from .happensbefore import HBResult, compute_happens_before
+from .vectorclock import VectorClock
+
+
+_THREAD = attrgetter("thread")
+_IS_WRITE = attrgetter("is_write")
 
 
 @dataclass
@@ -50,15 +58,10 @@ def find_memory_races(
     same ``lock_edges``/``ignored_locks``; without it the log is
     replayed here.
     """
-    accesses: Dict[tuple, List[MemAccess]] = {}
+    accesses: Dict[tuple, List[MemAccess]] = defaultdict(list)
     for event in log:
         if type(event) is MemAccess and event.proc == proc:
-            key = (event.cell, event.index)
-            evs = accesses.get(key)
-            if evs is None:
-                accesses[key] = [event]
-            else:
-                evs.append(event)
+            accesses[event.cell, event.index].append(event)
     if not accesses:
         return []
 
@@ -89,22 +92,85 @@ def _first_race(
     *evs* are in replay order, so ``evs[i]`` happens-before ``evs[j]``
     (i < j) iff ``evs[j]``'s clock has reached ``evs[i]``'s own epoch —
     the one-sided epoch test of :mod:`.happensbefore` (an access is never
-    ordered before one replayed earlier).  Per access ``a`` and per
-    other thread, only that thread's later accesses that could conflict
-    with ``a`` are walked (its writes if ``a`` is a read), and the walk
-    stops at the first one ordered after ``a``: that thread's later
-    accesses are then ordered after ``a`` too.
+    ordered before one replayed earlier).
 
     Accesses come in runs of one thread.  Within a run every access has
     the same next access (and next write) on each other thread, so when
     the run's last write is ordered before each other thread's next
     access and its last access before each other thread's next write,
-    program order clears the whole run at once.  With lock edges on,
-    accesses under a common lock are ordered, so the scan is linear.
+    program order clears the whole run at once.  One backward pass over
+    the runs applies that test; only the runs it cannot clear get the
+    per-access search of :func:`_first_race_in_runs`.  With lock edges
+    on, accesses under a common lock are ordered, so the scan is linear.
     """
+    # most locations are touched by one thread or only read: skip them
+    # with C-level passes before any per-run bookkeeping
     tid = evs[0].thread
-    if all(event.thread == tid for event in evs):
+    if evs[-1].thread == tid and list(map(_THREAD, evs)).count(tid) == len(evs):
         return None
+    if not any(map(_IS_WRITE, evs)):
+        return None
+    runs = [(thread, list(run)) for thread, run in groupby(evs, _THREAD)]
+    epoch, view = hb.epoch, hb.view
+    #: other thread -> its next access / next write after the current run
+    next_access: Dict[int, MemAccess] = {}
+    next_write: Dict[int, MemAccess] = {}
+    suspects: List[int] = []
+    for r in range(len(runs) - 1, -1, -1):
+        tid, run = runs[r]
+        last_write = next(filter(_IS_WRITE, reversed(run)), None)
+        if not _run_ordered(
+            tid, run, last_write, next_access, next_write, epoch, view
+        ):
+            suspects.append(r)
+        next_access[tid] = run[0]
+        if last_write is not None:
+            next_write[tid] = next(filter(_IS_WRITE, run))
+    if not suspects:
+        return None
+    suspects.reverse()
+    return _first_race_in_runs(evs, runs, suspects, hb, use_lockset)
+
+
+def _run_ordered(
+    tid: int,
+    run: List[MemAccess],
+    last_write: Optional[MemAccess],
+    next_access: Dict[int, MemAccess],
+    next_write: Dict[int, MemAccess],
+    epoch: Dict[int, int],
+    view: Dict[int, VectorClock],
+) -> bool:
+    """True when every access of thread *tid*'s *run* is ordered before
+    every later conflicting access of the other threads."""
+    if last_write is not None:
+        own = epoch[last_write.seq]
+        for other, event in next_access.items():
+            if other != tid and own > view[event.seq]._c.get(tid, 0):
+                return False
+    last = run[-1]
+    if last is not last_write:
+        own = epoch[last.seq]
+        for other, event in next_write.items():
+            if other != tid and own > view[event.seq]._c.get(tid, 0):
+                return False
+    return True
+
+
+def _first_race_in_runs(
+    evs: List[MemAccess],
+    runs: List[Tuple[int, List[MemAccess]]],
+    suspects: List[int],
+    hb: HBResult,
+    use_lockset: bool,
+) -> Optional[Tuple[MemAccess, MemAccess]]:
+    """The first race of an access in one of the *suspects* runs.
+
+    Per access ``a`` and per other thread, only that thread's later
+    accesses that could conflict with ``a`` are walked (its writes if
+    ``a`` is a read), and the walk stops at the first one ordered after
+    ``a``: that thread's later accesses are then ordered after ``a`` too.
+    """
     # thread -> (positions of all its accesses, positions of its writes)
     by_thread: Dict[int, Tuple[List[int], List[int]]] = {}
     for pos, event in enumerate(evs):
@@ -114,62 +180,31 @@ def _first_race(
         mine[0].append(pos)
         if event.is_write:
             mine[1].append(pos)
-    if not any(writes for _, writes in by_thread.values()):
-        return None
-
-    clocks, locks = hb.clocks, hb.locks_held
-    vcs = [clocks[event.seq]._c for event in evs]
+    offsets = list(accumulate((len(run) for _, run in runs), initial=0))
+    epoch, view, locks = hb.epoch, hb.view, hb.locks_held
     end = len(evs)
-    start = 0
-    while start < end:
-        tid = evs[start].thread
-        stop = start + 1
-        while stop < end and evs[stop].thread == tid:
-            stop += 1
+    for r in suspects:
+        tid = runs[r][0]
+        start, stop = offsets[r], offsets[r + 1]
         # each other thread's accesses and writes from the run's end on
-        tails = []
-        for other, (everything, writes) in by_thread.items():
-            if other != tid and everything[-1] > start:
-                k = bisect_right(everything, start)
-                tails.append((everything[k:], writes[bisect_right(writes, start):]))
-        if tails and not _run_ordered(evs, vcs, start, stop, tails):
-            for i in range(start, stop):
-                a = evs[i]
-                epoch = vcs[i][tid]
-                first = end
-                for everything, writes in tails:
-                    for j in (everything if a.is_write else writes):
-                        if j >= first or epoch <= vcs[j].get(tid, 0):
-                            break  # cannot improve, or ordered after a
-                        if use_lockset and locks[a.seq] & locks[evs[j].seq]:
-                            continue
-                        first = j
-                        break
-                if first < end:
-                    return a, evs[first]
-        start = stop
+        tails = [
+            (everything[bisect_right(everything, start):],
+             writes[bisect_right(writes, start):])
+            for other, (everything, writes) in by_thread.items()
+            if other != tid
+        ]
+        for i in range(start, stop):
+            a = evs[i]
+            own = epoch[a.seq]
+            first = end
+            for everything, writes in tails:
+                for j in (everything if a.is_write else writes):
+                    if j >= first or own <= view[evs[j].seq]._c.get(tid, 0):
+                        break  # cannot improve, or ordered after a
+                    if use_lockset and locks[a.seq] & locks[evs[j].seq]:
+                        continue
+                    first = j
+                    break
+            if first < end:
+                return a, evs[first]
     return None
-
-
-def _run_ordered(
-    evs: List[MemAccess],
-    vcs: List[Dict[int, int]],
-    start: int,
-    stop: int,
-    tails: List[Tuple[List[int], List[int]]],
-) -> bool:
-    """True when every access of the one-thread run ``evs[start:stop]``
-    is ordered before every later conflicting access of the *tails*."""
-    tid = evs[start].thread
-    last_write = next(
-        (i for i in range(stop - 1, start - 1, -1) if evs[i].is_write), None
-    )
-    last = stop - 1
-    for everything, writes in tails:
-        if last_write is not None and everything:
-            if vcs[last_write][tid] > vcs[everything[0]].get(tid, 0):
-                return False
-        if last != last_write and writes:
-            if vcs[last][tid] > vcs[writes[0]].get(tid, 0):
-                return False
-    return True

@@ -13,8 +13,9 @@ Two representations share the component dict format:
 * :class:`VectorClockBuilder` — a mutable scratch clock for hot loops
   that apply several synchronization edges before snapshotting (the
   happens-before replay joins fork/join/barrier/lock clocks and then
-  ticks once per event); it mutates in place and ``freeze()``\\ s into
-  an immutable clock with a single dict allocation.
+  ticks once per synchronization event); it mutates in place and
+  ``freeze()``\\ s into an immutable clock with a single dict
+  allocation.
 """
 
 from __future__ import annotations

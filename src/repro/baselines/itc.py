@@ -75,7 +75,7 @@ def itc_concurrency(log: EventLog, proc: int) -> ConcurrencyReport:
             kinds = []
             for k in common:
                 sa, sb = a.writes[k], b.writes[k]
-                if sa not in hb.clocks or sb not in hb.clocks:
+                if sa not in hb.thread_of or sb not in hb.thread_of:
                     continue
                 if hb.ordered(sa, sb):
                     continue

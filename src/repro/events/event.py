@@ -14,6 +14,24 @@ Identification scheme
 The paper's six monitored variables map onto :class:`MonitoredKind`;
 a write to monitored variable *k* in process *p* is the memory location
 ``(p, k)`` for the lockset and happens-before analyses.
+
+Immutability contract
+---------------------
+
+An event is never modified after it is built: the runtime appends it
+to the log and every analysis, serializer and baseline only reads it.
+Analyses key dicts by events and their fields, replay the same log
+several times and compare logs across engines byte for byte, so a
+mutated event would silently change results.
+
+The classes are plain slotted dataclasses (``unsafe_hash=True`` keeps
+value equality and hashing) rather than frozen ones on purpose: a
+frozen dataclass sets every field through ``object.__setattr__``, which
+makes building an event several times slower, and dense traces build
+one event per monitored memory access.  So the contract is checked by
+a test rather than at every construction: a run's dumped log is
+byte-identical before and after each analysis reads it
+(``tests/events/test_immutability.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +55,7 @@ class MonitoredKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Event:
     """Base event; all events carry (proc, thread, seq, time)."""
 
@@ -47,7 +65,7 @@ class Event:
     time: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MemAccess(Event):
     """A read or write of a *shared* program variable.
 
@@ -65,7 +83,7 @@ class MemAccess(Event):
     index: int = -1        # array element index; -1 for scalars
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MonitoredWrite(Event):
     """A write to one of HOME's monitored variables by an HMPI wrapper."""
 
@@ -77,17 +95,17 @@ class MonitoredWrite(Event):
     call_id: int = 0       # dynamic call instance (shared with MPICall)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LockAcquire(Event):
     lock: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LockRelease(Event):
     lock: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BarrierEvent(Event):
     """A thread passed a team barrier (explicit or implicit)."""
 
@@ -95,7 +113,7 @@ class BarrierEvent(Event):
     epoch: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThreadFork(Event):
     """Emitted by the master thread when it creates a team."""
 
@@ -103,7 +121,7 @@ class ThreadFork(Event):
     children: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThreadJoin(Event):
     """Emitted by the master thread after joining its team."""
 
@@ -111,7 +129,7 @@ class ThreadJoin(Event):
     children: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThreadBegin(Event):
     """First event of a worker thread; links back to the forking parent."""
 
@@ -119,12 +137,12 @@ class ThreadBegin(Event):
     parent: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThreadEnd(Event):
     team: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CollectiveArrive(Event):
     """A team member *encountered* a collective construct.
 
@@ -146,7 +164,7 @@ class CollectiveArrive(Event):
     index: int = 0       # position in this member's arrival sequence
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MPICall(Event):
     """Begin/end bracket of an MPI routine invocation.
 
@@ -165,7 +183,7 @@ class MPICall(Event):
     args: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FaultEvent(Event):
     """An injected fault fired at this point of the execution.
 
@@ -180,7 +198,7 @@ class FaultEvent(Event):
     op: str = ""          # MPI op at the injection point, if any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MPIErrorEvent(Event):
     """An MPI operation surfaced an error class instead of completing.
 
@@ -197,7 +215,7 @@ class MPIErrorEvent(Event):
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ErrorHandlerEvent(Event):
     """Enter/exit bracket of a user error-handler invocation.
 

@@ -12,9 +12,11 @@ format version and run metadata, each following line one event with a
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, TextIO, Union
+from typing import Any, Dict, Optional, TextIO, Tuple, Union
 
 from ..errors import AnalysisError
 from ..jsonlines import read_json_lines
@@ -50,17 +52,23 @@ _TYPES = {
 }
 
 
-def _event_to_dict(event: Event) -> Dict[str, Any]:
-    import dataclasses
+@functools.cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """*cls*'s field names in declaration order, looked up once per
+    class rather than once per dumped event."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
-    out: Dict[str, Any] = {"t": type(event).__name__}
-    for f in dataclasses.fields(event):
-        value = getattr(event, f.name)
+
+def _event_to_dict(event: Event) -> Dict[str, Any]:
+    cls = type(event)
+    out: Dict[str, Any] = {"t": cls.__name__}
+    for name in _field_names(cls):
+        value = getattr(event, name)
         if isinstance(value, MonitoredKind):
             value = value.name
         elif isinstance(value, tuple):
             value = list(value)
-        out[f.name] = value
+        out[name] = value
     return out
 
 

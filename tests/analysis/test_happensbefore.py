@@ -35,7 +35,7 @@ omp parallel num_threads(2) {
             per_thread.setdefault(e.thread, []).append(e)
         for evs in per_thread.values():
             for a, b in zip(evs, evs[1:]):
-                assert hb.clocks[a.seq].happens_before(hb.clocks[b.seq])
+                assert hb.clock(a.seq).happens_before(hb.clock(b.seq))
 
 
 class TestForkJoin:
@@ -113,7 +113,7 @@ omp parallel num_threads(2) {
         writes = [e for e in mem_events(result, "x") if e.is_write]
         assert len(writes) == 2
         a, b = sorted(writes, key=lambda e: e.seq)
-        assert hb.clocks[a.seq].happens_before(hb.clocks[b.seq])
+        assert hb.clock(a.seq).happens_before(hb.clock(b.seq))
 
 
 class TestLockEdges:

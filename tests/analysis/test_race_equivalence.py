@@ -1,10 +1,12 @@
-"""The linear memory-race scan and the O(1) epoch ordering agree with
-the quadratic, full-clock reference they replaced.
+"""The linear memory-race scan, the O(1) epoch ordering and the
+epoch/view replay agree with the quadratic, full-clock reference they
+replaced.
 
-The reference keeps the original algorithm as a test-only oracle: a
-pairwise scan over every access pair of a location (deduplicated to the
-first race per location) using ``VectorClock.leq`` in both directions,
-and per-event lockset snapshots rebuilt from scratch.  Logs cover the
+The reference keeps the original algorithms as a test-only oracle: a
+replay that stores every event's full vector clock, a pairwise scan
+over every access pair of a location (deduplicated to the first race
+per location) using ``VectorClock.leq`` in both directions, and
+per-event lockset snapshots rebuilt from scratch.  Logs cover the
 racy and fixed NPB variants under narrowed and monitor-everything
 monitoring, the racy LU variant under every builtin fault plan and
 several seeds, and the checked-in fuzz corpus.
@@ -20,7 +22,17 @@ from repro.analysis.dynamic_.happensbefore import compute_happens_before
 from repro.analysis.dynamic_.memraces import MemRace, find_memory_races
 from repro.baselines import IntelThreadChecker
 from repro.baselines.itc import itc_ignores_lock
-from repro.events import LockAcquire, LockRelease, MemAccess
+from repro.analysis.dynamic_.vectorclock import VectorClock
+from repro.events import (
+    BarrierEvent,
+    LockAcquire,
+    LockRelease,
+    MemAccess,
+    MonitoredWrite,
+    ThreadBegin,
+    ThreadFork,
+    ThreadJoin,
+)
 from repro.events.serialize import dump_log, load_log
 from repro.faults import builtin_plans
 from repro.fuzz.oracles import _race_set
@@ -44,8 +56,51 @@ CONFIGS = {
 # -- reference oracle ---------------------------------------------------------
 
 
-def reference_ordered(hb, seq_a, seq_b):
-    clock_a, clock_b = hb.clocks[seq_a], hb.clocks[seq_b]
+def reference_clocks(log, proc, lock_edges=True, ignored_locks=None):
+    """seq -> full vector clock of every event of *proc*: the replay that
+    copies the thread's whole clock at each event, with the same fork,
+    join, barrier and lock edges as ``compute_happens_before``."""
+    ignored = ignored_locks or (lambda _name: False)
+    vc, clocks = {}, {}
+    lock_vc, fork_vc, barrier_vc, members = {}, {}, {}, {}
+    for event in log:
+        if event.proc != proc:
+            continue
+        tid, kind = event.thread, type(event)
+        current = vc.setdefault(tid, VectorClock({tid: 1}))
+        if kind is ThreadFork:
+            fork_vc[event.team] = current
+            members.setdefault(event.team, set()).update({tid, *event.children})
+        elif kind is ThreadBegin:
+            if event.team in fork_vc:
+                current = current.join(fork_vc[event.team])
+            members.setdefault(event.team, set()).add(tid)
+        elif kind is ThreadJoin:
+            for child in event.children:
+                if child in vc:
+                    current = current.join(vc[child])
+        elif kind is BarrierEvent:
+            key = (event.team, event.epoch)
+            if key not in barrier_vc:
+                joined = current
+                for member in members.get(event.team, {tid}):
+                    if member in vc:
+                        joined = joined.join(vc[member])
+                barrier_vc[key] = joined
+            current = current.join(barrier_vc[key])
+        elif kind is LockAcquire and lock_edges and not ignored(event.lock):
+            if event.lock in lock_vc:
+                current = current.join(lock_vc[event.lock])
+        current = vc[tid] = current.tick(tid)
+        clocks[event.seq] = current
+        # the release edge carries the release's own tick
+        if kind is LockRelease and lock_edges and not ignored(event.lock):
+            lock_vc[event.lock] = current
+    return clocks
+
+
+def reference_ordered(clocks, seq_a, seq_b):
+    clock_a, clock_b = clocks[seq_a], clocks[seq_b]
     return clock_a.leq(clock_b) or clock_b.leq(clock_a)
 
 
@@ -74,9 +129,7 @@ def reference_memory_races(
             accesses.setdefault((event.cell, event.index), []).append(event)
     if not accesses:
         return []
-    hb = compute_happens_before(
-        log, proc, lock_edges=lock_edges, ignored_locks=ignored_locks
-    )
+    clocks = reference_clocks(log, proc, lock_edges, ignored_locks)
     locks = reference_locks_held(log, proc, ignored_locks)
     races, seen = [], set()
     for (cell, index), evs in accesses.items():
@@ -84,7 +137,7 @@ def reference_memory_races(
             for b in evs[i + 1:]:
                 if a.thread == b.thread or not (a.is_write or b.is_write):
                     continue
-                if reference_ordered(hb, a.seq, b.seq):
+                if reference_ordered(clocks, a.seq, b.seq):
                     continue
                 if use_lockset and locks[a.seq] & locks[b.seq]:
                     continue
@@ -263,9 +316,10 @@ def test_epoch_ordered_matches_full_clock_compare(log_id):
     for source, lock_edges in sources:
         for proc in source.processes():
             hb = compute_happens_before(source, proc, lock_edges=lock_edges)
+            clocks = reference_clocks(source, proc, lock_edges)
             seqs = [e.seq for e in source if e.proc == proc]
             for a, b in _pairs(seqs):
-                expected = reference_ordered(hb, a, b)
+                expected = reference_ordered(clocks, a, b)
                 assert hb.ordered(a, b) == expected, (a, b)
                 assert hb.ordered(b, a) == expected, (b, a)
 
@@ -276,6 +330,7 @@ def test_same_location_pairs_all_checked():
     log = log_of("npb-lu-racy-all")
     for proc in log.processes():
         hb = compute_happens_before(log, proc)
+        clocks = reference_clocks(log, proc)
         by_loc = {}
         for e in log:
             if type(e) is MemAccess and e.proc == proc:
@@ -283,7 +338,43 @@ def test_same_location_pairs_all_checked():
         for seqs in by_loc.values():
             for i, a in enumerate(seqs):
                 for b in seqs[i + 1:]:
-                    assert hb.ordered(a, b) == reference_ordered(hb, a, b)
+                    assert hb.ordered(a, b) == reference_ordered(clocks, a, b)
+
+
+@pytest.mark.parametrize("log_id", LOG_IDS)
+@pytest.mark.parametrize("config", ["default", "itc", "no-lock-edges"])
+def test_replay_clocks_match_reference(log_id, config):
+    """Every event's epoch plus view rebuilds its full reference clock."""
+    log = log_of(log_id)
+    options = {k: v for k, v in CONFIGS[config].items() if k != "use_lockset"}
+    for proc in log.processes():
+        hb = compute_happens_before(log, proc, **options)
+        expected = reference_clocks(log, proc, **options)
+        assert hb.thread_of.keys() == expected.keys()
+        for seq, clock in expected.items():
+            assert hb.clock(seq) == clock, seq
+
+
+#: logs small enough to compare every pair of their monitored events
+SMALL_IDS = [i for i in LOG_IDS if i.startswith(("npb-ft-", "corpus-"))]
+
+
+@pytest.mark.parametrize("log_id", SMALL_IDS)
+def test_ordered_matches_full_leq_on_every_access_pair(log_id):
+    log = log_of(log_id)
+    for lock_edges in (True, False):
+        for proc in log.processes():
+            hb = compute_happens_before(log, proc, lock_edges=lock_edges)
+            clocks = reference_clocks(log, proc, lock_edges)
+            seqs = [
+                e.seq for e in log
+                if e.proc == proc and type(e) in (MemAccess, MonitoredWrite)
+            ]
+            for i, a in enumerate(seqs):
+                for b in seqs[i:]:
+                    expected = reference_ordered(clocks, a, b)
+                    assert hb.ordered(a, b) == expected, (a, b)
+                    assert hb.ordered(b, a) == expected, (b, a)
 
 
 # -- findings built on the races ----------------------------------------------

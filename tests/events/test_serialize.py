@@ -1,6 +1,8 @@
 """Trace serialization round-trip tests."""
 
+import dataclasses
 import io
+import json
 
 import pytest
 
@@ -8,7 +10,27 @@ from helpers import run_main
 
 from repro.analysis.dynamic_.hybrid import analyze
 from repro.errors import AnalysisError
-from repro.events import EventLog, MPICall, dump_log, load_log
+from repro.events import (
+    BarrierEvent,
+    CollectiveArrive,
+    ErrorHandlerEvent,
+    EventLog,
+    FaultEvent,
+    LockAcquire,
+    LockRelease,
+    MemAccess,
+    MonitoredKind,
+    MonitoredWrite,
+    MPICall,
+    MPIErrorEvent,
+    ThreadBegin,
+    ThreadEnd,
+    ThreadFork,
+    ThreadJoin,
+    dump_log,
+    load_log,
+)
+from repro.events.serialize import _TYPES
 from repro.home import Home
 from repro.violations import CONCURRENT_RECV, match_violations
 from repro.workloads.case_studies import case_study_2
@@ -71,6 +93,59 @@ omp parallel num_threads(2) {
         loaded, meta = load_log(path)
         assert meta == {"k": 1}
         assert len(loaded) == len(report.execution.log)
+
+
+#: one event of every serialized type, with non-default field values
+ONE_OF_EACH = [
+    MemAccess(0, 1, 0, 1.5, True, 7, "x", 12, 3),
+    MonitoredWrite(1, 0, 1, 2.0, MonitoredKind.TAG, 4, "mpi_recv", 9, "3:5", 2),
+    LockAcquire(0, 1, 2, 2.5, "critical:<anonymous>"),
+    LockRelease(0, 1, 3, 3.0, "omp_lock:l"),
+    BarrierEvent(0, 2, 4, 3.5, 1, 2),
+    CollectiveArrive(0, 2, 5, 4.0, 1, "mpi", "mpi_bcast", 14, "8:1", 3),
+    ThreadFork(0, 0, 6, 4.5, 1, (1, 2)),
+    ThreadJoin(0, 0, 7, 5.0, 1, (1, 2)),
+    ThreadBegin(0, 1, 8, 5.5, 1, 0),
+    ThreadEnd(0, 1, 9, 6.0, 1),
+    MPICall(1, 0, 10, 6.5, "mpi_send", "end", 5, 11, "4:2", False, True,
+            {"dest": 1, "tag": 2}),
+    FaultEvent(1, 0, 11, 7.0, "delay", "held 2 ticks", "mpi_recv"),
+    MPIErrorEvent(1, 0, 12, 7.5, "mpi_recv", 3, "MPI_ERR_PROC_FAILED", 75,
+                  "return", "peer 0 died"),
+    ErrorHandlerEvent(1, 0, 13, 8.0, "exit", 3, 75, "on_error"),
+]
+
+
+def reference_line(event):
+    """One trace line built from ``dataclasses.fields`` on the event."""
+    out = {"t": type(event).__name__}
+    for f in dataclasses.fields(event):
+        value = getattr(event, f.name)
+        if isinstance(value, MonitoredKind):
+            value = value.name
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return json.dumps(out) + "\n"
+
+
+class TestEventLines:
+    def test_every_type_is_covered(self):
+        assert {type(e) for e in ONE_OF_EACH} == set(_TYPES.values())
+
+    def test_lines_match_a_dataclasses_fields_reference(self):
+        log = EventLog()
+        log.extend(ONE_OF_EACH)
+        buf = io.StringIO()
+        dump_log(log, buf)
+        lines = buf.getvalue().splitlines(keepends=True)[1:]
+        assert lines == [reference_line(e) for e in ONE_OF_EACH]
+
+    def test_lines_load_back_equal(self):
+        log = EventLog()
+        log.extend(ONE_OF_EACH)
+        loaded, _ = roundtrip(log)
+        assert list(loaded) == ONE_OF_EACH
 
 
 class TestErrors:
