@@ -13,7 +13,7 @@ and a genuinely racy receive pair:
 """
 
 from repro.analysis.dynamic_.hybrid import DetectorConfig, analyze
-from repro.analysis.static_ import instrument_program
+from repro.analysis.static_ import collect_sites, instrument_program
 from repro.minilang import parse
 from repro.runtime import Interpreter, RunConfig
 from repro.violations import CONCURRENT_RECV, match_violations
@@ -45,7 +45,8 @@ func main() {
 
 
 def _recv_findings(detector: DetectorConfig, seed=0):
-    instrumented = instrument_program(parse(WORKLOAD))
+    program = parse(WORKLOAD)
+    instrumented = instrument_program(program, collect_sites(program))
     config = RunConfig(nprocs=2, num_threads=2, seed=seed,
                        thread_level_mode="permissive")
     result = Interpreter(instrumented.program, config).run()

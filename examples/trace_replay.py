@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.dynamic_.hybrid import DetectorConfig, analyze
-from repro.analysis.static_ import instrument_program
+from repro.analysis.static_ import collect_sites, instrument_program
 from repro.events import dump_log, load_log
 from repro.minilang import parse
 from repro.runtime import Interpreter, RunConfig
@@ -49,7 +49,8 @@ func main() {
 
 def main() -> None:
     # 1. record
-    instrumented = instrument_program(parse(WORKLOAD))
+    program = parse(WORKLOAD)
+    instrumented = instrument_program(program, collect_sites(program))
     config = RunConfig(nprocs=2, num_threads=2, thread_level_mode="permissive")
     result = Interpreter(instrumented.program, config).run()
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,7 +11,6 @@ algorithm iterates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -19,8 +18,6 @@ import networkx as nx
 
 from ..errors import AnalysisError
 from ..minilang import ast_nodes as A
-
-_CFG_NODE = itertools.count(1)
 
 # Marker kinds for structured constructs.
 ENTRY = "entry"
@@ -75,6 +72,7 @@ class CFG:
     def __init__(self, func_name: str) -> None:
         self.func_name = func_name
         self.graph = nx.DiGraph()
+        #: node ids are per-CFG, numbered from 1 in creation order
         self.nodes: Dict[int, CFGNode] = {}
         self.entry = self._new_node(ENTRY, label=f"entry({func_name})")
         self.exit = self._new_node(EXIT, label=f"exit({func_name})")
@@ -82,7 +80,7 @@ class CFG:
         self._order: List[int] = [self.entry.cfg_id]
 
     def _new_node(self, kind: str, ast: Optional[A.Node] = None, label: str = "") -> CFGNode:
-        node = CFGNode(next(_CFG_NODE), kind, ast, label)
+        node = CFGNode(len(self.nodes) + 1, kind, ast, label)
         self.nodes[node.cfg_id] = node
         self.graph.add_node(node.cfg_id)
         return node
@@ -118,6 +116,30 @@ class CFG:
 
     def mpi_nodes(self) -> List[CFGNode]:
         return [n for n in self.linearize() if n.is_mpi_call]
+
+
+#: CFG node kinds whose AST bracket a statement's transfer: end markers
+#: re-reference the whole construct and are left out.
+_BRACKET_KINDS = (
+    STMT, BRANCH, LOOP_HEAD, OMP_PARALLEL_BEGIN, OMP_WS_BEGIN, OMP_CRITICAL_BEGIN,
+)
+
+
+def innermost_node_map(cfg: CFG) -> Dict[int, CFGNode]:
+    """Tightest CFG node containing each AST sub-node, by nid.
+
+    Compound nodes (branch heads, region begin markers) precede their
+    body statements in construction order, so iterating in linearize
+    order and letting later nodes win maps every AST node to the CFG
+    node whose transfer actually brackets it.
+    """
+    out: Dict[int, CFGNode] = {}
+    for node in cfg.linearize():
+        if node.kind not in _BRACKET_KINDS or node.ast is None:
+            continue
+        for sub in node.ast.walk():
+            out[sub.nid] = node
+    return out
 
 
 class _Builder:

@@ -124,29 +124,6 @@ class DataflowFacts:
         return sum(self.pruned.values())
 
 
-def _call_node_map(cfg: C.CFG) -> Dict[int, C.CFGNode]:
-    """Tightest CFG node containing each CallExpr (by nid).
-
-    Compound nodes (branch heads, region begin markers) precede their
-    body statements in construction order, so iterating in linearize
-    order and letting later nodes win maps every call to the node whose
-    transfer actually brackets it.  End markers re-reference the whole
-    construct and are skipped.
-    """
-    keep = (
-        C.STMT, C.BRANCH, C.LOOP_HEAD,
-        C.OMP_PARALLEL_BEGIN, C.OMP_WS_BEGIN, C.OMP_CRITICAL_BEGIN,
-    )
-    out: Dict[int, C.CFGNode] = {}
-    for node in cfg.linearize():
-        if node.kind not in keep or node.ast is None:
-            continue
-        for sub in node.ast.walk():
-            if isinstance(sub, A.CallExpr):
-                out[sub.nid] = node
-    return out
-
-
 def compute_dataflow(
     program: A.Program,
     cfgs: Dict[str, C.CFG],
@@ -224,7 +201,7 @@ def compute_dataflow(
             cfg, LockStateAnalysis(user_funcs, lock_transparent=lock_transparent)
         )
         facts.iterations += env_result.iterations + lock_result.iterations
-        node_of_call = _call_node_map(cfg)
+        node_of_call = C.innermost_node_map(cfg)
 
         for site in func_sites:
             node = node_of_call.get(site.nid)

@@ -11,12 +11,12 @@ marker call is inserted at the top of ``main`` (the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Literal, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, Iterable, List, Literal, Tuple
 
 from ...minilang import ast_nodes as A
 from ...minilang.builder import callstmt, clone
-from .mpi_sites import MPISite, collect_sites
+from .mpi_sites import MPISite
 
 InstrumentPolicy = Literal["hybrid-only", "all", "none"]
 
@@ -52,13 +52,16 @@ class InstrumentationResult:
 
 def instrument_program(
     program: A.Program,
+    sites: Iterable[MPISite],
     policy: InstrumentPolicy = "hybrid-only",
-    interprocedural: bool = True,
     monitor_vars: Iterable[str] = (),
 ) -> InstrumentationResult:
     """Produce an instrumented clone of *program*.
 
-    ``policy`` selects which MPI sites get wrappers:
+    *sites* are the MPI sites the static phase collected on *program*
+    (:func:`.mpi_sites.collect_sites`); the clone keeps *program*'s node
+    ids, so they address its calls directly.  ``policy`` selects which
+    of them get wrappers:
 
     * ``hybrid-only`` — sites in (interprocedurally reachable) parallel
       context, the paper's behaviour;
@@ -68,54 +71,43 @@ def instrument_program(
     ``monitor_vars`` lists the shared variables the static race pass
     wants the runtime to watch; they are recorded on the result and
     appended as ``mem:<var>`` markers to the monitor-setup call.
+
+    The finished clone is renumbered, and the result holds copies of
+    the sites carrying the clone's ids; *sites* themselves are left
+    untouched.
     """
     new_program = clone(program)
     assert isinstance(new_program, A.Program)
-    sites = collect_sites(new_program, interprocedural=interprocedural)
-
-    result = InstrumentationResult(
-        new_program, policy=policy, monitored_vars=frozenset(monitor_vars)
-    )
     by_nid: Dict[int, MPISite] = {s.nid: s for s in sites}
 
     # Walk every CallExpr; rename those whose site is selected.
+    selected: List[Tuple[A.CallExpr, MPISite]] = []
+    filtered: List[Tuple[A.CallExpr, MPISite]] = []
     for node in new_program.walk():
         if not isinstance(node, A.CallExpr):
             continue
         site = by_nid.get(node.nid)
         if site is None or not site.instrumentable:
             continue
-        selected = (
-            policy == "all"
-            or (policy == "hybrid-only" and site.in_parallel)
-        )
-        if selected and not node.name.startswith("hmpi_"):
-            node.name = "h" + node.name
-            result.instrumented[node.nid] = site
-        elif selected:
-            result.instrumented[node.nid] = site
+        if policy == "all" or (policy == "hybrid-only" and site.in_parallel):
+            if not node.name.startswith("hmpi_"):
+                node.name = "h" + node.name
+            selected.append((node, site))
         else:
-            result.filtered.append(site)
+            filtered.append((node, site))
 
-    if result.instrumented or result.monitored_vars:
-        _insert_monitor_setup(new_program, result.monitored_vars)
+    monitored = frozenset(monitor_vars)
+    if selected or monitored:
+        _insert_monitor_setup(new_program, monitored)
 
-    # Renumber the finished clone in pre-order so event call-site ids
-    # are a pure function of the source program.  Fresh clone ids come
-    # from a process-global counter and so depend on everything parsed
-    # before — which would make a resumed campaign's reports differ
-    # across process restarts (the durable service resumes journaled
-    # submissions in a new server process and must stay byte-identical).
-    remap: Dict[int, int] = {}
-    for nid, node in enumerate(new_program.walk(), start=1):
-        remap[node.nid] = nid
-        node.nid = nid
-    for site in list(result.instrumented.values()) + result.filtered:
-        site.nid = remap.get(site.nid, site.nid)
-    result.instrumented = {
-        site.nid: site for site in result.instrumented.values()
-    }
-    return result
+    A.renumber_nids(new_program)
+    return InstrumentationResult(
+        new_program,
+        instrumented={node.nid: replace(site, nid=node.nid) for node, site in selected},
+        filtered=[replace(site, nid=node.nid) for node, site in filtered],
+        policy=policy,
+        monitored_vars=monitored,
+    )
 
 
 def _insert_monitor_setup(

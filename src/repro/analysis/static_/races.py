@@ -895,7 +895,7 @@ def _widen_guards(
 ) -> None:
     """Merge must-held lock tokens into each access's guard set."""
     result = solve(cfg, LockStateAnalysis(user_funcs))
-    node_map = _ast_node_map(cfg)
+    node_map = C.innermost_node_map(cfg)
     for site in accesses:
         node = node_map.get(site.nid)
         if node is None:
@@ -903,26 +903,6 @@ def _widen_guards(
         held = result.fact_before(node)
         if held:
             site.guards = site.guards | held
-
-
-def _ast_node_map(cfg: C.CFG) -> Dict[int, C.CFGNode]:
-    """Tightest CFG node containing each AST sub-node, by nid.
-
-    Same construction-order trick as the dataflow facts' call map, but
-    for arbitrary nodes: compound nodes precede their body statements,
-    so letting later nodes win keeps the innermost bracket.
-    """
-    keep = (
-        C.STMT, C.BRANCH, C.LOOP_HEAD,
-        C.OMP_PARALLEL_BEGIN, C.OMP_WS_BEGIN, C.OMP_CRITICAL_BEGIN,
-    )
-    out: Dict[int, C.CFGNode] = {}
-    for node in cfg.linearize():
-        if node.kind not in keep or node.ast is None:
-            continue
-        for sub in node.ast.walk():
-            out[sub.nid] = node
-    return out
 
 
 def _check_pair(

@@ -278,19 +278,14 @@ class StaticReport:
         }
 
 
-#: memoization of :func:`run_static_analysis`, keyed on the program's
-#: root node id (``program.nid``) plus the analysis options.  Retry
-#: loops, campaign matrices and benchmarks call ``Home.prepare``
-#: repeatedly on the very same AST object; the analysis is pure and the
-#: AST is treated as immutable everywhere (the interpreter never
-#: mutates it), so the report can be shared.  ``nid`` comes from the
-#: process-global node counter and is never reused, unlike ``id()``,
-#: whose values recycle as soon as a program is garbage-collected —
-#: building and dropping programs in a loop must never alias cache
-#: entries.  (A weakref key is impossible: ``Node.__slots__`` carries
-#: no ``__weakref__``.)  Entries still hold a strong reference to the
-#: program so the report's AST back-references stay alive, and the
-#: identity check below is belt-and-braces.
+#: memoization of :func:`run_static_analysis`, keyed on the program
+#: object's identity plus the analysis options — the compile memo's
+#: rule.  Retry loops, campaign matrices and benchmarks call
+#: ``Home.prepare`` repeatedly on the very same AST object; the analysis
+#: is pure and the AST is never mutated after it, so the report can be
+#: shared.  Entries hold a strong reference to the program, so its
+#: ``id()`` cannot be recycled while the entry lives, and the lookup
+#: still checks ``is``.
 _STATIC_CACHE: "OrderedDict[tuple, Tuple[A.Program, StaticReport]]" = OrderedDict()
 _STATIC_CACHE_CAPACITY = 8
 
@@ -322,12 +317,11 @@ def run_static_analysis(
     interprocedural function-summary layer once and shares it with
     every consumer pass (races, MHP facts, lock state, collectives).
 
-    Results are memoized on the program's root node id (pass
-    ``cache=False`` to force a fresh analysis, e.g. when benchmarking
-    the phase itself).
+    Results are memoized on the program object (pass ``cache=False``
+    to force a fresh analysis, e.g. when benchmarking the phase itself).
     """
     key = (
-        program.nid, policy, interprocedural, with_cfgs, dataflow, races,
+        id(program), policy, interprocedural, with_cfgs, dataflow, races,
         collectives, summaries,
     )
     if cache:
@@ -401,8 +395,8 @@ def _run_static_analysis(
     )
     instrumentation = instrument_program(
         program,
+        sites,
         policy=policy,
-        interprocedural=interprocedural,
         monitor_vars=race_report.monitored_vars if race_report is not None else (),
     )
     hybrid = [s for s in sites if s.in_parallel and s.instrumentable]

@@ -49,7 +49,6 @@ from .dataflow.divergence import (
     omp_for_indices,
     solve_thread_dependence_with,
 )
-from .dataflow.facts import _call_node_map
 
 #: symbolic base standing for ``omp_get_thread_num()`` in a LinForm
 TID_BASE = "<tid>"
@@ -479,7 +478,7 @@ def _taint_fixpoint(
     }
     ret_tainted: Set[str] = set()
     call_maps = {
-        name: _call_node_map(cfg) for name, cfg in cfgs.items() if name in funcs
+        name: C.innermost_node_map(cfg) for name, cfg in cfgs.items() if name in funcs
     }
     calls_by_func: Dict[str, List[Tuple[A.CallExpr, str]]] = {}
     for fn in program.functions:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import AnalysisError
-from ..minilang import parse, renumber_nids
+from ..minilang import parse
 from .journal import CORRUPT_SUFFIX
 from .outcome import RunOutcome, report_violation_dicts
 from .runner import (
@@ -158,10 +158,7 @@ class CampaignService:
         if not isinstance(spec, dict) or not isinstance(spec.get("program"), str):
             raise AnalysisError('submission must be a JSON object with a '
                                 '"program" source string')
-        # renumber: node ids must be a pure function of the program
-        # text so a server restart resumes byte-identically (global ids
-        # depend on everything parsed before in the process)
-        program = renumber_nids(parse(spec["program"]))
+        program = parse(spec["program"])
         nprocs = int(spec.get("nprocs", 2))
         config = CampaignConfig(
             seeds=[int(s) for s in spec.get("seeds", (0, 1, 2, 3))],

@@ -6,37 +6,27 @@ rich enough to express the hybrid programming patterns the CLUSTER 2015
 paper analyses: MPI calls nested inside ``omp parallel`` regions,
 worksharing constructs, named critical sections, locks and barriers.
 
-Every node carries a source location (``loc``) and a unique node id
-(``nid``) assigned at construction.  Node ids let the static analysis
-map CFG nodes and instrumentation sites back to the AST, and let the
-dynamic analysis attribute runtime events to call sites.
+Every node carries a source location (``loc``) and a node id (``nid``):
+its pre-order position in its own :class:`Program`, assigned when the
+program is built (see :func:`renumber_nids`).  Node ids let the static
+analysis map CFG nodes and instrumentation sites back to the AST, and
+let the dynamic analysis attribute runtime events to call sites.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-_NODE_COUNTER = itertools.count(1)
-
-
-def _next_nid() -> int:
-    return next(_NODE_COUNTER)
-
 
 def renumber_nids(root: "Node") -> "Node":
-    """Reassign node ids in pre-order, starting from 1.
+    """Number *root*'s tree in pre-order, starting from 1.
 
-    Node ids are drawn from a process-global counter, so a program's ids
-    depend on everything parsed before it in the same process.  That is
-    fine within one run, but any consumer that must produce identical
-    artifacts across process restarts — the campaign service resumes a
-    journaled submission in a *new* server process and must finish it
-    byte-identical — needs ids that are a pure function of the program
-    text.  Pre-order renumbering gives exactly that.
-
-    Must be applied before any nid-keyed analysis touches the tree.
+    This is the one place node ids are assigned: :class:`Program` calls
+    it on construction, and every transform that changes a finished
+    tree (instrumentation, violation injection, the serializing fix)
+    calls it once at the end.  Ids are therefore a pure function of the
+    program's structure, never of what else the process has parsed.
     Returns ``root`` for call-site convenience.
     """
     for nid, node in enumerate(root.walk(), start=1):
@@ -64,7 +54,7 @@ class Node:
     __slots__ = ("nid", "loc")
 
     def __init__(self, loc: SourceLoc = NOLOC) -> None:
-        self.nid: int = _next_nid()
+        self.nid: int = 0
         self.loc: SourceLoc = loc
 
     def children(self) -> Iterator["Node"]:
@@ -562,6 +552,7 @@ class Program(Node):
         self.name = name
         self.globals = list(globals)
         self.functions = list(functions)
+        renumber_nids(self)
 
     def children(self) -> Iterator[Node]:
         yield from self.globals

@@ -204,16 +204,15 @@ def program(pname: str, functions: Sequence[A.FuncDef], globals: Sequence[A.VarD
 
 
 def clone(node: A.Node) -> A.Node:
-    """Deep-copy an AST subtree, assigning fresh node ids throughout.
+    """Deep-copy an AST subtree, keeping its node ids.
 
-    Instrumentation must not alias nodes between the original and the
-    rewritten program, and node ids must stay unique so event call-site
-    attribution is unambiguous.
+    Transforms rewrite the copy so they never alias nodes with the
+    original; because the ids match, anything the static phase keyed on
+    the original's ids addresses the copy directly.  A transform that
+    adds or removes nodes renumbers the copy once it is done
+    (:func:`~repro.minilang.ast_nodes.renumber_nids`).
     """
-    new = copy.deepcopy(node)
-    for sub in new.walk():
-        sub.nid = A._next_nid()
-    return new
+    return copy.deepcopy(node)
 
 
 _EQ_IGNORED_SLOTS = {"nid", "loc"}

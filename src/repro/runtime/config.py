@@ -73,8 +73,8 @@ class RunConfig:
     #: restrict collective monitoring to these "line:col" site locs
     #: (None = every collective site; HOME narrows this to the static
     #: divergence pass's candidate sites).  Loc-keyed, not nid-keyed:
-    #: instrumentation clones the AST and reassigns nids, but source
-    #: locations survive the clone.
+    #: instrumentation inserts its setup call and renumbers the clone,
+    #: which shifts nids, but source locations survive the clone.
     collective_sites: Optional[frozenset] = None
     #: hard cap on scheduler iterations (runaway-program guard)
     max_steps: int = DEFAULT_MAX_STEPS

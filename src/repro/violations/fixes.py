@@ -200,6 +200,7 @@ def apply_serializing_fix(program: Program, violations) -> RepairResult:
     wrapped = 0
     for fn in new_program.functions:
         wrapped += _wrap_targets(fn, targets)
+    A.renumber_nids(new_program)
     classes = sorted({
         v.vclass for v in violations if v.vclass in _REPAIRABLE
     })

@@ -235,6 +235,7 @@ def inject_violations(
             )
         result.injected.append(INITIALIZATION)
 
+    A.renumber_nids(new_program)
     return result
 
 

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.analysis.dynamic_.hybrid import DetectorConfig, analyze, analyze_process
-from repro.analysis.static_ import instrument_program
+from repro.analysis.static_ import collect_sites, instrument_program
 from repro.events.event import MonitoredKind
 from repro.minilang import parse
 from repro.runtime import Interpreter, RunConfig
 
 
 def instrumented_run(src, nprocs=2, seed=0, **kw):
-    result = instrument_program(parse(src))
+    program = parse(src)
+    result = instrument_program(program, collect_sites(program))
     config = RunConfig(nprocs=nprocs, num_threads=2, seed=seed,
                        thread_level_mode="permissive", **kw)
     return Interpreter(result.program, config).run()

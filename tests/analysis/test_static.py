@@ -97,9 +97,13 @@ func main() { mpi_init(); omp parallel { talk(); } mpi_finalize(); }
         assert not sites["mpi_barrier"].in_parallel
 
 
+def instrument(prog, **kw):
+    return instrument_program(prog, collect_sites(prog), **kw)
+
+
 class TestInstrumentation:
     def test_hybrid_only_policy(self):
-        result = instrument_program(parse(HYBRID), policy="hybrid-only")
+        result = instrument(parse(HYBRID), policy="hybrid-only")
         names = {
             n.name for n in result.program.walk() if isinstance(n, A.CallExpr)
         }
@@ -109,12 +113,12 @@ class TestInstrumentation:
 
     def test_original_program_untouched(self):
         prog = parse(HYBRID)
-        instrument_program(prog)
+        instrument(prog)
         names = {n.name for n in prog.walk() if isinstance(n, A.CallExpr)}
         assert not any(n.startswith("hmpi_") for n in names)
 
     def test_all_policy_instruments_everything_instrumentable(self):
-        result = instrument_program(parse(HYBRID), policy="all")
+        result = instrument(parse(HYBRID), policy="all")
         names = {
             n.name for n in result.program.walk() if isinstance(n, A.CallExpr)
         }
@@ -123,23 +127,23 @@ class TestInstrumentation:
         assert "mpi_comm_rank" in names
 
     def test_none_policy(self):
-        result = instrument_program(parse(HYBRID), policy="none")
+        result = instrument(parse(HYBRID), policy="none")
         assert result.n_instrumented == 0
         assert result.n_filtered > 0
 
     def test_reduction_ratio(self):
-        result = instrument_program(parse(HYBRID), policy="hybrid-only")
+        result = instrument(parse(HYBRID), policy="hybrid-only")
         assert 0.0 < result.reduction_ratio < 1.0
 
     def test_monitor_setup_inserted(self):
-        result = instrument_program(parse(HYBRID))
+        result = instrument(parse(HYBRID))
         main = result.program.function("main")
         first = main.body.stmts[0]
         assert isinstance(first, A.ExprStmt)
         assert first.expr.name == "mpi_monitor_setup"
 
     def test_instrumented_program_parses_back(self):
-        result = instrument_program(parse(HYBRID))
+        result = instrument(parse(HYBRID))
         reparsed = parse(print_program(result.program))
         assert reparsed.name == "h"
 
@@ -286,10 +290,10 @@ class TestFoldStaticValue:
 
 
 class TestStaticAnalysisCache:
-    """The memo cache is keyed on ``program.nid`` — a process-global,
-    never-reused counter — so building and dropping programs in a loop
-    can never alias cache entries the way an ``id()`` key could once
-    CPython recycles addresses."""
+    """The memo cache is keyed on the program object's ``id()``; each
+    entry holds the program, so its id cannot be recycled while the
+    entry lives, and building and dropping programs in a loop never
+    aliases cache entries."""
 
     SRC = "program cachetest;\nfunc main() { compute(1); }\n"
 
@@ -305,20 +309,16 @@ class TestStaticAnalysisCache:
         from repro.analysis.static_.report import clear_static_analysis_cache
 
         clear_static_analysis_cache()
-        seen_nids = set()
         for i in range(6):
             prog = parse(f"program p{i};\nfunc main() {{ compute(1); }}\n")
             report = run_static_analysis(prog)
             # the report always belongs to *this* program, even though
-            # earlier loop iterations' ASTs have been garbage-collected
+            # earlier loop iterations' ASTs have been dropped
             assert report.program_name == f"p{i}"
-            assert prog.nid not in seen_nids
-            seen_nids.add(prog.nid)
             del prog, report
 
     def test_distinct_parses_get_distinct_reports(self):
         a, b = parse(self.SRC), parse(self.SRC)
-        assert a.nid != b.nid
         assert run_static_analysis(a) is not run_static_analysis(b)
 
     def test_option_variants_are_separate_entries(self):

@@ -88,12 +88,11 @@ class TestCloneAndEquality:
         copy = clone(prog)
         assert ast_equal(prog, copy)
 
-    def test_clone_has_fresh_node_ids(self):
+    def test_clone_keeps_node_ids(self):
         prog = parse("program p;\nfunc main() { var x = 1; }")
         copy = clone(prog)
-        original_ids = {n.nid for n in prog.walk()}
-        copy_ids = {n.nid for n in copy.walk()}
-        assert original_ids.isdisjoint(copy_ids)
+        assert [n.nid for n in copy.walk()] == [n.nid for n in prog.walk()]
+        assert all(a is not b for a, b in zip(copy.walk(), prog.walk()))
 
     def test_clone_mutation_does_not_affect_original(self):
         prog = parse("program p;\nfunc main() { mpi_finalize(); }")

@@ -1,23 +1,28 @@
 """End-to-end determinism: same inputs, bit-identical outcomes.
 
 Everything the harness reports — virtual times, event streams,
-violation findings — must be a pure function of (program, config).
+violation findings — must be a pure function of (source, config).
 """
 
 import io
+import json
 from itertools import zip_longest
 
 import pytest
 
 from helpers import MPI_PAIR_HEADER, wrap_main
 
+from repro.analysis.static_ import collect_sites, instrument_program, run_static_analysis
 from repro.baselines import IntelThreadChecker, Marmot
 from repro.events.serialize import dump_log
 from repro.home import check_program
+from repro.minilang import builder as B
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig, run_program
+from repro.violations.fixes import apply_serializing_fix
 from repro.workloads.case_studies import case_study_2
-from repro.workloads.npb import build_lu_mz, build_racy_npb
+from repro.workloads.injection import inject_all
+from repro.workloads.npb import build_lu_mz, build_racy_npb, lu_mz_source
 
 
 def fingerprint(result):
@@ -117,6 +122,70 @@ class TestRunsShareNoState:
         assert '"t": "MemAccess"' in a1
         assert self._first_difference(a1, a2) is None
         assert self._first_difference(b1, b2) is None
+
+
+class TestSeparateParses:
+    """Node ids are per-program, so two separate parses of one source
+    carry the same ids whatever else the process parsed in between, and
+    give the same traces and static reports."""
+
+    @staticmethod
+    def _itc_trace(program, engine):
+        report = IntelThreadChecker().check(program, nprocs=2, seed=3, engine=engine)
+        buf = io.StringIO()
+        dump_log(report.execution.log, buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    def test_two_parses_of_one_source_are_indistinguishable(self, engine):
+        source = lu_mz_source()
+        first = parse(source)
+        parse(COMM_PROGRAM)
+        second = parse(source)
+        assert [n.nid for n in first.walk()] == [n.nid for n in second.walk()]
+        trace_a = self._itc_trace(first, engine)
+        trace_b = self._itc_trace(second, engine)
+        assert '"t": "MemAccess"' in trace_a
+        assert TestRunsShareNoState._first_difference(trace_a, trace_b) is None
+        static_a = json.dumps(run_static_analysis(first).as_dict())
+        static_b = json.dumps(run_static_analysis(second).as_dict())
+        assert static_a == static_b
+
+
+class TestNodeNumbering:
+    """Every finished program numbers its nodes 1..N in pre-order."""
+
+    @staticmethod
+    def _assert_numbered(program):
+        nids = [n.nid for n in program.walk()]
+        assert nids == list(range(1, len(nids) + 1))
+
+    def test_parse(self):
+        self._assert_numbered(parse(COMM_PROGRAM))
+
+    def test_builder_program(self):
+        self._assert_numbered(B.program("b", [
+            B.func("main", [], [B.callstmt("mpi_init"), B.callstmt("mpi_finalize")]),
+        ]))
+
+    def test_instrument_program(self):
+        program = case_study_2()
+        result = instrument_program(program, collect_sites(program))
+        assert result.n_instrumented > 0
+        self._assert_numbered(result.program)
+        nodes = {n.nid: n for n in result.program.walk()}
+        for nid, site in result.instrumented.items():
+            assert site.nid == nid
+            assert nodes[nid].name == "h" + site.op
+
+    def test_inject_all(self):
+        self._assert_numbered(inject_all(build_lu_mz(inject=False)).program)
+
+    def test_apply_serializing_fix(self):
+        program = case_study_2()
+        repair = apply_serializing_fix(program, check_program(program).violations)
+        assert repair.wrapped_statements > 0
+        self._assert_numbered(repair.program)
 
 
 class TestToolDeterminism:
