@@ -18,6 +18,7 @@ import networkx as nx
 
 from ..errors import AnalysisError
 from ..minilang import ast_nodes as A
+from ..minilang.nodetable import NodeTable, function_table, subtree
 
 # Marker kinds for structured constructs.
 ENTRY = "entry"
@@ -69,8 +70,10 @@ class CFGNode:
 class CFG:
     """Control-flow graph of one function."""
 
-    def __init__(self, func_name: str) -> None:
+    def __init__(self, func_name: str, table: Optional[NodeTable] = None) -> None:
         self.func_name = func_name
+        #: node table of the program the function belongs to
+        self.table = table
         self.graph = nx.DiGraph()
         #: node ids are per-CFG, numbered from 1 in creation order
         self.nodes: Dict[int, CFGNode] = {}
@@ -131,14 +134,19 @@ def innermost_node_map(cfg: CFG) -> Dict[int, CFGNode]:
     Compound nodes (branch heads, region begin markers) precede their
     body statements in construction order, so iterating in linearize
     order and letting later nodes win maps every AST node to the CFG
-    node whose transfer actually brackets it.
+    node whose transfer actually brackets it.  A subtree is a range of
+    nids in the node table.
     """
     out: Dict[int, CFGNode] = {}
+    table = cfg.table
     for node in cfg.linearize():
-        if node.kind not in _BRACKET_KINDS or node.ast is None:
+        ast = node.ast
+        if node.kind not in _BRACKET_KINDS or ast is None:
             continue
-        for sub in node.ast.walk():
-            out[sub.nid] = node
+        if table is not None and table.owns(ast):
+            out.update(dict.fromkeys(range(ast.nid, table.end[ast.nid] + 1), node))
+        else:
+            out.update((sub.nid, node) for sub in subtree(ast, table))
     return out
 
 
@@ -259,9 +267,13 @@ class _Builder:
         raise AnalysisError(f"cannot build CFG for {type(stmt).__name__}")
 
 
-def build_cfg(func: A.FuncDef) -> CFG:
-    """Build the CFG of one function."""
-    cfg = CFG(func.name)
+def build_cfg(func: A.FuncDef, table: Optional[NodeTable] = None) -> CFG:
+    """Build the CFG of one function.
+
+    *table* is the node table of the function's program; without it a
+    table over the function alone is built.
+    """
+    cfg = CFG(func.name, table if table is not None else function_table(func))
     builder = _Builder(cfg)
     lasts = builder.build_block(func.body, [cfg.entry])
     for node in lasts:
@@ -272,4 +284,5 @@ def build_cfg(func: A.FuncDef) -> CFG:
 
 def build_program_cfgs(program: A.Program) -> Dict[str, CFG]:
     """CFGs for every function of *program*."""
-    return {fn.name: build_cfg(fn) for fn in program.functions}
+    table = program.table
+    return {fn.name: build_cfg(fn, table) for fn in program.functions}

@@ -33,11 +33,9 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 import networkx as nx
 
 from ...minilang import ast_nodes as A
-from .dataflow.lockstate import critical_token
+from ...minilang.nodetable import NodeTable
+from .dataflow.lockstate import guard_tokens
 from .dataflow.mhp import MHPInfo
-
-#: guard token for ``omp atomic`` (mirrors :mod:`.races`)
-_ATOMIC_TOKEN = "atomic"
 
 
 @dataclass(frozen=True)
@@ -109,139 +107,52 @@ class GuardContext:
 GUARD_BOTTOM = GuardContext(False, frozenset())
 
 
-def _loop_index_name(init: Optional[A.Stmt]) -> Optional[str]:
-    if isinstance(init, A.VarDecl):
-        return init.name
-    if isinstance(init, A.Assign) and isinstance(init.target, A.Name):
-        return init.target.ident
-    return None
-
-
-class _CallSiteWalker:
-    """Collects every user-function call of one function, in context."""
-
-    def __init__(self, func: A.FuncDef, user_funcs: FrozenSet[str]) -> None:
-        self.func = func
-        self.user_funcs = user_funcs
-        self.sites: List[CallSite] = []
-        self.region_stack: List[int] = []
-        self.master_depth = 0       # omp master or omp single
-        self.strict_master_depth = 0  # omp master only
-        self.criticals: List[str] = []
-        self.guard_stack: List[str] = []
-        self.ompfor_stack: List[Tuple[int, Optional[str], bool]] = []
-        self.single_stack: List[Tuple[int, bool]] = []
-        self.loop_depth = 0
-
-    def run(self) -> List[CallSite]:
-        self._walk_stmt(self.func.body)
-        return self.sites
-
-    def _record(self, call: A.CallExpr, callee: str, spawned: bool) -> None:
-        ompfor = self.ompfor_stack[-1] if self.ompfor_stack else None
-        self.sites.append(
+def _call_sites(
+    func: A.FuncDef, table: NodeTable, user_funcs: FrozenSet[str]
+) -> List[CallSite]:
+    """Every user-function call of *func*, in context, read off the node
+    table in post-order.  ``omp for`` chunk clauses are not scanned."""
+    sites: List[CallSite] = []
+    nodes, ctxs = table.nodes, table.ctx
+    for call in table.calls(func):
+        ctx = ctxs[call.nid]
+        if ctx.clause and isinstance(nodes[ctx.clause], A.OmpFor):
+            continue
+        if call.name in user_funcs:
+            callee, spawned = call.name, False
+        elif (
+            call.name == "thread_spawn"
+            and call.args
+            and isinstance(call.args[0], A.StrLit)
+            and call.args[0].value in user_funcs
+        ):
+            callee, spawned = call.args[0].value, True
+        else:
+            continue
+        omp_for = ctx.omp_for
+        single = table.innermost(call.nid, A.OmpSingle)
+        regions = table.regions(call.nid)
+        sites.append(
             CallSite(
-                caller=self.func.name,
+                caller=func.name,
                 callee=callee,
                 nid=call.nid,
                 loc=f"{call.loc.line}:{call.loc.col}",
                 args=tuple(call.args),
-                region=self.region_stack[-1] if self.region_stack else None,
-                parallel_depth=len(self.region_stack),
-                in_master=self.master_depth > 0,
-                master_only=self.strict_master_depth > 0,
-                criticals=tuple(self.criticals),
-                guards=frozenset(self.guard_stack),
-                omp_for=ompfor[0] if ompfor else None,
-                loop_var=ompfor[1] if ompfor else None,
-                omp_for_serial=ompfor[2] if ompfor else True,
-                single=self.single_stack[-1] if self.single_stack else None,
+                region=ctx.region or None,
+                parallel_depth=len(regions),
+                in_master=ctx.master != 0,
+                master_only=table.innermost(call.nid, A.OmpMaster) != 0,
+                criticals=tuple(name or "<anonymous>" for name in ctx.criticals),
+                guards=guard_tokens(ctx),
+                omp_for=omp_for or None,
+                loop_var=table.loop_index(omp_for) if omp_for else None,
+                omp_for_serial=table.encounters_serial(omp_for),
+                single=(single, table.encounters_serial(single)) if single else None,
                 spawned=spawned,
             )
         )
-
-    def _walk_expr(self, expr: A.Expr) -> None:
-        if isinstance(expr, A.CallExpr):
-            for arg in expr.args:
-                self._walk_expr(arg)
-            if expr.name in self.user_funcs:
-                self._record(expr, expr.name, spawned=False)
-            elif (
-                expr.name == "thread_spawn"
-                and expr.args
-                and isinstance(expr.args[0], A.StrLit)
-                and expr.args[0].value in self.user_funcs
-            ):
-                self._record(expr, expr.args[0].value, spawned=True)
-            return
-        for child in expr.children():
-            if isinstance(child, A.Expr):
-                self._walk_expr(child)
-
-    def _walk_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.Block):
-            for sub in stmt.stmts:
-                self._walk_stmt(sub)
-            return
-        if isinstance(stmt, A.OmpParallel):
-            if stmt.num_threads is not None:
-                self._walk_expr(stmt.num_threads)
-            self.region_stack.append(stmt.nid)
-            self._walk_stmt(stmt.body)
-            self.region_stack.pop()
-            return
-        if isinstance(stmt, A.OmpFor):
-            loop = stmt.loop
-            serial = (self.loop_depth == 0) or not stmt.nowait
-            self.ompfor_stack.append(
-                (stmt.nid, _loop_index_name(loop.init), serial)
-            )
-            self.loop_depth += 1
-            self._walk_stmt(loop)
-            self.loop_depth -= 1
-            self.ompfor_stack.pop()
-            return
-        if isinstance(stmt, A.OmpSingle):
-            serial = (self.loop_depth == 0) or not stmt.nowait
-            self.single_stack.append((stmt.nid, serial))
-            self.master_depth += 1
-            self._walk_stmt(stmt.body)
-            self.master_depth -= 1
-            self.single_stack.pop()
-            return
-        if isinstance(stmt, A.OmpMaster):
-            self.master_depth += 1
-            self.strict_master_depth += 1
-            self._walk_stmt(stmt.body)
-            self.strict_master_depth -= 1
-            self.master_depth -= 1
-            return
-        if isinstance(stmt, A.OmpCritical):
-            self.criticals.append(stmt.name or "<anonymous>")
-            self.guard_stack.append(critical_token(stmt.name))
-            self._walk_stmt(stmt.body)
-            self.guard_stack.pop()
-            self.criticals.pop()
-            return
-        if isinstance(stmt, A.OmpAtomic):
-            self.guard_stack.append(_ATOMIC_TOKEN)
-            self._walk_stmt(stmt.stmt)
-            self.guard_stack.pop()
-            return
-        if isinstance(stmt, (A.While, A.For)):
-            self.loop_depth += 1
-            for child in stmt.children():
-                if isinstance(child, A.Expr):
-                    self._walk_expr(child)
-                elif isinstance(child, A.Stmt):
-                    self._walk_stmt(child)
-            self.loop_depth -= 1
-            return
-        for child in stmt.children():
-            if isinstance(child, A.Expr):
-                self._walk_expr(child)
-            elif isinstance(child, A.Stmt):
-                self._walk_stmt(child)
+    return sites
 
 
 #: OpenMP constructs that make a function body context-opaque for MHP
@@ -277,9 +188,10 @@ class CallGraph:
 def build_callgraph(program: A.Program) -> CallGraph:
     """Collect every user-call site and derive the graph facts."""
     user_funcs = frozenset(fn.name for fn in program.functions)
+    table = program.table
     sites: List[CallSite] = []
     for fn in program.functions:
-        sites.extend(_CallSiteWalker(fn, user_funcs).run())
+        sites.extend(_call_sites(fn, table, user_funcs))
 
     graph = nx.DiGraph()
     graph.add_nodes_from(user_funcs)
@@ -319,10 +231,10 @@ def build_callgraph(program: A.Program) -> CallGraph:
     opaque = frozenset(
         fn.name
         for fn in program.functions
-        if any(isinstance(node, _CONTEXT_OPAQUE) for node in fn.body.walk())
-        or any(
-            isinstance(node, A.CallExpr) and node.name == "thread_spawn"
-            for node in fn.body.walk()
+        if any(
+            isinstance(node, _CONTEXT_OPAQUE)
+            or (isinstance(node, A.CallExpr) and node.name == "thread_spawn")
+            for node in table.subtree(fn.body)
         )
     )
 

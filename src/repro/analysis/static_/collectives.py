@@ -63,6 +63,7 @@ from typing import (
 
 from ...events.event import COLLECTIVE_OPS
 from ...minilang import ast_nodes as A
+from ...minilang.nodetable import NodeTable
 from ..cfg import CFG, build_program_cfgs
 from .dataflow.divergence import TaintSet, branch_taints, expr_thread_dependent
 from .mpi_sites import MPISite, functions_called_from_parallel
@@ -300,8 +301,12 @@ class _DivergenceWalker:
         reachable_from_parallel: bool,
         callee_seqs: Optional[Dict[str, ColorSeq]] = None,
         recursive_collective: FrozenSet[str] = frozenset(),
+        *,
+        table: NodeTable,
     ) -> None:
         self.func = func
+        #: node table of the function's program
+        self.table = table
         self.taints = taints
         self.report = report
         self.mpi_nids = mpi_nids
@@ -312,16 +317,15 @@ class _DivergenceWalker:
         #: recursive functions whose cycle reaches a collective: spliced
         #: as an opaque-but-uniform ``("call", name)`` token
         self.recursive_collective = recursive_collective
-        self.region_stack: List[int] = []
-        self.serial_depth = 0  # master / claimed-single nesting
 
-    # -- context ---------------------------------------------------------
+    # -- context (the node table's, at the node being colored) -----------
 
-    def _in_parallel(self) -> bool:
-        return bool(self.region_stack) or self.reachable_from_parallel
+    def _in_parallel(self, node: A.Node) -> bool:
+        return bool(self.table.ctx[node.nid].region) or self.reachable_from_parallel
 
-    def _region(self) -> Optional[int]:
-        return self.region_stack[-1] if self.region_stack else None
+    def _serialized(self, node: A.Node) -> bool:
+        """Under omp master or single: a strict subset of the team."""
+        return self.table.ctx[node.nid].master != 0
 
     # -- candidate / entry helpers ---------------------------------------
 
@@ -340,7 +344,7 @@ class _DivergenceWalker:
                 func=self.func.name,
                 branch_nid=node.nid,
                 branch_loc=_loc(node),
-                region=self._region(),
+                region=self.table.ctx[node.nid].region or None,
                 reason=reason,
                 then_colors=then_colors,
                 else_colors=else_colors,
@@ -352,11 +356,11 @@ class _DivergenceWalker:
         """Color *site*; under master/single the construct itself is the
         divergence (only a subset of the team executes it)."""
         self.report.sites.append(site)
-        if self.serial_depth > 0:
+        if self._serialized(node):
             if site.kind == "mpi":
                 # funneled MPI collective: the sanctioned hybrid pattern
                 self.report.count_prune(PRUNE_DIV_SERIAL)
-            elif self._in_parallel():
+            elif self._in_parallel(node):
                 self._emit(
                     KIND_BARRIER_DIVERGENCE,
                     node,
@@ -377,7 +381,7 @@ class _DivergenceWalker:
         sites = _entry_sites(inner)
         if not inner:
             return
-        if not self._in_parallel():
+        if not self._in_parallel(node):
             self.report.count_prune(PRUNE_DIV_MHP)
             return
         kind = (
@@ -422,26 +426,20 @@ class _DivergenceWalker:
                 ColorSite("sections", stmt.nid, _loc(stmt), self.func.name), stmt
             )
         if isinstance(stmt, A.OmpSingle):
-            self.serial_depth += 1
             self.seq_stmt(stmt.body)
-            self.serial_depth -= 1
             return self._collective_entry(
                 ColorSite("single", stmt.nid, _loc(stmt), self.func.name), stmt
             )
         if isinstance(stmt, A.OmpMaster):
-            self.serial_depth += 1
             self.seq_stmt(stmt.body)
-            self.serial_depth -= 1
             return ()
         if isinstance(stmt, A.OmpParallel):
-            self.region_stack.append(stmt.nid)
             self.seq_stmt(stmt.body)
             # implicit barrier at region exit: recorded for the color
             # table, uniform by construction (every member joins)
             self.report.sites.append(
                 ColorSite("region-end", stmt.nid, _loc(stmt), self.func.name)
             )
-            self.region_stack.pop()
             return ()
         if isinstance(stmt, A.OmpCritical):
             return self.seq_stmt(stmt.body)
@@ -451,7 +449,7 @@ class _DivergenceWalker:
             return self._seq_loop(stmt)
         if isinstance(stmt, A.Return):
             entries = self._mpi_entries(stmt)
-            if self.region_stack:
+            if self.table.ctx[stmt.nid].region:
                 # early return from inside a parallel region body: the
                 # returning thread skips every later collective
                 site = ColorSite("return", stmt.nid, _loc(stmt), self.func.name)
@@ -474,7 +472,7 @@ class _DivergenceWalker:
         if not self._branch_divergent(stmt.nid, stmt.cond):
             self.report.count_prune(PRUNE_DIV_UNIFORM)
             return (("branch", stmt.nid),)
-        if not self._in_parallel():
+        if not self._in_parallel(stmt):
             self.report.count_prune(PRUNE_DIV_MHP)
             return (("branch", stmt.nid),)
         sites = _entry_sites(then_seq) + [
@@ -507,7 +505,7 @@ class _DivergenceWalker:
         if not body_seq:
             return ()
         if cond is not None and self._branch_divergent(stmt.nid, cond):
-            if not self._in_parallel():
+            if not self._in_parallel(stmt):
                 self.report.count_prune(PRUNE_DIV_MHP)
             else:
                 self._emit(
@@ -523,20 +521,20 @@ class _DivergenceWalker:
 
     def _branch_divergent(self, nid: int, cond: A.Expr) -> bool:
         tainted = self.taints.get(nid, frozenset())
-        return expr_thread_dependent(cond, tainted)
+        return expr_thread_dependent(cond, tainted, table=self.table)
 
     # -- MPI collective scan ---------------------------------------------
 
     def _mpi_entries(self, stmt: A.Stmt) -> ColorSeq:
         out: List[SeqEntry] = []
         scan = stmt.stmt if isinstance(stmt, A.OmpAtomic) else stmt
-        for sub in scan.walk():
+        for sub in self.table.subtree(scan):
             if not isinstance(sub, A.CallExpr):
                 continue
             if sub.name not in COLLECTIVE_OPS:
                 out.extend(self._user_call_entries(sub))
                 continue
-            if not self._in_parallel():
+            if not self._in_parallel(sub):
                 continue  # serial SPMD collective — matched per rank
             if self.mpi_nids is not None and sub.nid not in self.mpi_nids:
                 self.report.count_prune(PRUNE_DIV_MHP)
@@ -560,14 +558,14 @@ class _DivergenceWalker:
         as non-parallel anyway, and the callee's own walk owns any
         intra-callee divergence.
         """
-        if self.callee_seqs is None or not self._in_parallel():
+        if self.callee_seqs is None or not self._in_parallel(call):
             return ()
         if call.name in self.recursive_collective:
             return (("call", call.name),)
         seq = self.callee_seqs.get(call.name)
         if not seq:
             return ()
-        if self.serial_depth > 0:
+        if self._serialized(call):
             # master/single around the call: mirror _collective_entry
             # for every site the callee chain reaches
             for site in _entry_sites(seq):
@@ -593,7 +591,7 @@ def _collective_reaching(summaries: "SummaryTable", program: A.Program) -> Froze
 
     direct: Set[str] = set()
     for fn in program.functions:
-        for node in fn.body.walk():
+        for node in program.table.subtree(fn.body):
             if isinstance(node, (A.OmpBarrier, A.OmpFor, A.OmpSections, A.OmpSingle)):
                 direct.add(fn.name)
                 break
@@ -681,6 +679,7 @@ def find_collective_divergence(
             fn.name in unsafe_funcs,
             callee_seqs=callee_seqs,
             recursive_collective=recursive_collective,
+            table=program.table,
         )
         top_seq = walker.seq_stmt(fn.body)
         if callee_seqs is not None and fn.name not in cg.recursive:

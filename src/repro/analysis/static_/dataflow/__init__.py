@@ -30,7 +30,7 @@ from .facts import (  # noqa: F401
 )
 from .intervals import EnvelopeAnalysis, eval_expr, program_globals_env  # noqa: F401
 from .lockstate import LockStateAnalysis  # noqa: F401
-from .mhp import MHPInfo, compute_mhp, may_happen_in_parallel  # noqa: F401
+from .mhp import MHPInfo, MHPSolution, compute_mhp, may_happen_in_parallel  # noqa: F401
 from .values import (  # noqa: F401
     SymInterval,
     Symbol,
@@ -61,6 +61,7 @@ __all__ = [
     "LockStateAnalysis",
     "MHPInfo",
     "compute_mhp",
+    "MHPSolution",
     "may_happen_in_parallel",
     "SymInterval",
     "Symbol",

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional
 
 from ....minilang import ast_nodes as A
+from ....minilang.nodetable import NodeTable, function_table, subtree
 from ... import cfg as C
 from .engine import DataflowResult, ForwardAnalysis, solve
 
@@ -49,15 +50,17 @@ def expr_thread_dependent(
     expr: Optional[A.Expr],
     tainted: TaintSet,
     tainted_calls: FrozenSet[str] = frozenset(),
+    table: Optional[NodeTable] = None,
 ) -> bool:
     """May *expr* evaluate differently across threads of one team?
 
     *tainted_calls* names user functions whose return value is known
-    (from interprocedural summaries) to be thread-dependent.
+    (from interprocedural summaries) to be thread-dependent; *table* is
+    the program's node table.
     """
     if expr is None:
         return False
-    for sub in expr.walk():
+    for sub in subtree(expr, table):
         if isinstance(sub, A.CallExpr):
             if sub.name in THREAD_DEPENDENT_CALLS or sub.name in tainted_calls:
                 return True
@@ -74,11 +77,13 @@ class ThreadDependenceAnalysis(ForwardAnalysis[TaintSet]):
         self,
         always_tainted: Iterable[str] = (),
         tainted_calls: Iterable[str] = (),
+        table: Optional[NodeTable] = None,
     ) -> None:
         #: names that stay tainted through every kill (omp-for indices)
         self.always_tainted = frozenset(always_tainted)
         #: user functions returning thread-dependent values (summaries)
         self.tainted_calls = frozenset(tainted_calls)
+        self.table = table
 
     def boundary(self, cfg: C.CFG) -> TaintSet:
         return self.always_tainted
@@ -100,9 +105,9 @@ class ThreadDependenceAnalysis(ForwardAnalysis[TaintSet]):
                 # a[tid] = e or a[i] = tid-dep: the array as a whole may
                 # now hold thread-dependent values
                 if expr_thread_dependent(
-                    target.index, tainted, self.tainted_calls
+                    target.index, tainted, self.tainted_calls, self.table
                 ) or expr_thread_dependent(
-                    stmt.value, tainted, self.tainted_calls
+                    stmt.value, tainted, self.tainted_calls, self.table
                 ):
                     return tainted | {target.base.ident}
         return tainted
@@ -110,31 +115,32 @@ class ThreadDependenceAnalysis(ForwardAnalysis[TaintSet]):
     def _assign(
         self, name: str, value: Optional[A.Expr], tainted: TaintSet
     ) -> TaintSet:
-        if expr_thread_dependent(value, tainted, self.tainted_calls):
+        if expr_thread_dependent(value, tainted, self.tainted_calls, self.table):
             return tainted | {name}
         if name in self.always_tainted:
             return tainted
         return tainted - {name}
 
 
-def omp_for_indices(func: A.FuncDef) -> FrozenSet[str]:
+def omp_for_indices(func: A.FuncDef, table: Optional[NodeTable] = None) -> FrozenSet[str]:
     """Loop-index names of every ``omp for`` in *func* (taint seeds)."""
-    names = set()
-    for node in func.walk():
-        if isinstance(node, A.OmpFor):
-            init = node.loop.init
-            if isinstance(init, A.VarDecl):
-                names.add(init.name)
-            elif isinstance(init, A.Assign) and isinstance(init.target, A.Name):
-                names.add(init.target.ident)
-    return frozenset(names)
+    if table is None or not table.owns(func):
+        table = function_table(func)
+    if table is None:
+        return frozenset()
+    names = (
+        table.loop_index(node.nid)
+        for node in table.subtree(func)
+        if isinstance(node, A.OmpFor)
+    )
+    return frozenset(name for name in names if name is not None)
 
 
 def solve_thread_dependence(
     func: A.FuncDef, cfg: C.CFG
 ) -> DataflowResult[TaintSet]:
     """Thread-dependence facts for one function's CFG."""
-    return solve(cfg, ThreadDependenceAnalysis(omp_for_indices(func)))
+    return solve_thread_dependence_with(cfg, omp_for_indices(func, cfg.table))
 
 
 def solve_thread_dependence_with(
@@ -145,7 +151,9 @@ def solve_thread_dependence_with(
     """Thread-dependence facts with explicit seeds — the entry point the
     interprocedural summary fixpoint uses (tainted formal parameters as
     extra always-tainted names, taint-returning callees as sources)."""
-    return solve(cfg, ThreadDependenceAnalysis(always_tainted, tainted_calls))
+    return solve(
+        cfg, ThreadDependenceAnalysis(always_tainted, tainted_calls, cfg.table)
+    )
 
 
 def branch_taints(
@@ -161,7 +169,7 @@ def branch_taints(
     knowledge (tainted formals, taint-returning callees)."""
     result = solve_thread_dependence_with(
         cfg,
-        omp_for_indices(func) | frozenset(extra_tainted),
+        omp_for_indices(func, cfg.table) | frozenset(extra_tainted),
         tainted_calls,
     )
     out: Dict[int, TaintSet] = {}

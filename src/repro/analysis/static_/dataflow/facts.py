@@ -30,7 +30,7 @@ from .intervals import (
     program_globals_env,
 )
 from .lockstate import LockStateAnalysis
-from .mhp import MHPInfo, compute_mhp, may_happen_in_parallel
+from .mhp import MHPInfo, MHPSolution, may_happen_in_parallel
 from .values import SymInterval, provably_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -129,6 +129,7 @@ def compute_dataflow(
     cfgs: Dict[str, C.CFG],
     sites: Sequence[MPISite],
     summaries: Optional["SummaryTable"] = None,
+    mhp: Optional[MHPSolution] = None,
 ) -> DataflowFacts:
     """Solve all three analyses and project the results onto *sites*.
 
@@ -138,12 +139,13 @@ def compute_dataflow(
     lock-transparent function set lets held user locks survive calls.
     Each MHP-consuming pass resolves contexts against its *own* phase
     map — phase numbering differs between MHP modes, so the race pass
-    cannot share this resolution.
+    cannot share this resolution.  *mhp* shares one
+    :class:`~.mhp.MHPSolution` between the passes of one analysis.
     """
     from ..candidates import _ENVELOPE_POSITIONS
 
     facts = DataflowFacts()
-    facts.mhp = compute_mhp(program)
+    facts.mhp = (mhp if mhp is not None else MHPSolution(program)).infos()
     facts.unsafe_funcs = functions_called_from_parallel(program)
     lock_transparent: FrozenSet[str] = frozenset()
     if summaries is not None:
@@ -156,24 +158,23 @@ def compute_dataflow(
 
     globals_env = program_globals_env(program)
     user_funcs = frozenset(fn.name for fn in program.functions)
-    calls_by_nid: Dict[int, A.CallExpr] = {
-        node.nid: node for node in program.walk() if isinstance(node, A.CallExpr)
-    }
+    table = program.table
 
     # Global scalars the program ever assigns: killed at user calls
     # (sequential callee effects); the subset assigned by concurrently
     # runnable functions is never trackable at all.
     global_scalars = {d.name for d in program.globals if not d.is_array}
+    assigned = {fn.name: _assigned_names(fn.body, table) for fn in program.functions}
     mutated_globals = frozenset(
         name
         for fn in program.functions
-        for name in _assigned_names(fn.body) & global_scalars
+        for name in assigned[fn.name] & global_scalars
     )
     concurrent_globals = frozenset(
         name
         for fn in program.functions
         if fn.name in facts.unsafe_funcs
-        for name in _assigned_names(fn.body) & global_scalars
+        for name in assigned[fn.name] & global_scalars
     )
 
     sites_by_func: Dict[str, List[MPISite]] = {}
@@ -198,15 +199,18 @@ def compute_dataflow(
             ),
         )
         lock_result = solve(
-            cfg, LockStateAnalysis(user_funcs, lock_transparent=lock_transparent)
+            cfg,
+            LockStateAnalysis(
+                user_funcs, lock_transparent=lock_transparent, table=cfg.table
+            ),
         )
         facts.iterations += env_result.iterations + lock_result.iterations
         node_of_call = C.innermost_node_map(cfg)
 
         for site in func_sites:
             node = node_of_call.get(site.nid)
-            call = calls_by_nid.get(site.nid)
-            if node is None or call is None:
+            call = table.node(site.nid)
+            if node is None or not isinstance(call, A.CallExpr):
                 continue
             env = env_result.fact_before(node)
             if env is not None:

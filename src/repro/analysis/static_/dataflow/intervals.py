@@ -9,7 +9,9 @@ OpenMP-awareness (all conservative, i.e. may only widen):
 
 * entering an ``omp parallel`` region *poisons* every shared variable
   that is assigned anywhere inside the region — concurrent writes make
-  its value unpredictable at any use in the region;
+  its value unpredictable at any use in the region; a write is to a
+  shared variable unless its name binds to a declaration inside the
+  region (node table bindings);
 * ``private`` / ``reduction`` variables are undefined on entry;
   ``firstprivate`` keeps the incoming value;
 * none of the per-thread copies (``private``/``firstprivate``/
@@ -29,9 +31,10 @@ tracked at all (``volatile``).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Set
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from ....minilang import ast_nodes as A
+from ....minilang.nodetable import NodeTable, subtree
 from ... import cfg as C
 from ..mpi_sites import fold_static_value
 from .engine import ForwardAnalysis
@@ -99,27 +102,31 @@ def _without(env: Env, names: Iterable[str]) -> Env:
     return {k: v for k, v in env.items() if k not in names}
 
 
-def _assigned_names(root: A.Node) -> Set[str]:
-    out: Set[str] = set()
-    for node in root.walk():
-        if isinstance(node, A.Assign) and isinstance(node.target, A.Name):
-            out.add(node.target.ident)
-    return out
+def _assigned_names(root: A.Node, table: Optional[NodeTable] = None) -> Set[str]:
+    return {
+        node.target.ident
+        for node in subtree(root, table)
+        if isinstance(node, A.Assign) and isinstance(node.target, A.Name)
+    }
 
 
-def _declared_names(root: A.Node) -> Set[str]:
-    return {n.name for n in root.walk() if isinstance(n, A.VarDecl)}
-
-
-def _region_poison(region: A.OmpParallel) -> FrozenSet[str]:
+def _region_poison(region: A.OmpParallel, table: Optional[NodeTable]) -> FrozenSet[str]:
     """Shared variables whose value is unpredictable inside *region*:
-    assigned somewhere in the body, not privatized, not declared by the
-    region body itself (block-local declarations are per-thread)."""
-    assigned = _assigned_names(region.body)
-    local = _declared_names(region.body)
+    assigned somewhere in the body through a name that does not bind
+    inside the region, and not privatized.  A write binds inside when
+    its name resolves (node table) to a declaration in the body, which
+    is per-thread; a same-named declaration elsewhere in the body does
+    not make an outer variable's writes local.  Without a table every
+    assigned name counts as shared."""
+    shared: Set[str] = set()
+    for node in subtree(region.body, table):
+        if isinstance(node, A.Assign) and isinstance(node.target, A.Name):
+            decl = table.binding.get(node.target.nid) if table is not None else None
+            if decl is None or not table.contains(region.nid, decl):
+                shared.add(node.target.ident)
     private = set(region.private) | set(region.firstprivate)
     private |= {name for _, name in region.reductions}
-    return frozenset(assigned - local - private)
+    return frozenset(shared - private)
 
 
 class EnvelopeAnalysis(ForwardAnalysis[Env]):
@@ -141,6 +148,7 @@ class EnvelopeAnalysis(ForwardAnalysis[Env]):
         #: names killed by any user-defined call (callee may assign them)
         self.call_kill = frozenset(call_kill)
         self.user_functions = frozenset(user_functions)
+        self.table = cfg.table
         self._poison = self._compute_poison(cfg)
 
     @staticmethod
@@ -150,7 +158,7 @@ class EnvelopeAnalysis(ForwardAnalysis[Env]):
         stack: list = []
         for node in cfg.linearize():
             if node.kind == C.OMP_PARALLEL_BEGIN and isinstance(node.ast, A.OmpParallel):
-                stack.append(_region_poison(node.ast))
+                stack.append(_region_poison(node.ast, cfg.table))
             current: FrozenSet[str] = frozenset().union(*stack) if stack else frozenset()
             poison[node.cfg_id] = current
             if node.kind == C.OMP_PARALLEL_END and stack:
@@ -192,7 +200,7 @@ class EnvelopeAnalysis(ForwardAnalysis[Env]):
         """Drop globals a user-defined callee evaluated here may assign."""
         if not self.call_kill:
             return env
-        if any(c.name in self.user_functions for c in calls_in(node)):
+        if any(c.name in self.user_functions for c in calls_in(node, self.table)):
             return _without(env, self.call_kill)
         return env
 
@@ -228,7 +236,7 @@ def program_globals_env(program: A.Program) -> Env:
     """Initial environment from never-reassigned scalar globals."""
     mutated: Set[str] = set()
     for fn in program.functions:
-        mutated |= _assigned_names(fn.body)
+        mutated |= _assigned_names(fn.body, program.table)
     env: Dict[str, SymInterval] = {}
     for decl in program.globals:
         if decl.is_array or decl.init is None or decl.name in mutated:

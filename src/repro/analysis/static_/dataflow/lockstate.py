@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterator, List, Optional, Set
 
 from ....minilang import ast_nodes as A
+from ....minilang.nodetable import NodeTable, OmpContext, subtree
 from ... import cfg as C
 from .engine import ForwardAnalysis
 
@@ -39,6 +40,19 @@ LOCK_PREFIX = "lock:"
 
 def critical_token(name: str) -> str:
     return CRITICAL_PREFIX + (name or "<anonymous>")
+
+
+#: guard token for ``omp atomic`` (one process-wide lock at runtime)
+ATOMIC_TOKEN = "atomic"
+
+
+def guard_tokens(ctx: OmpContext) -> FrozenSet[str]:
+    """The lexical guards of a node's OpenMP context: its enclosing
+    criticals, plus ``omp atomic``."""
+    guards = {critical_token(name) for name in ctx.criticals}
+    if ctx.atomic:
+        guards.add(ATOMIC_TOKEN)
+    return frozenset(guards)
 
 
 def lock_token(name: str) -> str:
@@ -74,9 +88,9 @@ def leaf_exprs(node: C.CFGNode) -> Iterator[A.Expr]:
             yield cond
 
 
-def calls_in(node: C.CFGNode) -> Iterator[A.CallExpr]:
+def calls_in(node: C.CFGNode, table: Optional[NodeTable] = None) -> Iterator[A.CallExpr]:
     for expr in leaf_exprs(node):
-        for sub in expr.walk():
+        for sub in subtree(expr, table):
             if isinstance(sub, A.CallExpr):
                 yield sub
 
@@ -88,9 +102,12 @@ class LockStateAnalysis(ForwardAnalysis[Optional[LockSet]]):
         self,
         user_functions: Set[str] = frozenset(),
         lock_transparent: FrozenSet[str] = frozenset(),
+        table: Optional[NodeTable] = None,
     ) -> None:
         self.user_functions = set(user_functions)
         self.lock_transparent = frozenset(lock_transparent)
+        #: node table of the analysed program (the CFG's)
+        self.table = table
 
     def boundary(self, cfg: C.CFG) -> LockSet:
         return frozenset()
@@ -104,7 +121,7 @@ class LockStateAnalysis(ForwardAnalysis[Optional[LockSet]]):
         if node.kind == C.OMP_CRITICAL_END and isinstance(node.ast, A.OmpCritical):
             return held - {critical_token(node.ast.name)}
         out = held
-        for call in calls_in(node):
+        for call in calls_in(node, self.table):
             out = self._apply_call(call, out)
         return out
 

@@ -50,177 +50,95 @@ class MHPInfo:
     section_serial: bool = True
 
 
-class _Region:
-    __slots__ = ("nid", "phase", "reliable", "entry_cond_depth")
-
-    def __init__(self, nid: int, entry_cond_depth: int) -> None:
-        self.nid = nid
-        self.phase = 0
-        self.reliable = True
-        self.entry_cond_depth = entry_cond_depth
+#: worksharing constructs that end in an implicit barrier (unless nowait)
+_WORKSHARING = (A.OmpFor, A.OmpSections, A.OmpSingle)
 
 
-class _MHPWalker:
-    """One function's AST walk, recording context per CallExpr nid.
+class MHPSolution:
+    """The MHP contexts of one program, solved in one pass over its node
+    table for both phase conventions at once.
 
-    With ``record_all`` every expression node (names, index expressions,
-    calls) gets an :class:`MHPInfo` — the static race pass needs the
-    context of plain variable accesses, not just MPI calls.  With
-    ``implicit_ws_barriers`` the implicit closing barrier of a non-
-    ``nowait`` worksharing construct bumps the phase like an explicit
-    ``omp barrier`` does (sound for races; the MPI-candidate pass keeps
-    the coarser historical phases so its counts stay comparable).
+    *Historical* phases count explicit ``omp barrier`` statements only;
+    the MPI-candidate pass keeps them so its counts stay comparable.
+    *Worksharing* phases also count the implicit closing barrier of each
+    non-``nowait`` worksharing construct (sound for races).  A barrier
+    nested in a conditional or loop within its region makes that
+    region's phases unreliable under the convention it belongs to.
     """
 
-    def __init__(
-        self,
-        func: A.FuncDef,
-        record_all: bool = False,
-        implicit_ws_barriers: bool = False,
-    ) -> None:
-        self.func = func
-        self.record_all = record_all
-        self.implicit_ws_barriers = implicit_ws_barriers
-        self.regions: List[_Region] = []
-        self.cond_depth = 0
-        self.loop_depth = 0
-        self.section: Optional[Tuple[int, int]] = None
-        self.section_serial = True
-        #: nid -> (regions, phase, section, section_serial); reliability
-        #: is resolved after the walk (a later conditional barrier can
-        #: retroactively invalidate earlier phases)
-        self._raw: Dict[int, Tuple[Tuple[int, ...], int, Optional[Tuple[int, int]], bool]] = {}
-        self._reliable: Dict[int, bool] = {}
+    def __init__(self, program: A.Program) -> None:
+        table = program.table
+        nodes, end, ctxs = table.nodes, table.end, table.ctx
+        #: per expression nid: (func, regions, section, section_serial,
+        #: historical phase, worksharing phase)
+        self._rows: Dict[int, tuple] = {}
+        #: per region nid: [historical phase, worksharing phase]
+        phases: Dict[int, List[int]] = {}
+        #: per region nid: [historical reliable, worksharing reliable]
+        self._reliable: Dict[int, List[bool]] = {}
+        chains: Dict[int, Tuple[int, ...]] = {0: ()}
 
-    def run(self) -> Dict[int, MHPInfo]:
-        self._walk_stmt(self.func.body)
-        infos: Dict[int, MHPInfo] = {}
-        for nid, (regions, phase, section, serial) in self._raw.items():
-            reliable = self._reliable.get(regions[-1], True) if regions else True
-            infos[nid] = MHPInfo(
-                func=self.func.name,
+        def barrier(nid: int, conventions: range) -> None:
+            region = ctxs[nid].region
+            if not region:
+                return
+            same_level = ctxs[nid].cond == ctxs[region].cond
+            for k in conventions:
+                if same_level:
+                    phases[region][k] += 1
+                else:
+                    self._reliable[region][k] = False
+
+        for fn in program.functions:
+            open_ws: List[int] = []
+            for nid in range(fn.nid + 1, end[fn.nid] + 1):
+                while open_ws and end[open_ws[-1]] < nid:
+                    barrier(open_ws.pop(), range(1, 2))
+                node = nodes[nid]
+                if isinstance(node, A.Expr):
+                    ctx = ctxs[nid]
+                    region = ctx.region
+                    if region not in chains:
+                        chains[region] = table.regions(nid)
+                    section, serial = ctx.section, True
+                    if section is not None:
+                        construct = section[0]
+                        serial = ctxs[construct].loops == 0 or not nodes[construct].nowait
+                    phase = phases[region] if region else (0, 0)
+                    self._rows[nid] = (
+                        fn.name, chains[region], section, serial, phase[0], phase[1],
+                    )
+                elif isinstance(node, A.OmpParallel):
+                    phases[nid] = [0, 0]
+                    self._reliable[nid] = [True, True]
+                elif isinstance(node, A.OmpBarrier):
+                    barrier(nid, range(2))
+                elif isinstance(node, _WORKSHARING) and not node.nowait:
+                    open_ws.append(nid)
+            while open_ws:
+                barrier(open_ws.pop(), range(1, 2))
+        self._calls = [nid for nid in self._rows if isinstance(nodes[nid], A.CallExpr)]
+
+    def infos(
+        self, record_all: bool = False, implicit_ws_barriers: bool = False
+    ) -> Dict[int, MHPInfo]:
+        """Contexts of every call expression (every expression node with
+        ``record_all``), under the historical or, with
+        ``implicit_ws_barriers``, the worksharing phase convention."""
+        k = 1 if implicit_ws_barriers else 0
+        rows = self._rows
+        out: Dict[int, MHPInfo] = {}
+        for nid in rows if record_all else self._calls:
+            func, regions, section, serial, *phase = rows[nid]
+            out[nid] = MHPInfo(
+                func=func,
                 regions=regions,
-                phase=phase,
-                phase_reliable=reliable,
+                phase=phase[k],
+                phase_reliable=self._reliable[regions[-1]][k] if regions else True,
                 section=section,
                 section_serial=serial,
             )
-        return infos
-
-    # -- recording ----------------------------------------------------------
-
-    def _record_expr(self, expr: A.Expr) -> None:
-        for node in expr.walk():
-            if self.record_all or isinstance(node, A.CallExpr):
-                regions = tuple(r.nid for r in self.regions)
-                phase = self.regions[-1].phase if self.regions else 0
-                self._raw[node.nid] = (
-                    regions, phase, self.section, self.section_serial,
-                )
-
-    def _implicit_barrier(self) -> None:
-        """Phase effect of a worksharing construct's closing barrier."""
-        if not self.implicit_ws_barriers or not self.regions:
-            return
-        region = self.regions[-1]
-        if self.cond_depth == region.entry_cond_depth:
-            region.phase += 1
-        else:
-            region.reliable = False
-
-    def _record_stmt_exprs(self, stmt: A.Stmt) -> None:
-        for child in stmt.children():
-            if isinstance(child, A.Expr):
-                self._record_expr(child)
-
-    # -- traversal ----------------------------------------------------------
-
-    def _walk_block(self, block: A.Block) -> None:
-        for stmt in block.stmts:
-            self._walk_stmt(stmt)
-
-    def _walk_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.Block):
-            self._walk_block(stmt)
-            return
-        if isinstance(stmt, A.OmpParallel):
-            if stmt.num_threads is not None:
-                self._record_expr(stmt.num_threads)
-            self.regions.append(_Region(stmt.nid, self.cond_depth))
-            self._walk_block(stmt.body)
-            region = self.regions.pop()
-            self._reliable[region.nid] = region.reliable
-            return
-        if isinstance(stmt, A.OmpBarrier):
-            if self.regions:
-                region = self.regions[-1]
-                if self.cond_depth == region.entry_cond_depth:
-                    region.phase += 1
-                else:
-                    region.reliable = False
-            return
-        if isinstance(stmt, A.If):
-            self._record_expr(stmt.cond)
-            self.cond_depth += 1
-            self._walk_stmt(stmt.then)
-            if stmt.els is not None:
-                self._walk_stmt(stmt.els)
-            self.cond_depth -= 1
-            return
-        if isinstance(stmt, A.While):
-            self._record_expr(stmt.cond)
-            self.cond_depth += 1
-            self.loop_depth += 1
-            self._walk_block(stmt.body)
-            self.cond_depth -= 1
-            self.loop_depth -= 1
-            return
-        if isinstance(stmt, A.For):
-            if stmt.init is not None:
-                self._walk_stmt(stmt.init)
-            if stmt.cond is not None:
-                self._record_expr(stmt.cond)
-            self.cond_depth += 1
-            self.loop_depth += 1
-            if stmt.step is not None:
-                self._walk_stmt(stmt.step)
-            self._walk_block(stmt.body)
-            self.cond_depth -= 1
-            self.loop_depth -= 1
-            return
-        if isinstance(stmt, A.OmpSections):
-            # a nowait sections inside a loop can overlap its own
-            # encounters, so same-section ordering is only provable
-            # outside loops or with the implicit closing barrier
-            serial = (self.loop_depth == 0) or not stmt.nowait
-            saved = (self.section, self.section_serial)
-            for index, section in enumerate(stmt.sections):
-                self.section, self.section_serial = (stmt.nid, index), serial
-                self._walk_block(section)
-            self.section, self.section_serial = saved
-            if not stmt.nowait:
-                self._implicit_barrier()
-            return
-        if isinstance(stmt, A.OmpFor):
-            if stmt.chunk is not None:
-                self._record_expr(stmt.chunk)
-            self._walk_stmt(stmt.loop)
-            if not stmt.nowait:
-                self._implicit_barrier()
-            return
-        if isinstance(stmt, A.OmpSingle):
-            self._walk_block(stmt.body)
-            if not stmt.nowait:
-                self._implicit_barrier()
-            return
-        if isinstance(stmt, (A.OmpMaster, A.OmpCritical)):
-            self._walk_block(stmt.body)
-            return
-        if isinstance(stmt, A.OmpAtomic):
-            self._walk_stmt(stmt.stmt)
-            return
-        # leaf statements: record their expressions
-        self._record_stmt_exprs(stmt)
+        return out
 
 
 def compute_mhp(
@@ -232,18 +150,9 @@ def compute_mhp(
 
     ``record_all`` extends the map to every expression node;
     ``implicit_ws_barriers`` counts the closing barriers of non-nowait
-    worksharing constructs as phase boundaries (see :class:`_MHPWalker`).
+    worksharing constructs as phase boundaries (see :class:`MHPSolution`).
     """
-    infos: Dict[int, MHPInfo] = {}
-    for fn in program.functions:
-        infos.update(
-            _MHPWalker(
-                fn,
-                record_all=record_all,
-                implicit_ws_barriers=implicit_ws_barriers,
-            ).run()
-        )
-    return infos
+    return MHPSolution(program).infos(record_all, implicit_ws_barriers)
 
 
 def may_happen_in_parallel(

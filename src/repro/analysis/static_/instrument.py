@@ -59,9 +59,9 @@ def instrument_program(
     """Produce an instrumented clone of *program*.
 
     *sites* are the MPI sites the static phase collected on *program*
-    (:func:`.mpi_sites.collect_sites`); the clone keeps *program*'s node
-    ids, so they address its calls directly.  ``policy`` selects which
-    of them get wrappers:
+    (:func:`.mpi_sites.collect_sites`); their ids address its calls
+    through the program's node table.  ``policy`` selects which of them
+    get wrappers:
 
     * ``hybrid-only`` — sites in (interprocedurally reachable) parallel
       context, the paper's behaviour;
@@ -72,39 +72,48 @@ def instrument_program(
     wants the runtime to watch; they are recorded on the result and
     appended as ``mem:<var>`` markers to the monitor-setup call.
 
-    The finished clone is renumbered, and the result holds copies of
-    the sites carrying the clone's ids; *sites* themselves are left
-    untouched.
+    The clone is a structural copy with the setup call inserted; it is
+    renumbered once, and the result holds copies of the sites carrying
+    the clone's ids; *sites* themselves are left untouched.
     """
-    new_program = clone(program)
-    assert isinstance(new_program, A.Program)
+    # Decide on the source: its table maps each site's nid to its call.
+    table = program.table
     by_nid: Dict[int, MPISite] = {s.nid: s for s in sites}
-
-    # Walk every CallExpr; rename those whose site is selected.
-    selected: List[Tuple[A.CallExpr, MPISite]] = []
-    filtered: List[Tuple[A.CallExpr, MPISite]] = []
-    for node in new_program.walk():
-        if not isinstance(node, A.CallExpr):
-            continue
-        site = by_nid.get(node.nid)
-        if site is None or not site.instrumentable:
+    selected: List[MPISite] = []
+    filtered: List[MPISite] = []
+    for nid in sorted(by_nid):
+        site = by_nid[nid]
+        if not isinstance(table.node(nid), A.CallExpr) or not site.instrumentable:
             continue
         if policy == "all" or (policy == "hybrid-only" and site.in_parallel):
-            if not node.name.startswith("hmpi_"):
-                node.name = "h" + node.name
-            selected.append((node, site))
+            selected.append(site)
         else:
-            filtered.append((node, site))
+            filtered.append(site)
 
+    new_program = clone(program)
+    assert isinstance(new_program, A.Program)
     monitored = frozenset(monitor_vars)
+    # The setup call goes in first in main's body, so every node after
+    # that block's own id moves up by the call's size.
+    after, shift = 0, 0
     if selected or monitored:
-        _insert_monitor_setup(new_program, monitored)
-
+        after, shift = _insert_monitor_setup(new_program, monitored)
     A.renumber_nids(new_program)
+
+    def moved(site: MPISite) -> MPISite:
+        return replace(site, nid=site.nid + shift if site.nid > after else site.nid)
+
+    instrumented: Dict[int, MPISite] = {}
+    for site in map(moved, selected):
+        call = new_program.table.nodes[site.nid]
+        assert isinstance(call, A.CallExpr)
+        if not call.name.startswith("hmpi_"):
+            call.name = "h" + call.name
+        instrumented[site.nid] = site
     return InstrumentationResult(
         new_program,
-        instrumented={node.nid: replace(site, nid=node.nid) for node, site in selected},
-        filtered=[replace(site, nid=node.nid) for node, site in filtered],
+        instrumented=instrumented,
+        filtered=[moved(site) for site in filtered],
         policy=policy,
         monitored_vars=monitored,
     )
@@ -112,12 +121,17 @@ def instrument_program(
 
 def _insert_monitor_setup(
     program: A.Program, monitor_vars: FrozenSet[str] = frozenset()
-) -> None:
-    """Insert the monitored-variable setup marker at the top of main()."""
+) -> Tuple[int, int]:
+    """Insert the monitored-variable setup marker at the top of main().
+
+    Returns ``(nid, size)``: the id of main's body block, after which
+    the inserted statement of ``size`` nodes sits, or ``(0, 0)`` when
+    nothing was inserted.
+    """
     try:
         main = program.function("main")
     except KeyError:
-        return
+        return 0, 0
     already = (
         main.body.stmts
         and isinstance(main.body.stmts[0], A.ExprStmt)
@@ -132,3 +146,5 @@ def _insert_monitor_setup(
             *(A.StrLit(f"mem:{name}") for name in sorted(monitor_vars)),
         )
         main.body.stmts.insert(0, setup)
+        return main.body.nid, 2 + len(setup.expr.args)
+    return 0, 0

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import networkx as nx
 
 from ...minilang import ast_nodes as A
+from ...minilang.nodetable import NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
 
 #: Call names treated as MPI routines by the static pass.
@@ -118,49 +119,39 @@ def _fold_arith(op: str, a, b) -> Optional[object]:
     return None
 
 
-#: Backwards-compatible alias (previously a private cross-module import).
-_static_value = fold_static_value
+class _FunctionSites:
+    """One function's MPI sites and outgoing calls, read off the node
+    table in post-order (arguments before the call that takes them).
 
+    ``num_threads`` clauses are not scanned for MPI calls or callees.
+    """
 
-class _SiteCollector:
-    """Single-function walker tracking OpenMP lexical context."""
-
-    def __init__(self, func: A.FuncDef) -> None:
-        self.func = func
+    def __init__(self, func: A.FuncDef, table: NodeTable) -> None:
         self.sites: List[MPISite] = []
         self.calls_out: List[Tuple[str, bool]] = []  # (callee, in_parallel)
-        self._parallel_depth = 0
-        self._criticals: List[str] = []
-        self._master_depth = 0
-
-    def collect(self) -> None:
-        self._walk_stmt(self.func.body)
-
-    # -- expression side ------------------------------------------------------
-
-    def _walk_expr(self, expr: A.Expr) -> None:
-        if isinstance(expr, A.CallExpr):
-            for arg in expr.args:
-                self._walk_expr(arg)
+        for expr in table.calls(func):
+            ctx = table.ctx[expr.nid]
+            if ctx.clause and isinstance(table.nodes[ctx.clause], A.OmpParallel):
+                continue
+            in_parallel = ctx.region != 0
             name = expr.name
             if name.startswith(MPI_PREFIXES) and name != "mpi_monitor_setup":
-                op = name[1:] if name.startswith("hmpi_") else name
                 self.sites.append(
                     MPISite(
                         nid=expr.nid,
-                        op=op,
-                        func=self.func.name,
+                        op=name[1:] if name.startswith("hmpi_") else name,
+                        func=func.name,
                         loc=f"{expr.loc.line}:{expr.loc.col}",
-                        in_parallel=self._parallel_depth > 0,
-                        lexical_parallel=self._parallel_depth > 0,
-                        criticals=tuple(self._criticals),
-                        in_master=self._master_depth > 0,
+                        in_parallel=in_parallel,
+                        lexical_parallel=in_parallel,
+                        criticals=tuple(c or "<anonymous>" for c in ctx.criticals),
+                        in_master=ctx.master != 0,
                         static_args={
                             i: v
                             for i, arg in enumerate(expr.args)
                             if (v := fold_static_value(arg)) is not None
                         },
-                        call_chain=(self.func.name,),
+                        call_chain=(func.name,),
                     )
                 )
             elif name == "thread_spawn" and expr.args and isinstance(expr.args[0], A.StrLit):
@@ -168,36 +159,12 @@ class _SiteCollector:
                 # spawner: the target function executes in hybrid context.
                 self.calls_out.append((expr.args[0].value, True))
             else:
-                self.calls_out.append((name, self._parallel_depth > 0))
-        else:
-            for child in expr.children():
-                if isinstance(child, A.Expr):
-                    self._walk_expr(child)
+                self.calls_out.append((name, in_parallel))
 
-    # -- statement side -----------------------------------------------------
 
-    def _walk_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.OmpParallel):
-            self._parallel_depth += 1
-            self._walk_stmt(stmt.body)
-            self._parallel_depth -= 1
-            return
-        if isinstance(stmt, A.OmpCritical):
-            self._criticals.append(stmt.name or "<anonymous>")
-            self._walk_stmt(stmt.body)
-            self._criticals.pop()
-            return
-        if isinstance(stmt, (A.OmpMaster, A.OmpSingle)):
-            self._master_depth += 1
-            self._walk_stmt(stmt.body)
-            self._master_depth -= 1
-            return
-        # Generic traversal: visit expressions, then sub-statements.
-        for child in stmt.children():
-            if isinstance(child, A.Expr):
-                self._walk_expr(child)
-            elif isinstance(child, A.Stmt):
-                self._walk_stmt(child)
+def _per_function(program: A.Program) -> Dict[str, _FunctionSites]:
+    table = program.table
+    return {fn.name: _FunctionSites(fn, table) for fn in program.functions}
 
 
 def collect_sites(
@@ -214,12 +181,7 @@ def collect_sites(
     funneled.  *callgraph* lets callers share an already-built
     :class:`..callgraph.CallGraph`.
     """
-    per_func: Dict[str, _SiteCollector] = {}
-    for fn in program.functions:
-        collector = _SiteCollector(fn)
-        collector.collect()
-        per_func[fn.name] = collector
-
+    per_func = _per_function(program)
     if interprocedural:
         hybrid_funcs = _functions_reaching_parallel(program, per_func)
         for fname, collector in per_func.items():
@@ -238,7 +200,7 @@ def collect_sites(
 
 def _inherit_guards(
     program: A.Program,
-    per_func: Dict[str, _SiteCollector],
+    per_func: Dict[str, _FunctionSites],
     hybrid_funcs: Dict[str, Set[str]],
     callgraph: Optional[object],
 ) -> None:
@@ -270,16 +232,11 @@ def functions_called_from_parallel(program: A.Program) -> Set[str]:
     concurrently, so analyses relying on single-team lexical structure
     must treat them conservatively.
     """
-    per_func: Dict[str, _SiteCollector] = {}
-    for fn in program.functions:
-        collector = _SiteCollector(fn)
-        collector.collect()
-        per_func[fn.name] = collector
-    return set(_functions_reaching_parallel(program, per_func))
+    return set(_functions_reaching_parallel(program, _per_function(program)))
 
 
 def _functions_reaching_parallel(
-    program: A.Program, per_func: Dict[str, _SiteCollector]
+    program: A.Program, per_func: Dict[str, _FunctionSites]
 ) -> Dict[str, Set[str]]:
     """Functions transitively callable from inside a parallel region.
 

@@ -47,11 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .summaries import LinForm, SummaryTable
 
 from ...minilang import ast_nodes as A
+from ...minilang.nodetable import NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
 from .. import cfg as C
 from .dataflow.engine import solve
-from .dataflow.lockstate import LockStateAnalysis, critical_token
-from .dataflow.mhp import MHPInfo, compute_mhp, may_happen_in_parallel
+from .dataflow.lockstate import LockStateAnalysis, guard_tokens
+from .dataflow.mhp import MHPInfo, MHPSolution, may_happen_in_parallel
 from .mpi_sites import fold_static_value, functions_called_from_parallel
 from .prunes import count_prune as _count_prune
 from .prunes import make_prune_dict, total_pruned as _total_pruned
@@ -76,9 +77,6 @@ RACE_PRUNE_KINDS = (
     PRUNE_RACE_MHP, PRUNE_RACE_LOCK, PRUNE_RACE_GUARD, PRUNE_RACE_SUBSCRIPT,
     PRUNE_RACE_INTERPROC,
 )
-
-#: guard token for ``omp atomic`` (one process-wide lock at runtime)
-ATOMIC_TOKEN = "atomic"
 
 #: scope marker for program globals in access keys
 GLOBAL_SCOPE = "<global>"
@@ -249,14 +247,6 @@ class StaticRaceReport:
 # ---------------------------------------------------------------------------
 
 
-def _loop_index_name(init: Optional[A.Stmt]) -> Optional[str]:
-    if isinstance(init, A.VarDecl):
-        return init.name
-    if isinstance(init, A.Assign) and isinstance(init.target, A.Name):
-        return init.target.ident
-    return None
-
-
 class _FunctionWalker:
     """Collects shared-variable accesses of one function.
 
@@ -274,10 +264,13 @@ class _FunctionWalker:
         func: A.FuncDef,
         globals_: Dict[str, bool],
         unsafe: bool,
+        table: NodeTable,
     ) -> None:
         self.func = func
         self.globals = globals_
         self.unsafe = unsafe
+        #: the program's node table: the OpenMP context of each access
+        self.table = table
         #: declaration frames: name -> (class, is_array)
         self.frames: List[Dict[str, Tuple[str, bool]]] = [
             {p: (_LOCAL, False) for p in func.params}
@@ -286,12 +279,6 @@ class _FunctionWalker:
         self.region_stack: List[Tuple[RegionInfo, int]] = []
         #: innermost omp-for RegionInfo (classification sink)
         self.ws_stack: List[RegionInfo] = []
-        #: (omp-for nid, loop var, encounters-serial)
-        self.ompfor_stack: List[Tuple[int, Optional[str], bool]] = []
-        self.guard_stack: List[str] = []
-        self.single_stack: List[Tuple[int, bool]] = []
-        self.master_depth = 0
-        self.loop_depth = 0
         self.accesses: List[AccessSite] = []
         self.unresolved: List[AccessSite] = []
         self.regions: List[RegionInfo] = []
@@ -348,7 +335,12 @@ class _FunctionWalker:
         in_region = bool(self.region_stack)
         if not in_region and not (self.unsafe and is_global):
             return  # sequential context: cannot race
-        ompfor = self.ompfor_stack[-1] if self.ompfor_stack else None
+        table = self.table
+        ctx = table.ctx[node.nid]
+        # a schedule chunk is read inside its own omp for
+        clause = ctx.clause
+        omp_for = clause if isinstance(table.nodes[clause], A.OmpFor) else ctx.omp_for
+        single = table.innermost(node.nid, A.OmpSingle)
         site = AccessSite(
             nid=node.nid,
             var=name,
@@ -359,12 +351,12 @@ class _FunctionWalker:
             region=self.region_stack[-1][0].nid if in_region else None,
             is_array=is_array,
             subscript=subscript,
-            omp_for=ompfor[0] if ompfor else None,
-            loop_var=ompfor[1] if ompfor else None,
-            omp_for_serial=ompfor[2] if ompfor else True,
-            guards=frozenset(self.guard_stack),
-            in_master=self.master_depth > 0,
-            single=self.single_stack[-1] if self.single_stack else None,
+            omp_for=omp_for or None,
+            loop_var=table.loop_index(omp_for) if omp_for else None,
+            omp_for_serial=table.encounters_serial(omp_for),
+            guards=guard_tokens(ctx),
+            in_master=table.innermost(node.nid, A.OmpMaster) != 0,
+            single=(single, table.encounters_serial(single)) if single else None,
         )
         if (
             site.region is None
@@ -425,19 +417,15 @@ class _FunctionWalker:
                 self._walk_stmt(stmt.els)
         elif isinstance(stmt, A.While):
             self._reads(stmt.cond)
-            self.loop_depth += 1
             self._walk_block(stmt.body)
-            self.loop_depth -= 1
         elif isinstance(stmt, A.For):
             self.frames.append({})
             if stmt.init is not None:
                 self._walk_stmt(stmt.init)
             self._reads(stmt.cond)
-            self.loop_depth += 1
             if stmt.step is not None:
                 self._walk_stmt(stmt.step)
             self._walk_block(stmt.body)
-            self.loop_depth -= 1
             self.frames.pop()
         elif isinstance(stmt, A.OmpParallel):
             self._walk_parallel(stmt)
@@ -447,23 +435,10 @@ class _FunctionWalker:
             # section-level serialization is the MHP analysis' job
             for section in stmt.sections:
                 self._walk_block(section)
-        elif isinstance(stmt, A.OmpSingle):
-            serial = (self.loop_depth == 0) or not stmt.nowait
-            self.single_stack.append((stmt.nid, serial))
+        elif isinstance(stmt, (A.OmpSingle, A.OmpMaster, A.OmpCritical)):
             self._walk_block(stmt.body)
-            self.single_stack.pop()
-        elif isinstance(stmt, A.OmpMaster):
-            self.master_depth += 1
-            self._walk_block(stmt.body)
-            self.master_depth -= 1
-        elif isinstance(stmt, A.OmpCritical):
-            self.guard_stack.append(critical_token(stmt.name))
-            self._walk_block(stmt.body)
-            self.guard_stack.pop()
         elif isinstance(stmt, A.OmpAtomic):
-            self.guard_stack.append(ATOMIC_TOKEN)
             self._walk_stmt(stmt.stmt)
-            self.guard_stack.pop()
         elif isinstance(stmt, A.OmpBarrier):
             pass
         else:
@@ -501,8 +476,7 @@ class _FunctionWalker:
 
     def _walk_omp_for(self, stmt: A.OmpFor) -> None:
         loop = stmt.loop
-        loop_var = _loop_index_name(loop.init)
-        serial = (self.loop_depth == 0) or not stmt.nowait
+        loop_var = self.table.loop_index(stmt.nid)
         info = RegionInfo(
             nid=stmt.nid,
             func=self.func.name,
@@ -524,19 +498,15 @@ class _FunctionWalker:
         self.regions.append(info)
         self.frames.append(frame)
         self.ws_stack.append(info)
-        self.ompfor_stack.append((stmt.nid, loop_var, serial))
         self._reads(stmt.chunk)
         if isinstance(loop.init, A.VarDecl):
             self._reads(loop.init.init)
         elif isinstance(loop.init, A.Assign):
             self._reads(loop.init.value)
         self._reads(loop.cond)
-        self.loop_depth += 1
         if loop.step is not None:
             self._walk_stmt(loop.step)
         self._walk_block(loop.body)
-        self.loop_depth -= 1
-        self.ompfor_stack.pop()
         self.ws_stack.pop()
         self.frames.pop()
 
@@ -725,8 +695,12 @@ def find_races(
     unsafe_funcs: Optional[Set[str]] = None,
     summaries: Optional["SummaryTable"] = None,
     interprocedural: bool = True,
+    mhp: Optional[MHPSolution] = None,
 ) -> StaticRaceReport:
     """Run the full static race pass over *program*.
+
+    *mhp* is the program's MHP solution when another pass already
+    solved it; the race pass reads its worksharing-phase contexts.
 
     With *cfgs* supplied, the must-held lock-state analysis widens each
     access's lexical guard set path-sensitively (a user lock taken three
@@ -747,7 +721,8 @@ def find_races(
         if unsafe_funcs is not None
         else functions_called_from_parallel(program)
     )
-    mhp = compute_mhp(program, record_all=True, implicit_ws_barriers=True)
+    solution = mhp if mhp is not None else MHPSolution(program)
+    mhp = solution.infos(record_all=True, implicit_ws_barriers=True)
     globals_ = {decl.name: decl.is_array for decl in program.globals}
 
     if summaries is None and interprocedural:
@@ -758,7 +733,7 @@ def find_races(
     report = StaticRaceReport()
     user_funcs = frozenset(fn.name for fn in program.functions)
     for fn in program.functions:
-        walker = _FunctionWalker(fn, globals_, unsafe=fn.name in unsafe)
+        walker = _FunctionWalker(fn, globals_, fn.name in unsafe, program.table)
         walker.run()
         report.accesses.extend(walker.accesses)
         report.unresolved.extend(walker.unresolved)
@@ -894,7 +869,7 @@ def _widen_guards(
     accesses: List[AccessSite], cfg: C.CFG, user_funcs: FrozenSet[str]
 ) -> None:
     """Merge must-held lock tokens into each access's guard set."""
-    result = solve(cfg, LockStateAnalysis(user_funcs))
+    result = solve(cfg, LockStateAnalysis(user_funcs, table=cfg.table))
     node_map = C.innermost_node_map(cfg)
     for site in accesses:
         node = node_map.get(site.nid)

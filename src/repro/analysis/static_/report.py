@@ -12,6 +12,7 @@ from .candidates import ViolationCandidate, candidate_summary, find_candidates
 from .checklist import Checklist, build_checklist
 from .collectives import CollectiveDivergenceReport, find_collective_divergence
 from .dataflow import DataflowFacts, compute_dataflow
+from .dataflow.mhp import MHPSolution
 from .instrument import InstrumentationResult, InstrumentPolicy, instrument_program
 from .mpi_sites import MPISite, collect_sites
 from .prunes import prune_summary
@@ -366,8 +367,10 @@ def _run_static_analysis(
         if callgraph is not None
         else None
     )
+    # one MHP solve serves both the MPI-candidate facts and the races
+    mhp = MHPSolution(program) if dataflow or races else None
     facts = (
-        compute_dataflow(program, cfgs, sites, summaries=table)
+        compute_dataflow(program, cfgs, sites, summaries=table, mhp=mhp)
         if dataflow
         else None
     )
@@ -378,6 +381,7 @@ def _run_static_analysis(
             unsafe_funcs=facts.unsafe_funcs if facts is not None else None,
             summaries=table,
             interprocedural=table is not None,
+            mhp=mhp,
         )
         if races
         else None

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...minilang import ast_nodes as A
+from ...minilang.nodetable import NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
 from .. import cfg as C
 from .callgraph import CallGraph, CallSite, build_callgraph
@@ -208,10 +209,10 @@ def _eval_form(expr: A.Expr, env: _Env) -> Optional[LinForm]:
     return None
 
 
-def _assigned_names(stmt: A.Stmt) -> Set[str]:
+def _assigned_names(stmt: A.Stmt, table: NodeTable) -> Set[str]:
     """Every name assigned (or declared) anywhere under *stmt*."""
     out: Set[str] = set()
-    for node in stmt.walk():
+    for node in table.subtree(stmt):
         if isinstance(node, A.VarDecl):
             out.add(node.name)
         elif isinstance(node, A.Assign):
@@ -277,9 +278,12 @@ class _FormWalker:
     """Records the linear form of every ``Index`` subscript and every
     user-call argument list of one function, in execution order."""
 
-    def __init__(self, func: A.FuncDef, user_funcs: FrozenSet[str]) -> None:
+    def __init__(
+        self, func: A.FuncDef, user_funcs: FrozenSet[str], table: NodeTable
+    ) -> None:
         self.func = func
         self.user_funcs = user_funcs
+        self.table = table
         self.env: _Env = {p: LinForm(p, 1, 0, 0) for p in func.params}
         #: Index-expr nid -> subscript form (None = unknown)
         self.index_forms: Dict[int, Optional[LinForm]] = {}
@@ -344,13 +348,13 @@ class _FormWalker:
                 merged[name] = a if a == b else None
             self.env = merged
         elif isinstance(stmt, A.While):
-            self._kill(_assigned_names(stmt))
+            self._kill(_assigned_names(stmt, self.table))
             self._scan_expr(stmt.cond)
             self._walk_stmt(stmt.body)
-            self._kill(_assigned_names(stmt))
+            self._kill(_assigned_names(stmt, self.table))
         elif isinstance(stmt, A.For):
             counted = _counted_loop_range(stmt, self.env)
-            assigned = _assigned_names(stmt)
+            assigned = _assigned_names(stmt, self.table)
             self._kill(assigned)
             if counted is not None:
                 name, lo, hi = counted
@@ -362,11 +366,11 @@ class _FormWalker:
             # team execution: composed sequential reasoning stops here;
             # accesses inside have a lexical region of their own
             self._scan_expr(stmt.num_threads)
-            self._kill(_assigned_names(stmt))
+            self._kill(_assigned_names(stmt, self.table))
         elif isinstance(stmt, A.OmpFor):
             # orphaned worksharing: the distribution context is its own
             # (such accesses are never instantiated through calls)
-            self._kill(_assigned_names(stmt))
+            self._kill(_assigned_names(stmt, self.table))
         elif isinstance(stmt, (A.OmpSingle, A.OmpMaster, A.OmpCritical)):
             self._walk_stmt(stmt.body)
         elif isinstance(stmt, A.OmpAtomic):
@@ -393,7 +397,7 @@ def _own_accesses(
     """The function's own would-be-unresolved accesses, parameterized."""
     from .races import _FunctionWalker
 
-    walker = _FunctionWalker(fn, globals_, unsafe=True)
+    walker = _FunctionWalker(fn, globals_, True, forms.table)
     walker.run()
     out: List[SummaryAccess] = []
     for site in walker.unresolved:
@@ -448,14 +452,14 @@ def _rebase(
 
 def _lock_transparent(cg: CallGraph, program: A.Program) -> FrozenSet[str]:
     """Functions that provably leave user-lock state alone."""
-    touching: Set[str] = set()
-    for fn in program.functions:
-        for node in fn.body.walk():
-            if isinstance(node, A.CallExpr) and node.name in (
-                "omp_set_lock", "omp_unset_lock",
-            ):
-                touching.add(fn.name)
-                break
+    touching = {
+        fn.name
+        for fn in program.functions
+        if any(
+            call.name in ("omp_set_lock", "omp_unset_lock")
+            for call in program.table.calls(fn)
+        )
+    }
     may_touch: Set[str] = set()
     import networkx as nx
 
@@ -472,6 +476,7 @@ def _taint_fixpoint(
     cfgs: Dict[str, C.CFG],
 ) -> Tuple[Dict[str, FrozenSet[str]], FrozenSet[str]]:
     """Top-down parameter taint and bottom-up return taint, to fixpoint."""
+    table = program.table
     funcs = {fn.name: fn for fn in program.functions}
     tainted_params: Dict[str, FrozenSet[str]] = {
         name: frozenset() for name in funcs
@@ -480,13 +485,16 @@ def _taint_fixpoint(
     call_maps = {
         name: C.innermost_node_map(cfg) for name, cfg in cfgs.items() if name in funcs
     }
-    calls_by_func: Dict[str, List[Tuple[A.CallExpr, str]]] = {}
-    for fn in program.functions:
-        rows: List[Tuple[A.CallExpr, str]] = []
-        for node in fn.body.walk():
-            if isinstance(node, A.CallExpr) and node.name in funcs:
-                rows.append((node, node.name))
-        calls_by_func[fn.name] = rows
+    # user calls in pre-order, and the omp-for indices every solve seeds
+    calls_by_func: Dict[str, List[Tuple[A.CallExpr, str]]] = {
+        fn.name: [
+            (node, node.name)
+            for node in table.subtree(fn.body)
+            if isinstance(node, A.CallExpr) and node.name in funcs
+        ]
+        for fn in program.functions
+    }
+    loop_indices = {name: omp_for_indices(fn, table) for name, fn in funcs.items()}
 
     for _ in range(len(funcs) + 2):
         changed = False
@@ -495,7 +503,7 @@ def _taint_fixpoint(
             cfg = cfgs.get(name)
             if cfg is None:
                 continue
-            always = omp_for_indices(fn) | tainted_params[name]
+            always = loop_indices[name] | tainted_params[name]
             result = solve_thread_dependence_with(cfg, always, frozen_ret)
             node_map = call_maps.get(name, {})
             for call, callee in calls_by_func[name]:
@@ -507,7 +515,7 @@ def _taint_fixpoint(
                 for i, arg in enumerate(call.args):
                     if i >= len(callee_params):
                         break
-                    if expr_thread_dependent(arg, fact, frozen_ret):
+                    if expr_thread_dependent(arg, fact, frozen_ret, table):
                         newly.add(callee_params[i])
                 merged = tainted_params[callee] | newly
                 if merged != tainted_params[callee]:
@@ -525,7 +533,7 @@ def _taint_fixpoint(
                     continue
                 fact = result.fact_before(cfg_node)
                 fact = fact if fact is not None else always
-                if expr_thread_dependent(ret.value, fact, frozen_ret):
+                if expr_thread_dependent(ret.value, fact, frozen_ret, table):
                     ret_tainted.add(name)
                     changed = True
                     break
@@ -547,7 +555,7 @@ def compute_summaries(
 
     form_walkers: Dict[str, _FormWalker] = {}
     for fn in program.functions:
-        walker = _FormWalker(fn, cg.user_funcs)
+        walker = _FormWalker(fn, cg.user_funcs, program.table)
         walker.run()
         form_walkers[fn.name] = walker
 

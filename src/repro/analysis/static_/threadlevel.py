@@ -62,7 +62,7 @@ class ThreadLevelInfo:
 
 def infer_thread_level(program: A.Program) -> ThreadLevelInfo:
     """Find the program's MPI initialization call and its requested level."""
-    for node in program.walk():
+    for node in program.table.nodes[1:]:
         if not isinstance(node, A.CallExpr):
             continue
         name = node.name.removeprefix("h")

@@ -15,8 +15,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, Optional, TextIO, Tuple, Union
 
 from ..errors import AnalysisError
 from ..jsonlines import read_json_lines
@@ -52,24 +53,44 @@ _TYPES = {
 }
 
 
+#: ``json.dumps``'s encoder, bound once: ``JSONEncoder.encode`` builds
+#: a fresh C encoder on every call.  Same settings as ``json.dumps``
+#: (ASCII output, ``", "``/``": "`` separators, NaN allowed), minus the
+#: circular-reference check: no event holds a reference cycle.
+_c_encode = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None,
+    ": ", ", ", False, False, True,
+)
+
+
+def _encode(obj: Any) -> str:
+    return "".join(_c_encode(obj, 0))
+
+
+def _kind_name(value: Any) -> Any:
+    return value.name if isinstance(value, MonitoredKind) else value
+
+
 @functools.cache
-def _field_names(cls: type) -> Tuple[str, ...]:
-    """*cls*'s field names in declaration order, looked up once per
-    class rather than once per dumped event."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+def _line_dict(cls: type) -> Callable[[Event], Dict[str, Any]]:
+    """A function building *cls*'s trace-line dict, compiled once per
+    class: ``t`` first, then the fields in declaration order.  Only the
+    fields that may hold a :class:`MonitoredKind` convert it to its
+    name.  Tuple fields need no conversion: the encoder writes a tuple
+    exactly as the list it once was converted to."""
+    items = [f'"t": {cls.__name__!r}']
+    for f in dataclasses.fields(cls):
+        value = f"e.{f.name}"
+        if f.type in ("MonitoredKind", "Any"):
+            value = f"_kind_name({value})"
+        items.append(f"{f.name!r}: {value}")
+    return eval(  # noqa: S307 - built from dataclass field names only
+        f"lambda e: {{{', '.join(items)}}}", {"_kind_name": _kind_name}
+    )
 
 
-def _event_to_dict(event: Event) -> Dict[str, Any]:
-    cls = type(event)
-    out: Dict[str, Any] = {"t": cls.__name__}
-    for name in _field_names(cls):
-        value = getattr(event, name)
-        if isinstance(value, MonitoredKind):
-            value = value.name
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[name] = value
-    return out
+def _event_line(event: Event) -> str:
+    return _encode(_line_dict(type(event))(event))
 
 
 def _event_from_dict(data: Dict[str, Any]) -> Event:
@@ -102,9 +123,10 @@ def dump_log(
                   "events": len(log)}
         if metadata:
             header["meta"] = metadata
-        fh.write(json.dumps(header) + "\n")
-        for event in log:
-            fh.write(json.dumps(_event_to_dict(event)) + "\n")
+        lines = [json.dumps(header)]
+        lines.extend(map(_event_line, log))
+        lines.append("")
+        fh.write("\n".join(lines))
     finally:
         if own:
             fh.close()

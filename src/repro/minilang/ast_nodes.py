@@ -27,14 +27,16 @@ def renumber_nids(root: "Node") -> "Node":
     tree (instrumentation, violation injection, the serializing fix)
     calls it once at the end.  Ids are therefore a pure function of the
     program's structure, never of what else the process has parsed.
+    The same walk builds a program's node table (:attr:`Program.table`).
     Returns ``root`` for call-site convenience.
     """
-    for nid, node in enumerate(root.walk(), start=1):
-        node.nid = nid
+    table = NodeTable(root)
+    if isinstance(root, Program):
+        root._table = table
     return root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLoc:
     """A (line, column) position in mini-language source text."""
 
@@ -539,7 +541,7 @@ class FuncDef(Node):
 class Program(Node):
     """A whole mini-language translation unit."""
 
-    __slots__ = ("name", "globals", "functions")
+    __slots__ = ("name", "globals", "functions", "_table")
 
     def __init__(
         self,
@@ -553,6 +555,27 @@ class Program(Node):
         self.globals = list(globals)
         self.functions = list(functions)
         renumber_nids(self)
+
+    @property
+    def table(self) -> "NodeTable":
+        """The node table built by the last :func:`renumber_nids`.
+
+        A copy made without it (unpickled, or copied by the ``copy``
+        module) numbers itself again on first use; its ids are already
+        pre-order, so they do not change.
+        """
+        table = getattr(self, "_table", None)
+        if table is None:
+            renumber_nids(self)
+            table = self._table
+        return table
+
+    def __getstate__(self) -> tuple:
+        # the node table is derived state: leave it out of pickles/copies
+        return None, {
+            slot: getattr(self, slot)
+            for slot in ("nid", "loc", "name", "globals", "functions")
+        }
 
     def children(self) -> Iterator[Node]:
         yield from self.globals
@@ -584,3 +607,6 @@ OMP_DIRECTIVE_TYPES = (
     OmpMaster,
     OmpAtomic,
 )
+
+
+from .nodetable import NodeTable  # noqa: E402  (imports this module)

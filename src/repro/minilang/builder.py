@@ -9,7 +9,7 @@ property tests rely on.
 
 from __future__ import annotations
 
-import copy
+import functools
 from typing import Optional, Sequence, Union
 
 from . import ast_nodes as A
@@ -204,25 +204,43 @@ def program(pname: str, functions: Sequence[A.FuncDef], globals: Sequence[A.VarD
 
 
 def clone(node: A.Node) -> A.Node:
-    """Deep-copy an AST subtree, keeping its node ids.
+    """Structural copy of an AST subtree, keeping its node ids.
 
     Transforms rewrite the copy so they never alias nodes with the
     original; because the ids match, anything the static phase keyed on
     the original's ids addresses the copy directly.  A transform that
     adds or removes nodes renumbers the copy once it is done
     (:func:`~repro.minilang.ast_nodes.renumber_nids`).
+
+    Child nodes are copied; lists (clause name lists, reductions) are
+    copied shallowly; everything else, including the frozen
+    :class:`~repro.minilang.ast_nodes.SourceLoc`, is shared.
     """
-    return copy.deepcopy(node)
+    cls = type(node)
+    new = cls.__new__(cls)
+    for slot in _copy_slots(cls):
+        value = getattr(node, slot)
+        if isinstance(value, A.Node):
+            value = clone(value)
+        elif type(value) is list:
+            value = [clone(v) if isinstance(v, A.Node) else v for v in value]
+        setattr(new, slot, value)
+    return new
 
 
-_EQ_IGNORED_SLOTS = {"nid", "loc"}
+_EQ_IGNORED_SLOTS = {"nid", "loc", "_table"}
 
 
-def _node_fields(node: A.Node) -> list:
-    slots: list = []
-    for klass in type(node).__mro__:
-        slots.extend(getattr(klass, "__slots__", ()))
-    return [s for s in slots if s not in _EQ_IGNORED_SLOTS]
+@functools.cache
+def _copy_slots(cls: type) -> tuple:
+    """Every slot of *cls* except derived state (a program's table)."""
+    slots = [s for klass in cls.__mro__ for s in getattr(klass, "__slots__", ())]
+    return tuple(s for s in slots if s != "_table")
+
+
+@functools.cache
+def _node_fields(cls: type) -> tuple:
+    return tuple(s for s in _copy_slots(cls) if s not in _EQ_IGNORED_SLOTS)
 
 
 def ast_equal(a: object, b: object) -> bool:
@@ -232,7 +250,7 @@ def ast_equal(a: object, b: object) -> bool:
     if isinstance(a, A.Node):
         if type(a) is not type(b):
             return False
-        for fname in _node_fields(a):
+        for fname in _node_fields(type(a)):
             if not ast_equal(getattr(a, fname), getattr(b, fname)):
                 return False
         return True

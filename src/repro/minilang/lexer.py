@@ -4,12 +4,21 @@ Produces a flat list of :class:`Token` objects.  The token stream keeps
 line/column information so downstream error messages and violation
 reports can point back at source locations, mirroring how the paper's
 tool reports "all possible code locations involved in errors".
+
+The scan is one compiled master regular expression matched at the
+current position; the name of the alternative that matched decides the
+token kind.  Columns count code points from 1, as ``line_start`` tracks
+the offset just past the last newline.  Identifiers continue over
+``\\w`` (Unicode letters, digits and ``_``, the same set as
+``str.isalnum() or "_"``); numbers use ``str.isdigit``, which is wider
+than the ASCII fast path, so a number that touches a non-ASCII
+character is re-scanned character by character (:func:`_number_end`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from ..errors import LexError
 
@@ -23,17 +32,7 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators first so maximal munch works by scan order.
-OPERATORS = (
-    "&&", "||", "==", "!=", "<=", ">=",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!",
-)
-
-PUNCT = ("(", ")", "{", "}", "[", "]", ",", ";", ":")
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str  # 'ident', 'keyword', 'int', 'float', 'string', 'op', 'punct', 'eof'
@@ -41,144 +40,118 @@ class Token:
     line: int
     col: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+
+# Alternatives are tried in order: trivia first, and two-character
+# operators before one-character ones (maximal munch).
+_MASTER = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*|/\*[\s\S]*?\*/)
+  | (?P<open_comment>/\*)
+  | (?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_]\w*)
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*"|'(?:[^'\\\n]|\\[\s\S])*')
+  | (?P<open_string>["'])
+  | (?P<op>&&|\|\||==|!=|<=|>=|[-+*/%<>=!])
+  | (?P<punct>[(){}\[\],;:])
+  | (?P<other>[\s\S])
+    """,
+    re.VERBOSE,
+)
+_WORD_TAIL = re.compile(r"\w*")
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
 
 
-class Lexer:
-    """Streaming tokenizer over mini-language source text."""
+def _unescape(match: "re.Match[str]") -> str:
+    esc = match.group(1)
+    return _ESCAPES.get(esc, esc)
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- low-level helpers -------------------------------------------------
+def _number_end(source: str, pos: int) -> int:
+    """End of the numeric literal at *pos*, with ``str.isdigit`` digits."""
+    n = len(source)
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
+    def digit(i: int) -> bool:
+        return i < n and source[i].isdigit()
 
-    def _advance(self, n: int = 1) -> str:
-        text = self.source[self.pos : self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return text
+    while digit(pos):
+        pos += 1
+    if pos < n and source[pos] == "." and digit(pos + 1):
+        pos += 1
+        while digit(pos):
+            pos += 1
+    if pos < n and source[pos] in "eE" and (
+        digit(pos + 1) or (pos + 1 < n and source[pos + 1] in "+-" and digit(pos + 2))
+    ):
+        pos += 2
+        while digit(pos):
+            pos += 1
+    return pos
 
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and ``//`` / ``/* */`` comments."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line, start_col)
-            else:
-                return
 
-    # -- token producers ----------------------------------------------------
-
-    def _lex_number(self) -> Token:
-        line, col = self.line, self.col
-        text = ""
-        while self._peek().isdigit():
-            text += self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            text += self._advance()
-            while self._peek().isdigit():
-                text += self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            text += self._advance()
-            if self._peek() in "+-":
-                text += self._advance()
-            while self._peek().isdigit():
-                text += self._advance()
-        if self._peek().isalpha() or self._peek() == "_":
-            raise LexError(f"invalid numeric literal {text + self._peek()!r}", line, col)
-        return Token("float" if is_float else "int", text, line, col)
-
-    def _lex_ident(self) -> Token:
-        line, col = self.line, self.col
-        text = ""
-        while self._peek().isalnum() or self._peek() == "_":
-            text += self._advance()
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, col)
-
-    def _lex_string(self) -> Token:
-        line, col = self.line, self.col
-        quote = self._advance()
-        text = ""
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexError("unterminated string literal", line, col)
-            if ch == "\n":
-                raise LexError("newline in string literal", line, col)
-            if ch == quote:
-                self._advance()
-                return Token("string", text, line, col)
-            if ch == "\\":
-                self._advance()
-                esc = self._advance()
-                text += {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}.get(
-                    esc, esc
-                )
-            else:
-                text += self._advance()
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield all tokens, terminated by a single ``eof`` token."""
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                yield Token("eof", "", self.line, self.col)
-                return
-            ch = self._peek()
-            if ch.isdigit():
-                yield self._lex_number()
-            elif ch.isalpha() or ch == "_":
-                yield self._lex_ident()
-            elif ch in "\"'":
-                yield self._lex_string()
-            else:
-                line, col = self.line, self.col
-                for op in OPERATORS:
-                    if self.source.startswith(op, self.pos):
-                        self._advance(len(op))
-                        yield Token("op", op, line, col)
-                        break
-                else:
-                    if ch in PUNCT:
-                        self._advance()
-                        yield Token("punct", ch, line, col)
-                    else:
-                        raise LexError(f"unexpected character {ch!r}", line, col)
+def _string_error(source: str, start: int, line: int, col: int) -> LexError:
+    """The error for an unterminated string literal opening at *start*."""
+    pos = start + 1
+    while pos < len(source):
+        ch = source[pos]
+        if ch == "\n":
+            return LexError("newline in string literal", line, col)
+        pos += 2 if ch == "\\" else 1
+    return LexError("unterminated string literal", line, col)
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source*, returning a list ending with the ``eof`` token."""
-    return list(Lexer(source).tokens())
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    match = _MASTER.match
+    keywords = KEYWORDS
+    line, line_start, pos, n = 1, 0, 0, len(source)
+    while pos < n:
+        m = match(source, pos)
+        kind, end = m.lastgroup, m.end()
+        if kind == "ws" or kind == "comment":
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, end) + 1
+            pos = end
+            continue
+        col = pos - line_start + 1
+        if kind == "other":
+            ch = m.group()
+            if ch.isdigit():
+                kind = "num"
+            elif ch.isalpha():
+                kind, end = "ident", _WORD_TAIL.match(source, end).end()
+            else:
+                raise LexError(f"unexpected character {ch!r}", line, col)
+        if kind == "ident":
+            text = source[pos:end]
+            append(new(Token, ("keyword" if text in keywords else "ident", text, line, col)))
+        elif kind == "op" or kind == "punct":
+            append(new(Token, (kind, m.group(), line, col)))
+        elif kind == "num":
+            if not source[pos:end + 3].isascii():
+                end = _number_end(source, pos)
+            text = source[pos:end]
+            nxt = source[end:end + 1]
+            if nxt and (nxt.isalpha() or nxt == "_"):
+                raise LexError(f"invalid numeric literal {text + nxt!r}", line, col)
+            append(new(Token, ("int" if text.isdigit() else "float", text, line, col)))
+        elif kind == "string":
+            raw = source[pos + 1:end - 1]
+            body = _ESCAPE.sub(_unescape, raw) if "\\" in raw else raw
+            append(new(Token, ("string", body, line, col)))
+            if "\n" in raw:  # an escaped newline continues the literal
+                line += raw.count("\n")
+                line_start = source.rindex("\n", pos, end) + 1
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line, col)
+        elif kind == "open_string":
+            raise _string_error(source, pos, line, col)
+        pos = end
+    append(new(Token, ("eof", "", line, n - line_start + 1)))
+    return tokens

@@ -81,8 +81,10 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # ``pos`` never passes the final ``eof`` token (see _advance)
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -91,7 +93,7 @@ class Parser:
         return tok
 
     def _check(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def _match(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -477,18 +479,18 @@ class Parser:
     def _parse_expr(self, min_prec: int = 1) -> A.Expr:
         left = self._parse_unary()
         while True:
-            tok = self._peek()
+            tok = self.tokens[self.pos]
             if tok.kind != "op" or tok.text not in _PRECEDENCE:
                 return left
             prec = _PRECEDENCE[tok.text]
             if prec < min_prec:
                 return left
-            self._advance()
+            self.pos += 1
             right = self._parse_expr(prec + 1)
-            left = A.Binary(tok.text, left, right, loc=self._loc(tok))
+            left = A.Binary(tok.text, left, right, loc=A.SourceLoc(tok.line, tok.col))
 
     def _parse_unary(self) -> A.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.text in ("-", "!"):
             self._advance()
             self._descend(tok)
@@ -502,8 +504,9 @@ class Parser:
     def _parse_postfix(self) -> A.Expr:
         expr = self._parse_primary()
         while True:
-            if self._check("punct", "["):
-                tok = self._advance()
+            tok = self.tokens[self.pos]
+            if tok.kind == "punct" and tok.text == "[":
+                self.pos += 1
                 index = self._parse_expr()
                 self._expect("punct", "]")
                 expr = A.Index(expr, index, loc=self._loc(tok))
@@ -511,21 +514,11 @@ class Parser:
                 return expr
 
     def _parse_primary(self) -> A.Expr:
-        tok = self._peek()
-        if tok.kind == "int":
-            self._advance()
-            return A.IntLit(int(tok.text), loc=self._loc(tok))
-        if tok.kind == "float":
-            self._advance()
-            return A.FloatLit(float(tok.text), loc=self._loc(tok))
-        if tok.kind == "string":
-            self._advance()
-            return A.StrLit(tok.text, loc=self._loc(tok))
-        if tok.kind == "keyword" and tok.text in ("true", "false"):
-            self._advance()
-            return A.BoolLit(tok.text == "true", loc=self._loc(tok))
-        if tok.kind == "ident":
-            self._advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        # literal and identifier tokens are never the final eof
+        if kind == "ident":
+            self.pos += 1
             if self._check("punct", "("):
                 self._advance()
                 args: List[A.Expr] = []
@@ -535,8 +528,20 @@ class Parser:
                         args.append(self._parse_expr())
                 self._expect("punct", ")")
                 return A.CallExpr(tok.text, args, loc=self._loc(tok))
-            return A.Name(tok.text, loc=self._loc(tok))
-        if tok.kind == "punct" and tok.text == "(":
+            return A.Name(tok.text, loc=A.SourceLoc(tok.line, tok.col))
+        if kind == "int":
+            self.pos += 1
+            return A.IntLit(int(tok.text), loc=A.SourceLoc(tok.line, tok.col))
+        if kind == "float":
+            self.pos += 1
+            return A.FloatLit(float(tok.text), loc=self._loc(tok))
+        if kind == "string":
+            self.pos += 1
+            return A.StrLit(tok.text, loc=self._loc(tok))
+        if kind == "keyword" and tok.text in ("true", "false"):
+            self.pos += 1
+            return A.BoolLit(tok.text == "true", loc=self._loc(tok))
+        if kind == "punct" and tok.text == "(":
             self._advance()
             self._descend(tok)
             try:

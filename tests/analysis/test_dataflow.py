@@ -235,6 +235,40 @@ class TestEnvelopePropagation:
         assert facts.envelope(a).tag is None
         assert not facts.envelopes_disjoint(a, b)
 
+    def test_nested_shadowing_declaration_does_not_unpoison(self):
+        # The inner "var tag" is a different variable: the writes in the
+        # region still go to the shared outer "tag".
+        facts, sites = facts_for(ENVELOPE_HEAD + """
+    var tag = 0;
+    omp parallel num_threads(2) {
+        tag = rank + 4;
+        mpi_recv(buf, 1, 0, tag, MPI_COMM_WORLD);
+        tag = rank + 9;
+        mpi_recv(buf, 1, 0, tag, MPI_COMM_WORLD);
+        if (rank > 100) { var tag = 1; }
+    }
+    mpi_finalize();
+}
+""")
+        a, b = site(sites, "mpi_recv", 0), site(sites, "mpi_recv", 1)
+        assert facts.envelope(a).tag is None
+        assert not facts.envelopes_disjoint(a, b)
+
+    def test_write_to_region_declared_variable_not_poisoned(self):
+        facts, sites = facts_for(ENVELOPE_HEAD + """
+    omp parallel num_threads(2) {
+        var tag = 0;
+        tag = rank + 4;
+        mpi_recv(buf, 1, 0, tag, MPI_COMM_WORLD);
+        var tag2 = rank + 9;
+        mpi_recv(buf, 1, 0, tag2, MPI_COMM_WORLD);
+    }
+    mpi_finalize();
+}
+""")
+        a, b = site(sites, "mpi_recv", 0), site(sites, "mpi_recv", 1)
+        assert facts.envelopes_disjoint(a, b)
+
     def test_region_local_declaration_not_poisoned(self):
         facts, sites = facts_for(ENVELOPE_HEAD + """
     omp parallel num_threads(2) {

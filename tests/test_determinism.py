@@ -10,7 +10,7 @@ from itertools import zip_longest
 
 import pytest
 
-from helpers import MPI_PAIR_HEADER, wrap_main
+from helpers import MPI_PAIR_HEADER, npb_sources, wrap_main
 
 from repro.analysis.static_ import collect_sites, instrument_program, run_static_analysis
 from repro.baselines import IntelThreadChecker, Marmot
@@ -18,6 +18,7 @@ from repro.events.serialize import dump_log
 from repro.home import check_program
 from repro.minilang import builder as B
 from repro.minilang import parse, validate
+from repro.minilang.ast_nodes import OmpParallel as A_OmpParallel
 from repro.runtime import RunConfig, run_program
 from repro.violations.fixes import apply_serializing_fix
 from repro.workloads.case_studies import case_study_2
@@ -157,8 +158,25 @@ class TestNodeNumbering:
 
     @staticmethod
     def _assert_numbered(program):
-        nids = [n.nid for n in program.walk()]
+        nodes = list(program.walk())
+        nids = [n.nid for n in nodes]
         assert nids == list(range(1, len(nids) + 1))
+        # the node table built by the same walk agrees with the tree
+        table = program.table
+        assert len(table.nodes) == len(nodes) + 1
+        for node in nodes:
+            assert table.node(node.nid) is node
+            assert table.node(node.nid).nid == node.nid
+            for child in node.children():
+                assert table.parent[child.nid] == node.nid
+            assert table.subtree(node) == list(node.walk())
+        assert table.parent[program.nid] == 0
+        # a structural clone is equal, keeps the ids and aliases nothing
+        copy = B.clone(program)
+        assert B.ast_equal(copy, program)
+        assert [n.nid for n in copy.walk()] == nids
+        originals = {id(n) for n in nodes}
+        assert not any(id(n) in originals for n in copy.walk())
 
     def test_parse(self):
         self._assert_numbered(parse(COMM_PROGRAM))
@@ -186,6 +204,53 @@ class TestNodeNumbering:
         repair = apply_serializing_fix(program, check_program(program).violations)
         assert repair.wrapped_statements > 0
         self._assert_numbered(repair.program)
+
+
+class TestNodeTable:
+    """The static phase reads the node table instead of walking."""
+
+    def test_static_analysis_walks_only_to_build_tables(self, monkeypatch):
+        program = parse(lu_mz_source(inject=True))
+        program.table
+        from repro.minilang import ast_nodes as A
+
+        roots = []
+        original = A.Node.walk
+
+        def counting_walk(self):
+            roots.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(A.Node, "walk", counting_walk)
+        run_static_analysis(program, cache=False)
+        assert roots == []
+
+    def test_unpickled_program_rebuilds_its_table(self):
+        import pickle
+
+        program = parse(lu_mz_source(inject=True))
+        copy = pickle.loads(pickle.dumps(program))
+        assert [n.nid for n in copy.walk()] == [n.nid for n in program.walk()]
+        assert copy.table.node(5).nid == 5
+        assert B.ast_equal(copy, program)
+
+    @pytest.mark.parametrize("name", ["lu", "racy-lu", "div", "ip"])
+    def test_regions_follow_parent_links(self, name):
+        program = parse(npb_sources()[name])
+        table = program.table
+        for node in program.walk():
+            ctx = table.ctx[node.nid]
+            chain, up = [], table.parent[node.nid]
+            while up:
+                parent = table.node(up)
+                if isinstance(parent, A_OmpParallel) and not (
+                    parent.num_threads is not None
+                    and table.contains(parent.num_threads.nid, node.nid)
+                ):
+                    chain.append(up)
+                up = table.parent[up]
+            assert table.regions(node.nid) == tuple(reversed(chain))
+            assert ctx.region == (chain[0] if chain else 0)
 
 
 class TestToolDeterminism:
