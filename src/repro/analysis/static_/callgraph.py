@@ -111,13 +111,11 @@ def _call_sites(
     func: A.FuncDef, table: NodeTable, user_funcs: FrozenSet[str]
 ) -> List[CallSite]:
     """Every user-function call of *func*, in context, read off the node
-    table in post-order.  ``omp for`` chunk clauses are not scanned."""
+    table in post-order, clause expressions included."""
     sites: List[CallSite] = []
-    nodes, ctxs = table.nodes, table.ctx
+    ctxs = table.ctx
     for call in table.calls(func):
         ctx = ctxs[call.nid]
-        if ctx.clause and isinstance(nodes[ctx.clause], A.OmpFor):
-            continue
         if call.name in user_funcs:
             callee, spawned = call.name, False
         elif (

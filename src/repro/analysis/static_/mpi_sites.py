@@ -123,7 +123,8 @@ class _FunctionSites:
     """One function's MPI sites and outgoing calls, read off the node
     table in post-order (arguments before the call that takes them).
 
-    ``num_threads`` clauses are not scanned for MPI calls or callees.
+    A call in a ``num_threads`` clause is a site like any other: the
+    clause runs in the construct's enclosing context.
     """
 
     def __init__(self, func: A.FuncDef, table: NodeTable) -> None:
@@ -131,8 +132,6 @@ class _FunctionSites:
         self.calls_out: List[Tuple[str, bool]] = []  # (callee, in_parallel)
         for expr in table.calls(func):
             ctx = table.ctx[expr.nid]
-            if ctx.clause and isinstance(table.nodes[ctx.clause], A.OmpParallel):
-                continue
             in_parallel = ctx.region != 0
             name = expr.name
             if name.startswith(MPI_PREFIXES) and name != "mpi_monitor_setup":

@@ -732,14 +732,17 @@ def find_races(
 
     report = StaticRaceReport()
     user_funcs = frozenset(fn.name for fn in program.functions)
+    walked = summaries.race_walks if summaries is not None else {}
     for fn in program.functions:
-        walker = _FunctionWalker(fn, globals_, fn.name in unsafe, program.table)
-        walker.run()
+        walker = _walk(fn, globals_, fn.name in unsafe, program.table, walked)
         report.accesses.extend(walker.accesses)
         report.unresolved.extend(walker.unresolved)
         report.regions.extend(walker.regions)
         if cfgs and fn.name in cfgs and walker.accesses:
             _widen_guards(walker.accesses, cfgs[fn.name], user_funcs)
+    # used up; also keeps the walks out of a static report that is
+    # shipped to campaign workers
+    walked.clear()
 
     contexts = None
     if summaries is not None:
@@ -762,6 +765,25 @@ def find_races(
                     continue
                 _check_pair(report, key, a, b, mhp, unsafe, contexts)
     return report
+
+
+def _walk(
+    func: A.FuncDef,
+    globals_: Dict[str, bool],
+    unsafe: bool,
+    table: NodeTable,
+    walked: Dict[str, _FunctionWalker],
+) -> _FunctionWalker:
+    """*func*'s race walk: the summary layer's walk from *walked* when
+    it walked this same function with this *unsafe* flag (a walk is a
+    function of the function, its program and the flag), else a fresh
+    one.  The race pass widens a walk's guards in place, so it empties
+    *walked* once it has taken what it reuses."""
+    walker = walked.get(func.name)
+    if walker is None or walker.func is not func or walker.unsafe != unsafe:
+        walker = _FunctionWalker(func, globals_, unsafe, table)
+        walker.run()
+    return walker
 
 
 def _instantiate_summaries(

@@ -38,7 +38,7 @@ composition depth through sequential chains is capped at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...minilang import ast_nodes as A
 from ...minilang.nodetable import NodeTable
@@ -50,6 +50,9 @@ from .dataflow.divergence import (
     omp_for_indices,
     solve_thread_dependence_with,
 )
+
+if TYPE_CHECKING:
+    from .races import _FunctionWalker
 
 #: symbolic base standing for ``omp_get_thread_num()`` in a LinForm
 TID_BASE = "<tid>"
@@ -134,6 +137,10 @@ class SummaryTable:
     tainted_params: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     #: functions whose return value may be thread-dependent
     ret_tainted: FrozenSet[str] = frozenset()
+    #: each summarized function's race walk as a parallel-reachable
+    #: function; the race pass takes the walks of such functions
+    #: instead of walking them again, and empties this
+    race_walks: Dict[str, "_FunctionWalker"] = field(default_factory=dict)
 
     def summary_for(self, name: str) -> Optional[FunctionSummary]:
         summ = self.functions.get(name)
@@ -389,16 +396,12 @@ class _FormWalker:
 
 
 def _own_accesses(
-    fn: A.FuncDef,
-    globals_: Dict[str, bool],
+    walker: "_FunctionWalker",
     forms: _FormWalker,
     escaped: Set[int],
 ) -> List[SummaryAccess]:
-    """The function's own would-be-unresolved accesses, parameterized."""
-    from .races import _FunctionWalker
-
-    walker = _FunctionWalker(fn, globals_, True, forms.table)
-    walker.run()
+    """The function's own would-be-unresolved accesses (from its race
+    walk as a parallel-reachable function), parameterized."""
     out: List[SummaryAccess] = []
     for site in walker.unresolved:
         if site.omp_for is not None:
@@ -548,6 +551,8 @@ def compute_summaries(
     cfgs: Optional[Dict[str, C.CFG]] = None,
 ) -> SummaryTable:
     """Bottom-up summary computation over the whole program."""
+    from .races import _FunctionWalker  # deferred: races imports this module
+
     cg = callgraph if callgraph is not None else build_callgraph(program)
     table = SummaryTable(callgraph=cg)
     globals_ = {decl.name: decl.is_array for decl in program.globals}
@@ -569,7 +574,10 @@ def compute_summaries(
             table.functions[name] = summary
             continue
         forms = form_walkers[name]
-        summary.accesses = _own_accesses(fn, globals_, forms, table.escaped)
+        walker = _FunctionWalker(fn, globals_, True, program.table)
+        walker.run()
+        table.race_walks[name] = walker
+        summary.accesses = _own_accesses(walker, forms, table.escaped)
         # Compose callee summaries through *sequential-context* call
         # sites: a call inside a lexical parallel region is instantiated
         # directly at that site by the race pass instead.

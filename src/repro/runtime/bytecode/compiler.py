@@ -12,12 +12,16 @@ body **once per program** into flat tuples of compiled closures
   generator closure otherwise, so the dispatch loop only builds
   generator frames where a yield can actually occur;
 * expression operands, constants and operator dispatch are resolved at
-  compile time (literal folding, specialized binary ops, superinstruction
-  style fused load/store sequences for the common assignment shapes);
+  compile time (literal folding, specialized binary ops, fused
+  load/store sequences for the common assignment shapes);
 * variable references are resolved to *scope hops* against a compile-time
   model of the lexical scope chain, replacing the per-access name walk
   with ``k`` pointer dereferences plus one dict probe.  Scopes that can
   never receive a declaration are elided entirely;
+* the hot access and operator closures are generated from source
+  templates (see "Generated access and operator closures"), so a
+  variable or element access, or an operator over literal and variable
+  operands, is one Python call;
 * memory monitoring is decided at compile time, as binary
   instrumentation patches only the selected variables: a variable site
   whose identifier the run's monitoring spec does not select compiles
@@ -39,6 +43,8 @@ tree-walk semantics including the "undefined variable" abort.
 
 from __future__ import annotations
 
+import functools
+import textwrap
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -63,7 +69,7 @@ from ..interpreter import (
     _lock_name,
 )
 from ..scheduler import Block, Step
-from ..values import ArrayValue, BinOps, Scope, as_int, truthy
+from ..values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
 
 #: statement/expression instruction modes
 PURE = False  # plain closure, cannot reach a scheduling point
@@ -95,13 +101,16 @@ def _mem_event(vm, ctx: ThreadCtx, cell, is_write: bool, callsite: int,
 
     Exact because every resolved cell's ``name`` is the identifier of
     the site that resolved it.  Charges, then takes seq and time in
-    :meth:`Interpreter.emit`'s order.
+    :meth:`Interpreter.emit`'s order.  The event cost, the log's append
+    and its seq allocator are the run's constants ``vm.mem_run``, bound
+    once when the run starts.
     """
     if cell.shared and ctx.in_parallel:
+        cost, append, next_seq = vm.mem_run
         task = ctx.task
-        task.clock += vm.charge_cfg.mem_event_cost
-        vm._log_append(MemAccess(
-            ctx.proc.rank, ctx.tid, vm.log.next_seq(), task.clock,
+        task.clock += cost
+        append(MemAccess(
+            ctx.proc.rank, ctx.tid, next_seq(), task.clock,
             is_write, cell.cid, cell.name, callsite, index,
         ))
 
@@ -192,52 +201,250 @@ def _block_declares(block: A.Block) -> bool:
     return any(isinstance(s, A.VarDecl) for s in block.stmts)
 
 
-def _make_resolver(frame: _Frame, ident: str) -> Callable[[ThreadCtx], Any]:
-    """Build a ``ctx -> Cell`` resolver for *ident*.
+# ---------------------------------------------------------------------------
+# Generated access and operator closures
+# ---------------------------------------------------------------------------
+#
+# The closures on the per-statement hot path — variable loads and
+# stores, array element loads and stores, binary operators — are
+# generated from source templates, one per (shape, scope hops, hook,
+# operand modes) combination, so each does its whole job in a single
+# Python call: scope-hop walks, array bounds checks, operator fast
+# paths and the loads of plain-variable and literal operands are inlined
+# instead of being separate calls.  Every generated closure evaluates
+# operands, calls hooks and raises errors in exactly the order, and
+# with exactly the messages, of the tree-walk.
 
-    The static hop count is a fast path only: a dict miss after hopping
-    (conditional declaration not yet executed) falls back to the dynamic
-    walk so semantics — including the undefined-variable abort — match
-    the tree-walk exactly.
+#: operand modes: call a plain closure, ``yield from`` a generator
+#: closure, read a hook-free variable inline, or use a literal
+CALL, YIELD, NAME, CONST = "call", "yield", "name", "const"
+
+
+class _Operand:
+    """How a generated closure obtains one operand: by *mode* from
+    *ref* — the compiled closure (CALL, YIELD), the variable's name
+    (NAME, resolved *hops* scope hops away) or the literal (CONST)."""
+
+    __slots__ = ("mode", "ref", "hops")
+
+    def __init__(self, mode: str, ref: Any, hops: Optional[int] = None) -> None:
+        self.mode = mode
+        self.ref = ref
+        self.hops = hops
+
+
+@functools.cache
+def _maker(kind: str, *shape) -> Callable:
+    """The closure factory for one *kind* of access or operator in one
+    *shape* (hops, hook presence, operand modes), built from its
+    template on first use; each compiled site calls it with its own
+    free variables."""
+    lines, params = _TEMPLATES[kind](*shape)
+    source = (
+        f"def make({', '.join(params)}):\n"
+        "    def fn(vm, ctx):\n"
+        + textwrap.indent("\n".join(lines), " " * 8)
+        + "\n    return fn\n"
+    )
+    namespace = {
+        "ArrayValue": ArrayValue, "SimAbort": SimAbort, "as_int": as_int,
+        "apply": BinOps.apply,
+    }
+    # the source is assembled from the fixed templates below; only
+    # identifiers chosen here and operator tokens appear in it.  One
+    # file name per shape keeps the shapes apart in profiles.
+    filename = f"<compiled {kind} {shape}>"
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+    return namespace["make"]
+
+
+def _cell_lines(hops: Optional[int], cell: str = "cell", ident: str = "ident"):
+    """Bind *cell* to the cell of the variable named by *ident*.
+
+    The static hop count (*hops* ``.parent`` dereferences plus one dict
+    probe) is a fast path only: a dict miss after hopping (a
+    conditional declaration not yet executed) falls back to the dynamic
+    walk, and a name the scope model cannot place (*hops* None) always
+    takes it, so semantics — including the undefined-variable abort —
+    match the tree-walk exactly.
     """
-    hops = _resolve_hops(frame, ident)
     if hops is None:
-        def resolve(ctx, _ident=ident):
-            return ctx.scope.lookup(_ident)
-        return resolve
-    if hops == 0:
-        def resolve(ctx, _ident=ident):
-            scope = ctx.scope
-            cell = scope.cells.get(_ident)
-            if cell is None:
-                return scope.lookup(_ident)
-            return cell
-        return resolve
-    if hops == 1:
-        def resolve(ctx, _ident=ident):
-            scope = ctx.scope.parent
-            cell = scope.cells.get(_ident)
-            if cell is None:
-                return ctx.scope.lookup(_ident)
-            return cell
-        return resolve
-    if hops == 2:
-        def resolve(ctx, _ident=ident):
-            scope = ctx.scope.parent.parent
-            cell = scope.cells.get(_ident)
-            if cell is None:
-                return ctx.scope.lookup(_ident)
-            return cell
-        return resolve
-    def resolve(ctx, _ident=ident, _hops=hops):
-        scope = ctx.scope
-        for _ in range(_hops):
-            scope = scope.parent
-        cell = scope.cells.get(_ident)
-        if cell is None:
-            return ctx.scope.lookup(_ident)
-        return cell
-    return resolve
+        return [f"{cell} = ctx.scope.lookup({ident})"]
+    return [
+        f"{cell} = ctx.scope{'.parent' * hops}.cells.get({ident})",
+        f"if {cell} is None:",
+        f"    {cell} = ctx.scope.lookup({ident})",
+    ]
+
+
+def _slot(name: str, mode: str, hops: Optional[int]):
+    """``(lines, expression)`` producing the value of the operand passed
+    as the free variable ``<name>_op`` in *mode*."""
+    ref = f"{name}_op"
+    if mode == CONST:
+        return [], ref
+    if mode == NAME:
+        cell = f"{name}_cell"
+        return _cell_lines(hops, cell, ref), f"{cell}.value"
+    call = f"{ref}(vm, ctx)"
+    return [], f"(yield from {call})" if mode == YIELD else call
+
+
+def _hook_lines(hooked: bool, is_write: bool, index: str):
+    return [f"hook(vm, ctx, cell, {is_write}, nid, {index})"] if hooked else []
+
+
+def _load_template(hops, hooked):
+    lines = [*_cell_lines(hops), *_hook_lines(hooked, False, "-1"), "return cell.value"]
+    return lines, ("ident", "hook", "nid")
+
+
+def _store_template(hops, hooked, value_mode, value_hops):
+    value_lines, value = _slot("value", value_mode, value_hops)
+    lines = [
+        *value_lines,
+        f"value = {value}",
+        *_cell_lines(hops),
+        *_hook_lines(hooked, True, "-1"),
+        "cell.value = value",
+    ]
+    return lines, ("ident", "hook", "nid", "value_op")
+
+
+def _array_lines(base_mode, base_hops, index_mode, index_hops):
+    """Bind ``arr`` (checked to be an array) and ``idx`` (an int).
+
+    A variable base (NAME) binds its ``cell`` too, for the hook.
+    """
+    if base_mode == NAME:
+        lines = [*_cell_lines(base_hops, "cell", "base_op"), "arr = cell.value"]
+    else:
+        base_lines, base = _slot("base", base_mode, base_hops)
+        lines = [*base_lines, f"arr = {base}"]
+    index_lines, index = _slot("index", index_mode, index_hops)
+    return lines + [
+        "if not isinstance(arr, ArrayValue):",
+        "    raise SimAbort(not_array)",
+        *index_lines,
+        f"idx = {index}",
+        "if type(idx) is not int:",
+        '    idx = as_int(idx, "array index")',
+    ]
+
+
+def _index_load_template(hooked, *operands):
+    """An element load: an in-range index reads the list directly;
+    any other goes through ``ArrayValue.get`` for its error."""
+    lines = [
+        *_array_lines(*operands),
+        *_hook_lines(hooked, False, "idx"),
+        "data = arr.data",
+        "if 0 <= idx < len(data):",
+        "    return data[idx]",
+        "return arr.get(idx)",
+    ]
+    return lines, ("base_op", "not_array", "hook", "nid", "index_op")
+
+
+def _index_store_template(hooked, value_mode, value_hops, *operands):
+    """An element store: a float into an in-range index writes the list
+    directly; anything else goes through ``ArrayValue.set`` for its
+    conversion or error."""
+    value_lines, value = _slot("value", value_mode, value_hops)
+    lines = [
+        *value_lines,
+        f"value = {value}",
+        *_array_lines(*operands),
+        *_hook_lines(hooked, True, "idx"),
+        "data = arr.data",
+        "if type(value) is float and 0 <= idx < len(data):",
+        "    data[idx] = value",
+        "else:",
+        "    arr.set(idx, value)",
+    ]
+    return lines, ("base_op", "not_array", "hook", "nid", "index_op", "value_op")
+
+
+#: binary operators whose ``BinOps`` semantics are exactly ``a <op> b``
+#: with a TypeError reported as unsupported operands
+_PLAIN_OPS = ("+", "-", "*", "<", "<=", ">", ">=", "==", "!=")
+
+
+def _binop_template(op, left_mode, left_hops, right_mode, right_hops, positive_right):
+    """A non-short-circuit binary operator.
+
+    ``%`` and ``/`` take an int fast path for a non-negative left and a
+    positive right operand, where C truncation and Python floor agree;
+    their other cases, and every other operator, are ``BinOps.apply``.
+    """
+    left_lines, left = _slot("left", left_mode, left_hops)
+    right_lines, right = _slot("right", right_mode, right_hops)
+    lines = [*left_lines, f"a = {left}", *right_lines, f"b = {right}"]
+    if op in _PLAIN_OPS:
+        lines += [
+            "try:",
+            f"    return a {op} b",
+            "except TypeError:",
+            "    raise SimAbort(",
+            f'        f"operator {op!r} not supported between "',
+            '        f"{type(a).__name__} and {type(b).__name__}"',
+            "    ) from None",
+        ]
+    else:
+        if op in ("%", "/"):
+            test = "type(a) is int and a >= 0"
+            if not positive_right:
+                test += " and type(b) is int and b > 0"
+            lines += [f"if {test}:", f"    return a {'%' if op == '%' else '//'} b"]
+        lines.append(f"return apply({op!r}, a, b)")
+    return lines, ("left_op", "right_op")
+
+
+_TEMPLATES = {
+    "load": _load_template,
+    "store": _store_template,
+    "index load": _index_load_template,
+    "index store": _index_store_template,
+    "operator": _binop_template,
+}
+
+
+def _name_load(ident: str, hops, hook, nid: int) -> Callable:
+    return _maker("load", hops, hook is not None)(ident, hook, nid)
+
+
+def _name_store(ident: str, hops, hook, nid: int, value: _Operand) -> Callable:
+    make = _maker("store", hops, hook is not None, value.mode, value.hops)
+    return make(ident, hook, nid, value.ref)
+
+
+def _index_load(base: _Operand, not_array: str, hook, nid: int,
+                index: _Operand) -> Callable:
+    make = _maker(
+        "index load", hook is not None,
+        base.mode, base.hops, index.mode, index.hops,
+    )
+    return make(base.ref, not_array, hook, nid, index.ref)
+
+
+def _index_store(base: _Operand, not_array: str, hook, nid: int,
+                 index: _Operand, value: _Operand) -> Callable:
+    make = _maker(
+        "index store", hook is not None, value.mode, value.hops,
+        base.mode, base.hops, index.mode, index.hops,
+    )
+    return make(base.ref, not_array, hook, nid, index.ref, value.ref)
+
+
+def _binop(op: str, left: _Operand, right: _Operand) -> Callable:
+    positive_right = (
+        right.mode == CONST and type(right.ref) is int and right.ref > 0
+    )
+    make = _maker(
+        "operator", op, left.mode, left.hops, right.mode, right.hops,
+        positive_right,
+    )
+    return make(left.ref, right.ref)
 
 
 # ---------------------------------------------------------------------------
@@ -288,98 +495,8 @@ def _literal_value(node: A.Expr):
     return _MISSING
 
 
-#: binary operators inlined without the BinOps dispatch ladder
+#: binary operators folded over two literals at compile time
 _FOLDABLE_OPS = ("+", "-", "*")
-
-
-def _make_inline_binop(op: str, lf, rf):
-    """Specialized pure closures for the hot arithmetic/comparison ops,
-    replicating BinOps.apply's TypeError -> SimAbort translation."""
-    if op == "+":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a + b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '+' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    if op == "-":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a - b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '-' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    if op == "*":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a * b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '*' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    if op == "<":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a < b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '<' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    if op == "<=":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a <= b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '<=' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    if op == ">":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a > b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '>' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    if op == ">=":
-        def fn(vm, ctx):
-            a = lf(vm, ctx)
-            b = rf(vm, ctx)
-            try:
-                return a >= b
-            except TypeError:
-                raise SimAbort(
-                    f"operator '>=' not supported between "
-                    f"{type(a).__name__} and {type(b).__name__}"
-                ) from None
-        return fn
-    return None
 
 
 # Pure specializations of the non-scheduling simple builtins; signatures
@@ -579,6 +696,9 @@ class _Compiler:
         return (PURE, fail)
 
     def _compile_vardecl(self, node: A.VarDecl, frame: _Frame):
+        """A declaration builds its :class:`Cell` in place: what
+        ``Scope.declare`` does, one call shallower, drawing the same id
+        from the run's counter after the initializer is evaluated."""
         name = node.name
         if node.size is not None:
             sg, sf = self._compile_expr(node.size, frame)
@@ -586,13 +706,17 @@ class _Compiler:
             if sg:
                 def fn(vm, ctx):
                     size_val = yield from sf(vm, ctx)
-                    ctx.scope.declare(name, ArrayValue(as_int(size_val, "array size")))
+                    value = ArrayValue(as_int(size_val, "array size"))
+                    scope = ctx.scope
+                    scope.cells[name] = Cell(next(scope.cell_ids), name, value)
                     return None
 
                 return (GEN, fn)
 
             def fn(vm, ctx):
-                ctx.scope.declare(name, ArrayValue(as_int(sf(vm, ctx), "array size")))
+                value = ArrayValue(as_int(sf(vm, ctx), "array size"))
+                scope = ctx.scope
+                scope.cells[name] = Cell(next(scope.cell_ids), name, value)
                 return None
 
             return (PURE, fn)
@@ -602,119 +726,43 @@ class _Compiler:
             if ig:
                 def fn(vm, ctx):
                     value = yield from vf(vm, ctx)
-                    ctx.scope.declare(name, value)
+                    scope = ctx.scope
+                    scope.cells[name] = Cell(next(scope.cell_ids), name, value)
                     return None
 
                 return (GEN, fn)
 
             def fn(vm, ctx):
-                ctx.scope.declare(name, vf(vm, ctx))
+                value = vf(vm, ctx)
+                scope = ctx.scope
+                scope.cells[name] = Cell(next(scope.cell_ids), name, value)
                 return None
 
             return (PURE, fn)
         frame.names.add(name)
 
         def fn(vm, ctx):
-            ctx.scope.declare(name, 0)
+            scope = ctx.scope
+            scope.cells[name] = Cell(next(scope.cell_ids), name, 0)
             return None
 
         return (PURE, fn)
 
     def _compile_assign(self, node: A.Assign, frame: _Frame):
-        vg, vf = self._compile_expr(node.value, frame)
+        value = self._compile_operand(node.value, frame)
         target = node.target
         if isinstance(target, A.Name):
-            resolve = _make_resolver(frame, target.ident)
-            hook = self._mem_hook(target.ident)
-            tnid = target.nid
-            if not vg:
-                # superinstruction: eval + store in one closure
-                def fn(vm, ctx):
-                    value = vf(vm, ctx)
-                    cell = resolve(ctx)
-                    if hook is not None:
-                        hook(vm, ctx, cell, True, tnid, -1)
-                    cell.value = value
-                    return None
-
-                return (PURE, fn)
-
-            def fn(vm, ctx):
-                value = yield from vf(vm, ctx)
-                cell = resolve(ctx)
-                if hook is not None:
-                    hook(vm, ctx, cell, True, tnid, -1)
-                cell.value = value
-                return None
-
-            return (GEN, fn)
+            ident = target.ident
+            fn = _name_store(
+                ident, _resolve_hops(frame, ident), self._mem_hook(ident),
+                target.nid, value,
+            )
+            return (value.mode == YIELD, fn)
         if isinstance(target, A.Index):
-            ig, idxf = self._compile_expr(target.index, frame)
-            tnid = target.nid
-            base = target.base
-            if isinstance(base, A.Name):
-                resolve = _make_resolver(frame, base.ident)
-                hook = self._mem_hook(base.ident)
-                not_array = f"{base.ident!r} is not an array"
-                if not vg and not ig:
-                    def fn(vm, ctx):
-                        value = vf(vm, ctx)
-                        cell = resolve(ctx)
-                        arr = cell.value
-                        if not isinstance(arr, ArrayValue):
-                            raise SimAbort(not_array)
-                        idx = idxf(vm, ctx)
-                        if type(idx) is not int:
-                            idx = as_int(idx, "array index")
-                        if hook is not None:
-                            hook(vm, ctx, cell, True, tnid, idx)
-                        arr.set(idx, value)
-                        return None
-
-                    return (PURE, fn)
-                vgen, igen = _as_gen((vg, vf)), _as_gen((ig, idxf))
-
-                def fn(vm, ctx):
-                    value = yield from vgen(vm, ctx)
-                    cell = resolve(ctx)
-                    arr = cell.value
-                    if not isinstance(arr, ArrayValue):
-                        raise SimAbort(not_array)
-                    idx = as_int((yield from igen(vm, ctx)), "array index")
-                    if hook is not None:
-                        hook(vm, ctx, cell, True, tnid, idx)
-                    arr.set(idx, value)
-                    return None
-
-                return (GEN, fn)
-            bg, bf = self._compile_expr(base, frame)
-            if not vg and not bg and not ig:
-                def fn(vm, ctx):
-                    value = vf(vm, ctx)
-                    arr = bf(vm, ctx)
-                    if not isinstance(arr, ArrayValue):
-                        raise SimAbort("indexed expression is not an array")
-                    idx = idxf(vm, ctx)
-                    if type(idx) is not int:
-                        idx = as_int(idx, "array index")
-                    arr.set(idx, value)
-                    return None
-
-                return (PURE, fn)
-            vgen = _as_gen((vg, vf))
-            bgen = _as_gen((bg, bf))
-            igen = _as_gen((ig, idxf))
-
-            def fn(vm, ctx):
-                value = yield from vgen(vm, ctx)
-                arr = yield from bgen(vm, ctx)
-                if not isinstance(arr, ArrayValue):
-                    raise SimAbort("indexed expression is not an array")
-                idx = as_int((yield from igen(vm, ctx)), "array index")
-                arr.set(idx, value)
-                return None
-
-            return (GEN, fn)
+            index = self._compile_operand(target.index, frame)
+            base, not_array, hook = self._array_base(target.base, frame)
+            fn = _index_store(base, not_array, hook, target.nid, index, value)
+            return (YIELD in (value.mode, base.mode, index.mode), fn)
 
         def fail(vm, ctx):
             raise SimAbort("invalid assignment target")
@@ -774,6 +822,17 @@ class _Compiler:
             # the most common yielding statement: charge the cost from
             # this closure, reusing one Step object per distinct cost.
             steps: Dict[float, Step] = {}
+            units = self._literal_units(node.args)
+            if units is not None:
+                def fn(vm, ctx):
+                    cost = units * vm.cm.compute_unit
+                    s = steps.get(cost)
+                    if s is None:
+                        s = steps[cost] = Step(cost)
+                    yield s
+                    return None
+
+                return (GEN, fn)
 
             def fn(vm, ctx):
                 args = (yield from af(vm, ctx)) if ag else af(vm, ctx)
@@ -802,6 +861,21 @@ class _Compiler:
 
             return (GEN, fn)
         return None
+
+    @staticmethod
+    def _literal_units(args) -> Optional[int]:
+        """The charged units of ``compute(<literal>)``, settled at
+        compile time; None for any other argument list (including a
+        literal ``as_int`` rejects, which must abort at run time)."""
+        if len(args) != 1:
+            return None
+        value = _literal_value(args[0])
+        if value is _MISSING:
+            return None
+        try:
+            return max(0, as_int(value, "compute units"))
+        except SimAbort:
+            return None
 
     def _compile_if(self, node: A.If, frame: _Frame):
         cg, cf = self._compile_expr(node.cond, frame)
@@ -1569,16 +1643,10 @@ class _Compiler:
 
             return (PURE, fn)
         if isinstance(node, A.Name):
-            resolve = _make_resolver(frame, node.ident)
-            hook = self._mem_hook(node.ident)
-            nid = node.nid
-
-            def fn(vm, ctx):
-                cell = resolve(ctx)
-                if hook is not None:
-                    hook(vm, ctx, cell, False, nid, -1)
-                return cell.value
-
+            ident = node.ident
+            fn = _name_load(
+                ident, _resolve_hops(frame, ident), self._mem_hook(ident), node.nid
+            )
             return (PURE, fn)
         if isinstance(node, A.Index):
             return self._compile_index(node, frame)
@@ -1617,106 +1685,77 @@ class _Compiler:
         return (PURE, fail)
 
     def _compile_index(self, node: A.Index, frame: _Frame):
-        ig, idxf = self._compile_expr(node.index, frame)
-        nid = node.nid
-        base = node.base
+        index = self._compile_operand(node.index, frame)
+        base, not_array, hook = self._array_base(node.base, frame)
+        fn = _index_load(base, not_array, hook, node.nid, index)
+        return (YIELD in (base.mode, index.mode), fn)
+
+    def _array_base(self, base: A.Expr, frame: _Frame):
+        """``(operand, not-an-array message, hook)`` of an indexed
+        expression's base: a variable resolves (and may hook) its cell,
+        anything else is evaluated."""
         if isinstance(base, A.Name):
-            resolve = _make_resolver(frame, base.ident)
-            hook = self._mem_hook(base.ident)
-            not_array = f"{base.ident!r} is not an array"
-            if not ig:
-                def fn(vm, ctx):
-                    cell = resolve(ctx)
-                    arr = cell.value
-                    if not isinstance(arr, ArrayValue):
-                        raise SimAbort(not_array)
-                    idx = idxf(vm, ctx)
-                    if type(idx) is not int:
-                        idx = as_int(idx, "array index")
-                    if hook is not None:
-                        hook(vm, ctx, cell, False, nid, idx)
-                    return arr.get(idx)
+            ident = base.ident
+            operand = _Operand(NAME, ident, _resolve_hops(frame, ident))
+            return operand, f"{ident!r} is not an array", self._mem_hook(ident)
+        is_gen, fn = self._compile_expr(base, frame)
+        operand = _Operand(YIELD if is_gen else CALL, fn)
+        return operand, "indexed expression is not an array", None
 
-                return (PURE, fn)
-
-            def fn(vm, ctx):
-                cell = resolve(ctx)
-                arr = cell.value
-                if not isinstance(arr, ArrayValue):
-                    raise SimAbort(not_array)
-                idx = as_int((yield from idxf(vm, ctx)), "array index")
-                if hook is not None:
-                    hook(vm, ctx, cell, False, nid, idx)
-                return arr.get(idx)
-
-            return (GEN, fn)
-        bg, bf = self._compile_expr(base, frame)
-        if not bg and not ig:
-            def fn(vm, ctx):
-                arr = bf(vm, ctx)
-                if not isinstance(arr, ArrayValue):
-                    raise SimAbort("indexed expression is not an array")
-                idx = idxf(vm, ctx)
-                if type(idx) is not int:
-                    idx = as_int(idx, "array index")
-                return arr.get(idx)
-
-            return (PURE, fn)
-        bgen, igen = _as_gen((bg, bf)), _as_gen((ig, idxf))
-
-        def fn(vm, ctx):
-            arr = yield from bgen(vm, ctx)
-            if not isinstance(arr, ArrayValue):
-                raise SimAbort("indexed expression is not an array")
-            idx = as_int((yield from igen(vm, ctx)), "array index")
-            return arr.get(idx)
-
-        return (GEN, fn)
+    def _compile_operand(self, node: A.Expr, frame: _Frame) -> _Operand:
+        """*node* as an operand of a generated closure: literals and
+        hook-free variables are read inline, the rest is called."""
+        value = _literal_value(node)
+        if value is not _MISSING:
+            return _Operand(CONST, value)
+        if isinstance(node, A.Name) and self._mem_hook(node.ident) is None:
+            return _Operand(NAME, node.ident, _resolve_hops(frame, node.ident))
+        is_gen, fn = self._compile_expr(node, frame)
+        return _Operand(YIELD if is_gen else CALL, fn)
 
     def _compile_binary(self, node: A.Binary, frame: _Frame):
+        op = node.op
+        if op in ("&&", "||"):
+            return self._compile_logical(node, frame)
+        left = self._compile_operand(node.left, frame)
+        right = self._compile_operand(node.right, frame)
+        if left.mode == right.mode == CONST and op in _FOLDABLE_OPS:
+            try:
+                folded = BinOps.apply(op, left.ref, right.ref)
+            except SimAbort:
+                # a type error between literals (e.g. "s" + 1) must
+                # abort at *execution* time, in the executing
+                # rank's context, exactly like the tree-walk
+                pass
+            else:
+                def fn(vm, ctx):
+                    return folded
+
+                return (PURE, fn)
+        return (YIELD in (left.mode, right.mode), _binop(op, left, right))
+
+    def _compile_logical(self, node: A.Binary, frame: _Frame):
+        """``&&``/``||``: the right operand runs only when the left one
+        does not decide the result."""
         lg, lf = self._compile_expr(node.left, frame)
         rg, rf = self._compile_expr(node.right, frame)
-        op = node.op
         if not lg and not rg:
-            lv = _literal_value(node.left)
-            rv = _literal_value(node.right)
-            if lv is not _MISSING and rv is not _MISSING and op in _FOLDABLE_OPS:
-                try:
-                    folded = BinOps.apply(op, lv, rv)
-                except SimAbort:
-                    # a type error between literals (e.g. "s" + 1) must
-                    # abort at *execution* time, in the executing
-                    # rank's context, exactly like the tree-walk
-                    pass
-                else:
-                    def fn(vm, ctx):
-                        return folded
-
-                    return (PURE, fn)
-            if op == "&&":
+            if node.op == "&&":
                 def fn(vm, ctx):
                     if not truthy(lf(vm, ctx)):
                         return False
                     return truthy(rf(vm, ctx))
 
                 return (PURE, fn)
-            if op == "||":
-                def fn(vm, ctx):
-                    if truthy(lf(vm, ctx)):
-                        return True
-                    return truthy(rf(vm, ctx))
-
-                return (PURE, fn)
-            inlined = _make_inline_binop(op, lf, rf)
-            if inlined is not None:
-                return (PURE, inlined)
 
             def fn(vm, ctx):
-                return BinOps.apply(op, lf(vm, ctx), rf(vm, ctx))
+                if truthy(lf(vm, ctx)):
+                    return True
+                return truthy(rf(vm, ctx))
 
             return (PURE, fn)
         lgen, rgen = _as_gen((lg, lf)), _as_gen((rg, rf))
-        if op == "&&":
+        if node.op == "&&":
             def fn(vm, ctx):
                 left = yield from lgen(vm, ctx)
                 if not truthy(left):
@@ -1725,20 +1764,13 @@ class _Compiler:
                 return truthy(right)
 
             return (GEN, fn)
-        if op == "||":
-            def fn(vm, ctx):
-                left = yield from lgen(vm, ctx)
-                if truthy(left):
-                    return True
-                right = yield from rgen(vm, ctx)
-                return truthy(right)
-
-            return (GEN, fn)
 
         def fn(vm, ctx):
             left = yield from lgen(vm, ctx)
+            if truthy(left):
+                return True
             right = yield from rgen(vm, ctx)
-            return BinOps.apply(op, left, right)
+            return truthy(right)
 
         return (GEN, fn)
 

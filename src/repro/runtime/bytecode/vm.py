@@ -39,6 +39,13 @@ class BytecodeInterpreter(Interpreter):
         #: interned Step for the per-statement charge (frozen dataclass,
         #: so one instance serves every statement yield)
         self._step_stmt = Step(self.cm.stmt)
+        #: what a monitored site's ``compiler._mem_event`` needs of the
+        #: run: no ``MemAccess`` is emitted while
+        #: ``_close_suspended_threads`` has the log swapped out, since
+        #: closing a thread runs only ``finally`` blocks
+        self.mem_run = (
+            self.charge_cfg.mem_event_cost, self._log_append, self.log.next_seq
+        )
         return super().run()
 
     def _call_user(self, fn: A.FuncDef, args: List[Any], ctx: ThreadCtx):

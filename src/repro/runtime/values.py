@@ -38,9 +38,15 @@ class Cell:
 class ArrayValue:
     """A fixed-size 1-D numeric array with reference semantics.
 
-    Message payloads in the MPI simulator are snapshots of these arrays;
-    receives copy back into the destination array, mirroring real MPI
-    buffer semantics.
+    Elements are Python floats in a list: element access is the VM's
+    hottest array path, and a bounds-checked list index costs a fraction
+    of a numpy scalar round trip.  numpy stays at the MPI payload
+    boundary: :meth:`snapshot` hands out a float64 ``ndarray`` and
+    :meth:`load` takes one, mirroring real MPI buffer semantics (sends
+    copy out, receives copy back in).  A stored value converts exactly
+    as assigning it into a float64 ndarray would, so every value numpy
+    accepted is stored the same and every value it rejected raises the
+    same error.
     """
 
     __slots__ = ("data",)
@@ -48,26 +54,28 @@ class ArrayValue:
     def __init__(self, size: int) -> None:
         if size < 0:
             raise SimAbort(f"negative array size {size}")
-        self.data = np.zeros(int(size), dtype=np.float64)
+        self.data: List[float] = [0.0] * int(size)
 
     def __len__(self) -> int:
         return len(self.data)
 
     def get(self, index: int) -> float:
         self._check(index)
-        return float(self.data[index])
+        return self.data[index]
 
-    def set(self, index: int, value: float) -> None:
+    def set(self, index: int, value: Any) -> None:
         self._check(index)
+        if type(value) is not float:
+            value = _as_float64(value)
         self.data[index] = value
 
     def snapshot(self) -> np.ndarray:
-        return self.data.copy()
+        return np.array(self.data, dtype=np.float64)
 
     def load(self, payload: np.ndarray, count: Optional[int] = None) -> None:
         n = len(payload) if count is None else min(count, len(payload))
         n = min(n, len(self.data))
-        self.data[:n] = payload[:n]
+        self.data[:n] = np.asarray(payload[:n], dtype=np.float64).tolist()
 
     def _check(self, index: int) -> None:
         if not isinstance(index, (int, np.integer)):
@@ -79,6 +87,16 @@ class ArrayValue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArrayValue(len={len(self.data)})"
+
+
+def _as_float64(value: Any) -> float:
+    """*value* as a float64 array element would hold it, as a Python
+    float; raises what assigning it into a float64 ndarray raises."""
+    if type(value) is int or type(value) is bool:
+        return float(value)
+    element = np.empty(1, dtype=np.float64)
+    element[0] = value
+    return float(element[0])
 
 
 class Scope:
@@ -106,9 +124,10 @@ class Scope:
     def declare(self, name: str, value: Any = 0) -> Cell:
         """Declare a variable in *this* scope (shadowing any outer binding).
 
-        This is the only way a cell enters a scope, so a cell is always
-        found under its own ``name``; the bytecode compiler's per-site
-        memory monitoring relies on that.
+        A cell enters a scope only here or in the bytecode compiler's
+        declarations, which do the same inline; either way it is found
+        under its own ``name``, which the compiler's per-site memory
+        monitoring relies on.
         """
         cell = Cell(next(self.cell_ids), name, value)
         self.cells[name] = cell

@@ -4,6 +4,7 @@ checklist generation."""
 import pytest
 
 from repro.analysis.static_ import (
+    build_callgraph,
     check_thread_level,
     collect_sites,
     infer_thread_level,
@@ -95,6 +96,40 @@ func main() { mpi_init(); omp parallel { talk(); } mpi_finalize(); }
 """
         sites = {s.op: s for s in collect_sites(parse(src), interprocedural=False)}
         assert not sites["mpi_barrier"].in_parallel
+
+
+#: calls that appear only in construct clauses: the ``num_threads``
+#: expression of an ``omp parallel`` and the chunk of an ``omp for``
+CLAUSE_CALLS = """
+program clause_calls;
+func width(n) {
+    return n;
+}
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    omp parallel num_threads(mpi_comm_size(MPI_COMM_WORLD)) {
+        omp for schedule(dynamic, width(2)) for (var i = 0; i < 4; i = i + 1) {
+            compute(1);
+        }
+    }
+    mpi_finalize();
+}
+"""
+
+
+class TestClauseCalls:
+    """A clause expression runs like any other code of the enclosing
+    context, so its calls are MPI sites and call-graph edges."""
+
+    def test_num_threads_call_is_an_mpi_site(self):
+        sites = {s.op: s for s in collect_sites(parse(CLAUSE_CALLS))}
+        assert "mpi_comm_size" in sites
+        # the clause is evaluated before the team forks
+        assert not sites["mpi_comm_size"].in_parallel
+
+    def test_chunk_call_is_a_call_site(self):
+        cg = build_callgraph(parse(CLAUSE_CALLS))
+        assert [(cs.caller, cs.callee) for cs in cg.sites] == [("main", "width")]
 
 
 def instrument(prog, **kw):

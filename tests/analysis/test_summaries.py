@@ -3,6 +3,7 @@ chains, escape bookkeeping (soundness), lock transparency, and the
 thread-dependence taint fixpoint."""
 
 from repro.analysis.cfg import build_cfg
+from repro.analysis.static_ import races, run_static_analysis
 from repro.analysis.static_.summaries import (
     MAX_COMPOSE_DEPTH,
     TID_BASE,
@@ -10,6 +11,7 @@ from repro.analysis.static_.summaries import (
     compute_summaries,
 )
 from repro.minilang import parse
+from repro.workloads.npb import lu_mz_source
 
 PROG = "program t;\nvar gdata[16];\n"
 
@@ -265,3 +267,52 @@ func main() {
         # launder returns a tainted parameter: tainted return
         assert "launder" in table.ret_tainted
         assert "clean" not in table.ret_tainted
+
+
+class TestRaceWalkSharing:
+    """The race pass takes the summary layer's walk of each
+    parallel-reachable function instead of walking it again."""
+
+    def test_no_function_is_walked_twice_with_the_same_arguments(
+        self, monkeypatch
+    ):
+        walks = []
+        original = races._FunctionWalker.run
+
+        def counting_run(self):
+            walks.append((self.func.name, self.unsafe))
+            return original(self)
+
+        monkeypatch.setattr(races._FunctionWalker, "run", counting_run)
+        program = parse(lu_mz_source(inject=True))
+        run_static_analysis(program, cache=False)
+        assert len(walks) == len(set(walks)), walks
+        assert {name for name, _ in walks} == {fn.name for fn in program.functions}
+
+    LOCKED = PROG + """
+var g = 0;
+func bump() {
+    omp_set_lock("m");
+    g = g + 1;
+    omp_unset_lock("m");
+    return 0;
+}
+func main() {
+    omp parallel num_threads(2) {
+        bump();
+    }
+}"""
+
+    def test_a_second_race_pass_walks_afresh(self):
+        """The first pass widens its accesses' guards with the lock;
+        a second pass over the same summaries, without CFGs, must not
+        see them."""
+        program = parse(self.LOCKED)
+        cfgs = {fn.name: build_cfg(fn) for fn in program.functions}
+        table = compute_summaries(program)
+        locked = races.find_races(program, cfgs=cfgs, summaries=table)
+        again = races.find_races(program, summaries=table)
+        fresh = races.find_races(program, summaries=compute_summaries(program))
+        assert not locked.candidates
+        assert again.candidates
+        assert again.as_dict() == fresh.as_dict()

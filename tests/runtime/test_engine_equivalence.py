@@ -409,6 +409,76 @@ func main() { print(find(10)); }
 
 
 # ---------------------------------------------------------------------------
+# array element access: every compiled load/store shape
+
+
+#: array element loads and stores through a variable base with a plain
+#: and a yielding index, through a yielding (user call) and a plain
+#: (builtin) non-variable base, storing floats, ints, bools and a
+#: numeric string
+ARRAY_SHAPES = """
+program arrays;
+var buf[4];
+func pick() { return buf; }
+func twice(x) { return 2 * x; }
+func main() {
+    var loc[3];
+    omp parallel num_threads(2) {
+        var t = omp_get_thread_num();
+        buf[t] = t + 0.5;
+        loc[twice(t) - t] = 3;
+        buf[t + 2] = twice(t);
+        print(buf[twice(t)], loc[t], buf[t]);
+    }
+    pick()[2] = twice(1.5);
+    print(pick()[2], min(buf)[1], pick()[twice(1)]);
+    min(buf)[3] = true;
+    loc[1.0] = "4.5";
+    print(buf[3], loc[1], array_size(pick()));
+}
+"""
+
+
+class TestArrayAccessShapes:
+    @pytest.mark.parametrize("monitor", [False, True])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_every_shape(self, monitor, seed):
+        result = assert_src_equivalent(
+            ARRAY_SHAPES, nprocs=1, num_threads=2, seed=seed,
+            monitor_memory=monitor,
+        )
+        assert not result.notes
+        assert result.outputs[-1][2] == "1.0 4.5 4"
+        if monitor:
+            assert any(type(e) is MemAccess for e in result.log)
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("    print(arr[5]);", "out of bounds"),
+            ("    print(arr[0 - 1]);", "out of bounds"),
+            ("    arr[2] = 1.5;", "out of bounds"),
+            ("    arr[twice(2)] = 1;", "out of bounds"),
+            ("    print(arr[twice(2)]);", "out of bounds"),
+            ("    print(pick()[7]);", "out of bounds"),
+            ("    pick()[7] = 1;", "out of bounds"),
+            ("    arr[1.5] = 0.5;", "must be an integer"),
+            ("    print(arr[0][1]);", "indexed expression is not an array"),
+            ("    var x = 1;\n    x[0] = 1.5;", "'x' is not an array"),
+            ("    var x = 1;\n    print(x[twice(0)]);", "'x' is not an array"),
+        ],
+    )
+    def test_abort(self, body, match):
+        source = (
+            "program t;\nvar arr[2];\n"
+            "func pick() { return arr; }\n"
+            "func twice(x) { return 2 * x; }\n"
+            f"func main() {{\n{body}\n}}\n"
+        )
+        assert_both_abort(source, match=match, nprocs=1, num_threads=1)
+
+
+# ---------------------------------------------------------------------------
 # abort parity
 
 

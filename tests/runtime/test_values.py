@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimAbort
 from repro.runtime.values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
@@ -70,6 +72,99 @@ class TestArrayValue:
         arr = ArrayValue(4)
         arr.load(np.asarray([1.0, 2.0, 3.0]), count=2)
         assert list(arr.data) == [1.0, 2.0, 0.0, 0.0]
+
+
+class _Float64Reference:
+    """The float64-ndarray element semantics the list-backed
+    :class:`ArrayValue` must keep (its earlier implementation)."""
+
+    def __init__(self, size):
+        self.data = np.zeros(size, dtype=np.float64)
+
+    def get(self, index):
+        self._check(index)
+        return float(self.data[index])
+
+    def set(self, index, value):
+        self._check(index)
+        self.data[index] = value
+
+    def snapshot(self):
+        return self.data.copy()
+
+    def load(self, payload, count=None):
+        n = len(payload) if count is None else min(count, len(payload))
+        n = min(n, len(self.data))
+        self.data[:n] = payload[:n]
+
+    def _check(self, index):
+        if not isinstance(index, (int, np.integer)):
+            raise SimAbort(f"array index must be an integer, got {index!r}")
+        if not 0 <= index < len(self.data):
+            raise SimAbort(
+                f"array index {index} out of bounds for array of size {len(self.data)}"
+            )
+
+
+_VALUES = st.one_of(
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.booleans(),
+    st.floats(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.floats(allow_nan=False).map(repr),
+    st.integers().map(str),
+    st.text(max_size=6),
+    st.just(ArrayValue(2)),
+    # a bare ``return;`` yields None; an MPI broadcast can yield an ndarray
+    st.none(),
+    st.lists(st.floats(), max_size=2).map(np.asarray),
+)
+_INDICES = st.one_of(
+    st.integers(min_value=-3, max_value=8),
+    st.floats(min_value=-3, max_value=8),
+    st.integers(min_value=-3, max_value=8).map(np.int64),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), _INDICES, _VALUES),
+        st.tuples(st.just("get"), _INDICES),
+        st.tuples(
+            st.just("load"),
+            st.lists(st.floats(), max_size=7),
+            st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def _outcome(fn, *args):
+    """A call's result as comparable bits, or its error's type and text."""
+    try:
+        value = fn(*args)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return ("raised", type(err), str(err))
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype, value.tobytes())
+    return ("value", type(value), np.float64(value).tobytes())
+
+
+class TestArrayValueAgainstFloat64Reference:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(min_value=0, max_value=5), ops=_OPS)
+    def test_same_values_and_errors(self, size, ops):
+        arr, ref = ArrayValue(size), _Float64Reference(size)
+        for op, *args in ops:
+            if op == "load":
+                payload, count = np.asarray(args[0], dtype=np.float64), args[1]
+                args = [payload, count]
+            got = _outcome(getattr(arr, op), *args)
+            want = _outcome(getattr(ref, op), *args)
+            assert got == want, (op, args)
+            assert _outcome(arr.snapshot) == _outcome(ref.snapshot)
+        assert all(type(x) is float for x in arr.data)
 
 
 class TestScope:
