@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import AnalysisError
 from ..minilang import ast_nodes as A
 from ..minilang.nodetable import NodeTable, function_table, subtree
+from .graphs import reachable
 
 # Marker kinds for structured constructs.
 ENTRY = "entry"
@@ -74,9 +73,12 @@ class CFG:
         self.func_name = func_name
         #: node table of the program the function belongs to
         self.table = table
-        self.graph = nx.DiGraph()
         #: node ids are per-CFG, numbered from 1 in creation order
         self.nodes: Dict[int, CFGNode] = {}
+        #: successor / predecessor ids per node, each edge once, in the
+        #: order the builder first linked it
+        self.succ: Dict[int, List[int]] = {}
+        self.pred: Dict[int, List[int]] = {}
         self.entry = self._new_node(ENTRY, label=f"entry({func_name})")
         self.exit = self._new_node(EXIT, label=f"exit({func_name})")
         #: emission order of node creation (the paper's srcCFG list)
@@ -85,7 +87,8 @@ class CFG:
     def _new_node(self, kind: str, ast: Optional[A.Node] = None, label: str = "") -> CFGNode:
         node = CFGNode(len(self.nodes) + 1, kind, ast, label)
         self.nodes[node.cfg_id] = node
-        self.graph.add_node(node.cfg_id)
+        self.succ[node.cfg_id] = []
+        self.pred[node.cfg_id] = []
         return node
 
     def add(self, kind: str, ast: Optional[A.Node] = None, label: str = "") -> CFGNode:
@@ -94,7 +97,10 @@ class CFG:
         return node
 
     def edge(self, a: CFGNode, b: CFGNode) -> None:
-        self.graph.add_edge(a.cfg_id, b.cfg_id)
+        succ = self.succ[a.cfg_id]
+        if b.cfg_id not in succ:
+            succ.append(b.cfg_id)
+            self.pred[b.cfg_id].append(a.cfg_id)
 
     def finish(self) -> None:
         self._order.append(self.exit.cfg_id)
@@ -109,13 +115,13 @@ class CFG:
         return [self.nodes[nid] for nid in self._order]
 
     def successors(self, node: CFGNode) -> List[CFGNode]:
-        return [self.nodes[n] for n in self.graph.successors(node.cfg_id)]
+        return [self.nodes[n] for n in self.succ[node.cfg_id]]
 
     def predecessors(self, node: CFGNode) -> List[CFGNode]:
-        return [self.nodes[n] for n in self.graph.predecessors(node.cfg_id)]
+        return [self.nodes[n] for n in self.pred[node.cfg_id]]
 
     def reachable_from_entry(self) -> set:
-        return set(nx.descendants(self.graph, self.entry.cfg_id)) | {self.entry.cfg_id}
+        return reachable(self.succ, (self.entry.cfg_id,))
 
     def mpi_nodes(self) -> List[CFGNode]:
         return [n for n in self.linearize() if n.is_mpi_call]

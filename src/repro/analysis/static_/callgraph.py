@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ...minilang import ast_nodes as A
 from ...minilang.nodetable import NodeTable
+from ..graphs import callees_first, reachable, strongly_connected_components
 from .dataflow.lockstate import guard_tokens
 from .dataflow.mhp import MHPInfo
 
@@ -167,11 +166,14 @@ class CallGraph:
 
     sites: List[CallSite]
     user_funcs: FrozenSet[str]
-    graph: nx.DiGraph
+    #: distinct callees / callers per function, in call-site order;
+    #: every user function has an entry in both
+    callees: Dict[str, List[str]]
+    callers: Dict[str, List[str]]
     #: members of nontrivial SCCs or self-loops
     recursive: FrozenSet[str]
-    #: functions reverse-topologically ordered (callees before callers);
-    #: SCC members appear in arbitrary relative order
+    #: functions reverse-topologically ordered (callees before callers;
+    #: see :func:`..graphs.callees_first`), SCC members by name
     bottom_up: List[str]
     #: functions transitively reachable from a ``thread_spawn`` target
     spawn_reachable: FrozenSet[str]
@@ -185,46 +187,34 @@ class CallGraph:
 
 def build_callgraph(program: A.Program) -> CallGraph:
     """Collect every user-call site and derive the graph facts."""
-    user_funcs = frozenset(fn.name for fn in program.functions)
+    names = list(dict.fromkeys(fn.name for fn in program.functions))
+    user_funcs = frozenset(names)
     table = program.table
     sites: List[CallSite] = []
     for fn in program.functions:
         sites.extend(_call_sites(fn, table, user_funcs))
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(user_funcs)
+    callees: Dict[str, List[str]] = {name: [] for name in names}
+    callers: Dict[str, List[str]] = {name: [] for name in names}
     by_callee: Dict[str, List[CallSite]] = {}
     by_caller: Dict[str, List[CallSite]] = {}
     for cs in sites:
-        graph.add_edge(cs.caller, cs.callee)
+        if cs.callee not in callees[cs.caller]:
+            callees[cs.caller].append(cs.callee)
+            callers[cs.callee].append(cs.caller)
         by_callee.setdefault(cs.callee, []).append(cs)
         by_caller.setdefault(cs.caller, []).append(cs)
 
     recursive: Set[str] = set()
-    for scc in nx.strongly_connected_components(graph):
+    for scc in strongly_connected_components(callees, names):
         if len(scc) > 1:
-            recursive |= scc
+            recursive.update(scc)
     recursive |= {cs.caller for cs in sites if cs.caller == cs.callee}
 
-    # Bottom-up order over the condensation (callees first).
-    condensation = nx.condensation(graph)
-    bottom_up: List[str] = []
-    for comp in reversed(list(nx.topological_sort(condensation))):
-        bottom_up.extend(sorted(condensation.nodes[comp]["members"]))
-
-    spawn_roots = {cs.callee for cs in sites if cs.spawned}
-    spawn_reachable: Set[str] = set()
-    for root in spawn_roots:
-        spawn_reachable.add(root)
-        spawn_reachable |= nx.descendants(graph, root)
-
-    parallel_roots = {
-        cs.callee for cs in sites if cs.region is not None or cs.spawned
-    }
-    reached: Set[str] = set()
-    for root in parallel_roots:
-        reached.add(root)
-        reached |= nx.descendants(graph, root)
+    spawn_reachable = reachable(callees, (cs.callee for cs in sites if cs.spawned))
+    reached = reachable(
+        callees, (cs.callee for cs in sites if cs.region is not None or cs.spawned)
+    )
 
     opaque = frozenset(
         fn.name
@@ -239,9 +229,12 @@ def build_callgraph(program: A.Program) -> CallGraph:
     return CallGraph(
         sites=sites,
         user_funcs=user_funcs,
-        graph=graph,
+        callees=callees,
+        callers=callers,
         recursive=frozenset(recursive),
-        bottom_up=bottom_up,
+        bottom_up=[
+            name for members in callees_first(callees, names) for name in sorted(members)
+        ],
         spawn_reachable=frozenset(spawn_reachable),
         reached_from_parallel=frozenset(reached),
         sites_by_callee=by_callee,

@@ -65,6 +65,7 @@ from ...events.event import COLLECTIVE_OPS
 from ...minilang import ast_nodes as A
 from ...minilang.nodetable import NodeTable
 from ..cfg import CFG, build_program_cfgs
+from ..graphs import reachable
 from .dataflow.divergence import TaintSet, branch_taints, expr_thread_dependent
 from .mpi_sites import MPISite, functions_called_from_parallel
 from .prunes import count_prune, make_prune_dict, prune_summary, total_pruned
@@ -587,8 +588,6 @@ class _DivergenceWalker:
 def _collective_reaching(summaries: "SummaryTable", program: A.Program) -> FrozenSet[str]:
     """Functions whose transitive callee closure contains a collective
     construct (explicit barrier, worksharing, or an MPI collective)."""
-    import networkx as nx
-
     direct: Set[str] = set()
     for fn in program.functions:
         for node in program.table.subtree(fn.body):
@@ -598,12 +597,7 @@ def _collective_reaching(summaries: "SummaryTable", program: A.Program) -> Froze
             if isinstance(node, A.CallExpr) and node.name in COLLECTIVE_OPS:
                 direct.add(fn.name)
                 break
-    graph = summaries.callgraph.graph
-    reaching = set(direct)
-    for name in direct:
-        if name in graph:
-            reaching |= nx.ancestors(graph, name)
-    return frozenset(reaching)
+    return frozenset(reachable(summaries.callgraph.callers, direct))
 
 
 def find_collective_divergence(

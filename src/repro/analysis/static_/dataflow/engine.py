@@ -74,6 +74,7 @@ def solve(cfg: CFG, analysis: ForwardAnalysis[F], max_iterations: int = 100_000)
     in_facts = result.in_facts
     out_facts = result.out_facts
     visits: Dict[int, int] = {}
+    cfg_succ, cfg_pred = cfg.succ, cfg.pred
 
     entry = cfg.entry.cfg_id
     in_facts[entry] = analysis.boundary(cfg)
@@ -91,10 +92,8 @@ def solve(cfg: CFG, analysis: ForwardAnalysis[F], max_iterations: int = 100_000)
         if nid in out_facts and analysis.equal(out_facts[nid], out):
             continue
         out_facts[nid] = out
-        for succ in cfg.graph.successors(nid):
-            incoming = [
-                out_facts[p] for p in cfg.graph.predecessors(succ) if p in out_facts
-            ]
+        for succ in cfg_succ[nid]:
+            incoming = [out_facts[p] for p in cfg_pred[succ] if p in out_facts]
             new_in = incoming[0]
             for fact in incoming[1:]:
                 new_in = analysis.join(new_in, fact)

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ...minilang import ast_nodes as A
 from ...minilang.nodetable import NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
+from ..graphs import reachable
 
 #: Call names treated as MPI routines by the static pass.
 MPI_PREFIXES = ("mpi_", "hmpi_")
@@ -240,28 +239,24 @@ def _functions_reaching_parallel(
     """Functions transitively callable from inside a parallel region.
 
     Returns a map callee -> set of direct hybrid callers (for reporting
-    the call chain).
+    the call chain): every hybrid function with a call to it, or the
+    empty set for a function called from a parallel region itself.
     """
-    graph = nx.DiGraph()
-    roots: Set[str] = set()
     user_funcs = {fn.name for fn in program.functions}
+    callees: Dict[str, List[str]] = {}
+    roots: Set[str] = set()
     for fname, collector in per_func.items():
         for callee, in_par in collector.calls_out:
             if callee not in user_funcs:
                 continue
-            graph.add_edge(fname, callee)
+            callees.setdefault(fname, []).append(callee)
             if in_par:
                 roots.add(callee)
-    hybrid: Dict[str, Set[str]] = {}
-    frontier = list(roots)
-    for root in roots:
-        hybrid.setdefault(root, set())
-    while frontier:
-        current = frontier.pop()
-        if current not in graph:
-            continue
-        for nxt in graph.successors(current):
-            if nxt not in hybrid:
-                hybrid[nxt] = {current}
-                frontier.append(nxt)
+    hybrid: Dict[str, Set[str]] = {
+        fname: set() for fname in reachable(callees, roots)
+    }
+    for caller in hybrid:
+        for callee in callees.get(caller, ()):
+            if callee not in roots:
+                hybrid[callee].add(caller)
     return hybrid

@@ -44,6 +44,7 @@ from ...minilang import ast_nodes as A
 from ...minilang.nodetable import NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
 from .. import cfg as C
+from ..graphs import reachable
 from .callgraph import CallGraph, CallSite, build_callgraph
 from .dataflow.divergence import (
     expr_thread_dependent,
@@ -463,14 +464,7 @@ def _lock_transparent(cg: CallGraph, program: A.Program) -> FrozenSet[str]:
             for call in program.table.calls(fn)
         )
     }
-    may_touch: Set[str] = set()
-    import networkx as nx
-
-    for root in touching:
-        may_touch.add(root)
-        if root in cg.graph:
-            may_touch |= nx.ancestors(cg.graph, root)
-    return frozenset(cg.user_funcs - may_touch)
+    return frozenset(cg.user_funcs - reachable(cg.callers, touching))
 
 
 def _taint_fixpoint(

@@ -8,22 +8,10 @@ detectors (Umpire's dependency graphs) the paper surveys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..runtime.scheduler import BlockedInfo
-
-
-@dataclass(frozen=True)
-class WaitEdge:
-    """(proc, thread) waits on a resource description."""
-
-    proc: int
-    thread: int
-    resource: str
 
 
 class DeadlockDiagnosis:
@@ -31,13 +19,14 @@ class DeadlockDiagnosis:
 
     def __init__(self, blocked: List["BlockedInfo"]) -> None:
         self.blocked = list(blocked)
-        self.graph = nx.DiGraph()
+        #: wait-for graph: waiter -> resource edges, and each node's kind
+        self.edges: List[Tuple[str, str]] = []
+        self.kinds: Dict[str, str] = {}
         for info in self.blocked:
             waiter = f"rank{info.proc}.t{info.thread}"
-            self.graph.add_node(waiter, kind="thread")
-            resource = info.reason
-            self.graph.add_node(resource, kind="resource")
-            self.graph.add_edge(waiter, resource)
+            self.kinds[waiter] = "thread"
+            self.kinds[info.reason] = "resource"
+            self.edges.append((waiter, info.reason))
 
     @property
     def nblocked(self) -> int:

@@ -18,6 +18,10 @@ import numpy as np
 
 from ..errors import SimAbort
 
+#: Largest array a declaration may create: far above any workload, and
+#: an abort instead of an allocation that exhausts memory.
+MAX_ARRAY_SIZE = 1 << 24
+
 
 class Cell:
     """One storage location holding a scalar or an array value."""
@@ -54,6 +58,10 @@ class ArrayValue:
     def __init__(self, size: int) -> None:
         if size < 0:
             raise SimAbort(f"negative array size {size}")
+        if size > MAX_ARRAY_SIZE:
+            raise SimAbort(
+                f"array size {size} exceeds the limit of {MAX_ARRAY_SIZE} elements"
+            )
         self.data: List[float] = [0.0] * int(size)
 
     def __len__(self) -> int:

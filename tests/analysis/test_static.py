@@ -88,6 +88,24 @@ func main() {
         assert sites["mpi_barrier"].in_parallel
         assert not sites["mpi_barrier"].lexical_parallel
 
+    def test_call_chain_lists_every_direct_hybrid_caller(self):
+        src = """
+program ip;
+func helper() { var r = mpi_comm_rank(MPI_COMM_WORLD); return r; }
+func alpha() { helper(); return 0; }
+func beta() { helper(); return 0; }
+func gamma() { helper(); return 0; }
+func main() {
+    mpi_init();
+    omp parallel { alpha(); }
+    omp parallel { beta(); }
+    omp parallel { gamma(); }
+    mpi_finalize();
+}
+"""
+        (site,) = [s for s in collect_sites(parse(src)) if s.func == "helper"]
+        assert site.call_chain == ("alpha", "beta", "gamma", "helper")
+
     def test_interprocedural_disabled(self):
         src = """
 program ip;

@@ -19,7 +19,7 @@ class TestDiagnosisStructure:
 
     def test_graph_has_waiter_and_resource_nodes(self):
         diag = diagnose([self._info()])
-        kinds = {d["kind"] for _, d in diag.graph.nodes(data=True)}
+        kinds = set(diag.kinds.values())
         assert kinds == {"thread", "resource"}
 
     def test_involves_mpi(self):

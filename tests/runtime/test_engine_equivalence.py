@@ -13,6 +13,7 @@ is per-run.
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -510,6 +511,29 @@ func main() { print(spin(0)); }
             nprocs=1,
             num_threads=1,
         )
+
+    @pytest.mark.parametrize(
+        "globals_, body",
+        [
+            ("var a[10000000000000];", "    a[0] = 1;"),
+            ("", "    var a[16777217];\n    a[0] = 1;"),
+            ("", "    var n = 16777216;\n    var a[n + 1];\n    a[0] = 1;"),
+        ],
+    )
+    def test_huge_array_declaration_allocates_nothing(self, globals_, body):
+        tracemalloc.start()
+        try:
+            assert_both_abort(
+                wrap_main(body, globals_=globals_),
+                match="exceeds the limit of 16777216 elements",
+                nprocs=1,
+                num_threads=1,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one over the limit would be a 128 MiB list of floats
+        assert peak < 16 * 2**20
 
     def test_array_index_out_of_bounds(self):
         assert_both_abort(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimAbort
-from repro.runtime.values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
+from repro.runtime.values import MAX_ARRAY_SIZE, ArrayValue, BinOps, Cell, Scope, as_int, truthy
 
 
 class TestCell:
@@ -32,6 +32,10 @@ class TestCell:
 
 
 class TestArrayValue:
+    def test_size_above_limit_aborts(self):
+        with pytest.raises(SimAbort, match="exceeds the limit"):
+            ArrayValue(MAX_ARRAY_SIZE + 1)
+
     def test_zero_initialized(self):
         arr = ArrayValue(4)
         assert arr.get(0) == 0.0 and len(arr) == 4

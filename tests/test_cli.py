@@ -66,6 +66,24 @@ class TestCheck:
         # verbose output at minimum doesn't crash and prints the summary
         assert "HOME" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    def test_huge_array_aborts_each_rank_in_one_line(self, tmp_path, engine, capsys):
+        path = tmp_path / "huge.hmp"
+        path.write_text(
+            "program huge;\nvar a[10000000000000];\n"
+            "func main() {\n    a[0] = 1;\n}\n"
+        )
+        code = main(["check", str(path), "--procs", "2", "--engine", engine, "-v"])
+        captured = capsys.readouterr()
+        assert code == 0
+        notes = [line for line in captured.out.splitlines() if "note:" in line]
+        assert sorted(notes) == [
+            f"  note: rank {r}: aborted: array size 10000000000000 exceeds "
+            "the limit of 16777216 elements"
+            for r in (0, 1)
+        ]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/prog.hmp"]) == 2
 
