@@ -243,6 +243,19 @@ def build_callgraph(program: A.Program) -> CallGraph:
     )
 
 
+def parallel_callers(cg: CallGraph) -> Dict[str, Set[str]]:
+    """Each function reached from a parallel region -> its direct
+    callers that are themselves reached so (what an interprocedural MPI
+    site reports as its call chain); empty for a function called from a
+    parallel region or spawned as a thread."""
+    roots = {cs.callee for cs in cg.sites if cs.region is not None or cs.spawned}
+    reached = cg.reached_from_parallel
+    return {
+        fname: set() if fname in roots else {c for c in cg.callers[fname] if c in reached}
+        for fname in reached
+    }
+
+
 def parallel_guard_contexts(cg: CallGraph) -> Dict[str, GuardContext]:
     """Guards that hold on *every* path into each parallel-reached
     function: the meet, over all call sites executed in parallel

@@ -16,7 +16,7 @@ for the report/CLI/benchmark surfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from ....minilang import ast_nodes as A
 from ....mpi.constants import MPI_ANY_SOURCE, MPI_ANY_TAG
@@ -130,6 +130,7 @@ def compute_dataflow(
     sites: Sequence[MPISite],
     summaries: Optional["SummaryTable"] = None,
     mhp: Optional[MHPSolution] = None,
+    unsafe_funcs: Optional[AbstractSet[str]] = None,
 ) -> DataflowFacts:
     """Solve all three analyses and project the results onto *sites*.
 
@@ -141,12 +142,18 @@ def compute_dataflow(
     map — phase numbering differs between MHP modes, so the race pass
     cannot share this resolution.  *mhp* shares one
     :class:`~.mhp.MHPSolution` between the passes of one analysis.
+    *unsafe_funcs* is the call graph's parallel-reached set when the
+    caller has it (recomputed when omitted).
     """
     from ..candidates import _ENVELOPE_POSITIONS
 
     facts = DataflowFacts()
     facts.mhp = (mhp if mhp is not None else MHPSolution(program)).infos()
-    facts.unsafe_funcs = functions_called_from_parallel(program)
+    facts.unsafe_funcs = (
+        set(unsafe_funcs)
+        if unsafe_funcs is not None
+        else functions_called_from_parallel(program)
+    )
     lock_transparent: FrozenSet[str] = frozenset()
     if summaries is not None:
         from ..callgraph import resolve_parallel_contexts

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ...minilang import ast_nodes as A
 from ...minilang.nodetable import NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
-from ..graphs import reachable
 
 #: Call names treated as MPI routines by the static pass.
 MPI_PREFIXES = ("mpi_", "hmpi_")
@@ -119,8 +118,8 @@ def _fold_arith(op: str, a, b) -> Optional[object]:
 
 
 class _FunctionSites:
-    """One function's MPI sites and outgoing calls, read off the node
-    table in post-order (arguments before the call that takes them).
+    """One function's MPI sites, read off the node table in post-order
+    (arguments before the call that takes them).
 
     A call in a ``num_threads`` clause is a site like any other: the
     clause runs in the construct's enclosing context.
@@ -128,7 +127,6 @@ class _FunctionSites:
 
     def __init__(self, func: A.FuncDef, table: NodeTable) -> None:
         self.sites: List[MPISite] = []
-        self.calls_out: List[Tuple[str, bool]] = []  # (callee, in_parallel)
         for expr in table.calls(func):
             ctx = table.ctx[expr.nid]
             in_parallel = ctx.region != 0
@@ -152,12 +150,6 @@ class _FunctionSites:
                         call_chain=(func.name,),
                     )
                 )
-            elif name == "thread_spawn" and expr.args and isinstance(expr.args[0], A.StrLit):
-                # Explicitly spawned threads run concurrently with their
-                # spawner: the target function executes in hybrid context.
-                self.calls_out.append((expr.args[0].value, True))
-            else:
-                self.calls_out.append((name, in_parallel))
 
 
 def _per_function(program: A.Program) -> Dict[str, _FunctionSites]:
@@ -176,19 +168,23 @@ def collect_sites(
     guards that hold on *every* parallel path into their function (the
     call-graph guard meet), so the thread-level checker and the
     MPI-candidate serialization pruning see a funneled helper as
-    funneled.  *callgraph* lets callers share an already-built
-    :class:`..callgraph.CallGraph`.
+    funneled.  The parallel-reached functions and their hybrid callers
+    come from the :class:`..callgraph.CallGraph` (*callgraph* when the
+    caller already built it).
     """
     per_func = _per_function(program)
     if interprocedural:
-        hybrid_funcs = _functions_reaching_parallel(program, per_func)
+        from .callgraph import build_callgraph, parallel_callers
+
+        cg = callgraph if callgraph is not None else build_callgraph(program)
+        hybrid_funcs = parallel_callers(cg)
         for fname, collector in per_func.items():
             if fname in hybrid_funcs:
                 for site in collector.sites:
                     if not site.in_parallel:
                         site.in_parallel = True
                         site.call_chain = tuple(sorted(hybrid_funcs[fname])) + (fname,)
-        _inherit_guards(program, per_func, hybrid_funcs, callgraph)
+        _inherit_guards(per_func, hybrid_funcs, cg)
 
     sites: List[MPISite] = []
     for collector in per_func.values():
@@ -197,17 +193,15 @@ def collect_sites(
 
 
 def _inherit_guards(
-    program: A.Program,
     per_func: Dict[str, _FunctionSites],
     hybrid_funcs: Dict[str, Set[str]],
-    callgraph: Optional[object],
+    cg: object,
 ) -> None:
     """Merge every-parallel-path guards into interprocedural sites."""
     if not hybrid_funcs:
         return
-    from .callgraph import build_callgraph, parallel_guard_contexts
+    from .callgraph import parallel_guard_contexts
 
-    cg = callgraph if callgraph is not None else build_callgraph(program)
     inherited = parallel_guard_contexts(cg)
     for fname, collector in per_func.items():
         guard = inherited.get(fname)
@@ -224,39 +218,13 @@ def _inherit_guards(
 
 
 def functions_called_from_parallel(program: A.Program) -> Set[str]:
-    """Names of functions transitively reachable from a parallel region.
+    """Names of functions transitively reachable from a parallel region
+    (:attr:`..callgraph.CallGraph.reached_from_parallel`).
 
     Such functions may run on multiple team threads (or spawned threads)
     concurrently, so analyses relying on single-team lexical structure
     must treat them conservatively.
     """
-    return set(_functions_reaching_parallel(program, _per_function(program)))
+    from .callgraph import build_callgraph
 
-
-def _functions_reaching_parallel(
-    program: A.Program, per_func: Dict[str, _FunctionSites]
-) -> Dict[str, Set[str]]:
-    """Functions transitively callable from inside a parallel region.
-
-    Returns a map callee -> set of direct hybrid callers (for reporting
-    the call chain): every hybrid function with a call to it, or the
-    empty set for a function called from a parallel region itself.
-    """
-    user_funcs = {fn.name for fn in program.functions}
-    callees: Dict[str, List[str]] = {}
-    roots: Set[str] = set()
-    for fname, collector in per_func.items():
-        for callee, in_par in collector.calls_out:
-            if callee not in user_funcs:
-                continue
-            callees.setdefault(fname, []).append(callee)
-            if in_par:
-                roots.add(callee)
-    hybrid: Dict[str, Set[str]] = {
-        fname: set() for fname in reachable(callees, roots)
-    }
-    for caller in hybrid:
-        for callee in callees.get(caller, ()):
-            if callee not in roots:
-                hybrid[callee].add(caller)
-    return hybrid
+    return set(build_callgraph(program).reached_from_parallel)

@@ -351,26 +351,30 @@ def _run_static_analysis(
     collectives: bool,
     summaries: bool = True,
 ) -> StaticReport:
-    callgraph = None
-    if summaries and (dataflow or races or collectives):
-        from .callgraph import build_callgraph
+    from .callgraph import build_callgraph
 
-        callgraph = build_callgraph(program)
+    # one call graph: its parallel reachability is the single
+    # "functions reached from a parallel region" set every pass reads
+    passes = dataflow or races or collectives
+    callgraph = build_callgraph(program) if interprocedural or passes else None
+    unsafe = callgraph.reached_from_parallel if callgraph is not None else None
     sites = collect_sites(
         program, interprocedural=interprocedural, callgraph=callgraph
     )
     warnings = check_thread_level(program, sites)
-    need_cfgs = with_cfgs or dataflow or races or collectives
+    need_cfgs = with_cfgs or passes
     cfgs = build_program_cfgs(program) if need_cfgs else {}
     table = (
         compute_summaries(program, callgraph=callgraph, cfgs=cfgs)
-        if callgraph is not None
+        if summaries and passes
         else None
     )
     # one MHP solve serves both the MPI-candidate facts and the races
     mhp = MHPSolution(program) if dataflow or races else None
     facts = (
-        compute_dataflow(program, cfgs, sites, summaries=table, mhp=mhp)
+        compute_dataflow(
+            program, cfgs, sites, summaries=table, mhp=mhp, unsafe_funcs=unsafe
+        )
         if dataflow
         else None
     )
@@ -378,7 +382,7 @@ def _run_static_analysis(
         find_races(
             program,
             cfgs,
-            unsafe_funcs=facts.unsafe_funcs if facts is not None else None,
+            unsafe_funcs=unsafe,
             summaries=table,
             interprocedural=table is not None,
             mhp=mhp,
@@ -391,7 +395,7 @@ def _run_static_analysis(
             program,
             cfgs,
             sites=sites,
-            unsafe_funcs=facts.unsafe_funcs if facts is not None else None,
+            unsafe_funcs=unsafe,
             summaries=table,
         )
         if collectives

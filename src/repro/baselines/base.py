@@ -46,6 +46,10 @@ class ToolReport:
     def deadlocked(self) -> bool:
         return self.execution.deadlocked
 
+    @property
+    def aborted(self) -> bool:
+        return bool(self.execution.aborts)
+
     def summary(self) -> str:
         lines = [
             f"=== {self.tool} on {self.program} "
@@ -55,6 +59,7 @@ class ToolReport:
         ]
         if self.deadlocked:
             lines.append(self.execution.deadlock.summary())
+        lines.extend(self.execution.aborts)
         lines.append(self.violations.summary())
         return "\n".join(lines)
 

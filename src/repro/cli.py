@@ -171,12 +171,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         from .violations.render import report_to_json
 
         print(report_to_json(report.violations))
-        return 1 if len(report.violations) or report.deadlocked else 0
+        for note in report.execution.aborts:
+            print(note, file=sys.stderr)
+        return _check_status(report)
     if args.excerpts:
         from .violations.render import render_report
 
         print(f"=== {tool.name} on {program.name} ===")
         print(f"virtual execution time: {report.makespan:.0f}")
+        for note in report.execution.aborts:
+            print(note)
         print(render_report(report.violations, source=source,
                             with_fixes=args.fix_hints))
     else:
@@ -254,7 +258,14 @@ def cmd_check(args: argparse.Namespace) -> int:
             from .violations.render import render_divergence_triage
 
             print(render_divergence_triage(report.extras["divergence_triage"]))
-    return 1 if len(report.violations) or report.deadlocked else 0
+    return _check_status(report)
+
+
+def _check_status(report) -> int:
+    """``check``'s exit code: 1 for a violation, a deadlock or an
+    aborted rank or thread (a run that never got through the program
+    is not a clean one), else 0."""
+    return 1 if len(report.violations) or report.deadlocked or report.aborted else 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -45,6 +45,13 @@ class SimAbort(RuntimeSimError):
     """A simulated program aborted (e.g. failing assertion, MPI misuse)."""
 
 
+class PayloadShapeError(SimAbort):
+    """MPI payloads that cannot combine: an array broadcast into a
+    scalar, reduction contributions of different shapes, a scalar sent
+    to an alltoall or an empty array to a gather.  Aborts the affected
+    rank like any other :class:`SimAbort`."""
+
+
 class DeadlockError(RuntimeSimError):
     """The scheduler found every live task blocked with no wake-up possible."""
 

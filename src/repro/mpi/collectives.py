@@ -15,39 +15,93 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from ..errors import MPIUsageError
+from ..errors import MPIUsageError, PayloadShapeError
 from .constants import MPI_MAX, MPI_MIN, MPI_PROD, MPI_SUM
 from .communicator import Communicator
 
 
+def _add(a: float, b: float) -> float:
+    return a if a != a else a + b
+
+
+def _mul(a: float, b: float) -> float:
+    return a if a != a else a * b
+
+
+def _max(a: float, b: float) -> float:
+    if a != a:
+        return a
+    return a if a > b else b
+
+
+def _min(a: float, b: float) -> float:
+    if a != a:
+        return a
+    return a if a < b else b
+
+
+_NAN = float("nan")
+
+#: float64 element combiners.  MAX and MIN propagate the first NaN, and
+#: a tie (``-0.0`` against ``0.0``) keeps the later rank's operand, as
+#: the vectorised ``maximum``/``minimum`` loops of an ndarray reduction do.
+_ELEMENTWISE = {MPI_SUM: _add, MPI_PROD: _mul, MPI_MAX: _max, MPI_MIN: _min}
+
+
+def _shape(value: Any) -> Optional[int]:
+    """An array payload's length; None for a scalar."""
+    return len(value) if isinstance(value, tuple) else None
+
+
+def _describe(shape: Optional[int]) -> str:
+    return "a scalar" if shape is None else f"an array of {shape} element(s)"
+
+
 def apply_reduce(op: int, values: List[Any]) -> Any:
-    """Combine *values* with the given reduction op."""
+    """Combine *values* (one contribution per rank, in rank order) with
+    the given reduction op.
+
+    Array payloads (tuples of floats) combine element by element, rank
+    by rank, which is how ``np.stack(values)`` reduced along axis 0
+    combines them; contributions of different shapes raise
+    :class:`~repro.errors.PayloadShapeError`.
+    """
     if not values:
         raise MPIUsageError("reduction over empty contribution set")
-    if isinstance(values[0], np.ndarray):
-        stack = np.stack(values)
+    first = values[0]
+    shape = _shape(first)
+    for rank, value in enumerate(values):
+        if _shape(value) != shape:
+            raise PayloadShapeError(
+                f"reduction contributions differ in shape: rank 0 sent "
+                f"{_describe(shape)}, rank {rank} sent {_describe(_shape(value))}"
+            )
+    if shape is not None:
+        combine = _ELEMENTWISE.get(op)
+        if combine is None:
+            raise MPIUsageError(f"unknown reduction op handle {op}")
         if op == MPI_SUM:
-            return stack.sum(axis=0)
-        if op == MPI_MAX:
-            return stack.max(axis=0)
-        if op == MPI_MIN:
-            return stack.min(axis=0)
-        if op == MPI_PROD:
-            return stack.prod(axis=0)
-    else:
-        if op == MPI_SUM:
-            return sum(values)
-        if op == MPI_MAX:
-            return max(values)
-        if op == MPI_MIN:
-            return min(values)
-        if op == MPI_PROD:
-            out = values[0]
-            for v in values[1:]:
-                out = out * v
-            return out
+            out, rest = (0.0,) * shape, values
+        elif shape == 1 and len(values) > 1 and op != MPI_PROD and first[0] != first[0]:
+            # a one-element MAX/MIN over several ranks reduces in one
+            # vector, which yields the plain NaN for a NaN on rank 0
+            return (_NAN,)
+        else:
+            out, rest = first, values[1:]
+        for value in rest:
+            out = tuple(map(combine, out, value))
+        return out
+    if op == MPI_SUM:
+        return sum(values)
+    if op == MPI_MAX:
+        return max(values)
+    if op == MPI_MIN:
+        return min(values)
+    if op == MPI_PROD:
+        out = first
+        for v in values[1:]:
+            out = out * v
+        return out
     raise MPIUsageError(f"unknown reduction op handle {op}")
 
 

@@ -16,11 +16,13 @@ matching rules implement the MPI standard's semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from .constants import MPI_ANY_SOURCE, MPI_ANY_TAG
+
+#: an MPI payload: the sent elements as IEEE float64 values (Python
+#: floats); never itself a mini-language value
+Payload = Tuple[float, ...]
 
 
 @dataclass
@@ -31,7 +33,7 @@ class Message:
     dst: int
     tag: int
     comm: int
-    payload: np.ndarray
+    payload: Payload
     sent_time: float
     avail_time: float
     #: unique within one :class:`~repro.mpi.world.MPIWorld`, from 1 (0

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from ..errors import MPIUsageError
 
 
@@ -36,7 +34,6 @@ class Request:
     complete_time: float = 0.0
     #: message id satisfied by (recv) or produced (send); 0 if pending.
     msg_id: int = 0
-    payload: Optional[np.ndarray] = None
     handle: int = 0                # assigned by RequestTable.allocate()
     #: thread that created the request (diagnostics)
     owner_thread: int = 0

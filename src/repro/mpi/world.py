@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..errors import MPIUsageError
 from .collectives import CollectiveEngine
 from .communicator import CommRegistry, Communicator
@@ -20,7 +18,7 @@ from .constants import (
     THREAD_LEVEL_NAMES,
 )
 from .ftmpi import FTState
-from .message import Mailbox, Message
+from .message import Mailbox, Message, Payload
 from .requests import Request, RequestTable
 
 
@@ -96,7 +94,7 @@ class MPIWorld:
         dst_local: int,
         tag: int,
         comm_id: int,
-        payload: np.ndarray,
+        payload: Payload,
         sent_time: float,
         latency: float,
         per_elem: float,

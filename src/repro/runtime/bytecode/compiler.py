@@ -61,6 +61,7 @@ from ...omp import (
     check_iteration_budget,
     static_chunks,
 )
+from ..config import abort_note
 from ..interpreter import (
     _REDUCTION_SEMANTICS,
     _SIMPLE_BUILTINS,
@@ -157,7 +158,7 @@ def _worker_task(vm, body_code: Code, ret_msg: str, wctx: ThreadCtx,
         yield from vm._fold_reductions(wctx, reduction_outers)
         vm._collective_close(wctx)
     except SimAbort as err:
-        vm.note(f"rank {wctx.proc.rank} thread {wctx.tid}: aborted: {err}")
+        vm.note(abort_note(f"rank {wctx.proc.rank} thread {wctx.tid}", err))
     finally:
         vm.emit(ThreadEnd, wctx, team=team.team_id)
         team.worker_done(wctx.team_index, wctx.clock)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -106,6 +107,16 @@ class RunConfig:
             raise ValueError("num_threads must be >= 1")
 
 
+_ABORT_NOTE = re.compile(r"rank \d+(?: thread \d+)?: aborted: ")
+
+
+def abort_note(who: str, err: Exception) -> str:
+    """The run note *who* (``rank R`` for a rank's main thread, ``rank R
+    thread T`` for a worker) leaves when it aborts with *err*; the notes
+    :attr:`ExecutionResult.aborts` lists."""
+    return f"{who}: aborted: {err}"
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of one simulated execution."""
@@ -127,6 +138,11 @@ class ExecutionResult:
     @property
     def deadlocked(self) -> bool:
         return self.deadlock is not None
+
+    @property
+    def aborts(self) -> List[str]:
+        """The notes of the ranks and threads that aborted, in order."""
+        return [note for note in self.notes if _ABORT_NOTE.match(note)]
 
     @property
     def completed(self) -> bool:

@@ -43,7 +43,7 @@ from ..omp import (
     check_iteration_budget,
     static_chunks,
 )
-from .config import ExecutionResult, RunConfig
+from .config import ExecutionResult, RunConfig, abort_note
 from .scheduler import Block, Scheduler, Step
 from .values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
 
@@ -352,7 +352,7 @@ class Interpreter:
                 raise SimAbort(f"program {self.program.name!r} has no main()")
             yield from self._call_user(main, [], ctx)
         except SimAbort as err:
-            self.note(f"rank {ctx.proc.rank}: aborted: {err}")
+            self.note(abort_note(f"rank {ctx.proc.rank}", err))
 
     # -- statement execution -------------------------------------------------
 
@@ -607,7 +607,7 @@ class Interpreter:
             yield from self._fold_reductions(wctx, reduction_outers)
             self._collective_close(wctx)
         except SimAbort as err:
-            self.note(f"rank {wctx.proc.rank} thread {wctx.tid}: aborted: {err}")
+            self.note(abort_note(f"rank {wctx.proc.rank} thread {wctx.tid}", err))
         finally:
             self.emit(ThreadEnd, wctx, team=wctx.team.team_id)
             wctx.team.worker_done(wctx.team_index, wctx.clock)
@@ -1027,7 +1027,7 @@ class Interpreter:
             result = yield from self._call_user(fn, [arg], tctx)
             state["result"] = result
         except SimAbort as err:
-            self.note(f"rank {tctx.proc.rank} thread {tctx.tid}: aborted: {err}")
+            self.note(abort_note(f"rank {tctx.proc.rank} thread {tctx.tid}", err))
         finally:
             self.emit(ThreadEnd, tctx, team=team_id)
             state["done"] = True

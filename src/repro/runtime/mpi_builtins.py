@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-import numpy as np
-
-from ..errors import MPIUsageError, RankCrashFault, SimAbort
+from ..errors import MPIUsageError, PayloadShapeError, RankCrashFault, SimAbort
 from ..events import ErrorHandlerEvent, FaultEvent, MonitoredWrite, MPICall, MPIErrorEvent
 from ..faults.injector import kill_worker_process
 from ..events.event import MonitoredKind
@@ -39,6 +37,7 @@ from ..mpi.errors import (
     error_string,
 )
 from ..mpi.ftmpi import RetryPolicy
+from ..mpi.message import Payload
 from ..mpi.requests import Request
 from .scheduler import Block, Step
 from .values import ArrayValue, as_int
@@ -50,17 +49,17 @@ def _loc(node) -> str:
     return intern_loc(node.loc)
 
 
-def _payload(buf: Any, count: int) -> np.ndarray:
+def _payload(buf: Any, count: int) -> Payload:
     """Snapshot a send buffer (array slice or scalar) into a payload."""
     if isinstance(buf, ArrayValue):
-        snap = buf.snapshot()
-        return snap[: count if count > 0 else len(snap)]
+        data = buf.data
+        return tuple(data[:count] if count > 0 else data)
     if isinstance(buf, (int, float, bool)):
-        return np.asarray([float(buf)])
+        return (float(buf),)
     raise SimAbort(f"cannot send value of type {type(buf).__name__}")
 
 
-def _deliver(buf: Any, payload: np.ndarray, count: int) -> None:
+def _deliver(buf: Any, payload: Payload, count: int) -> None:
     if isinstance(buf, ArrayValue):
         buf.load(payload, count if count > 0 else None)
     # Scalar receive buffers have value semantics in the mini language;
@@ -184,7 +183,7 @@ def _crash_gate(interp, ctx, op: str) -> None:
 
 def _post_send_faulted(
     interp, ctx, dst_local: int, tag: int, comm_id: int,
-    payload: np.ndarray, sync: bool, op: str,
+    payload: Payload, sync: bool, op: str,
 ):
     """world.post_send with the injector consulted on delivery.
 
@@ -938,9 +937,14 @@ def mpi_bcast(interp, ctx, node, args, instrumented) -> Gen:
     comm = interp.world.comm(comm_id)
     root_value = slot.contributions.get(comm.world_rank(root))
     if isinstance(value, ArrayValue):
-        if isinstance(root_value, np.ndarray):
+        if isinstance(root_value, tuple):
             value.load(root_value)
         return 0
+    if isinstance(root_value, tuple):
+        raise PayloadShapeError(
+            f"mpi_bcast: root {root} sent an array of {len(root_value)} "
+            "element(s) to a scalar receive buffer"
+        )
     return root_value
 
 
@@ -963,7 +967,7 @@ def mpi_reduce(interp, ctx, node, args, instrumented) -> Gen:
     contribs = [slot.contributions[w] for w in comm.members]
     result = apply_reduce(op_h, contribs)
     if isinstance(value, ArrayValue):
-        value.load(np.asarray(result))
+        value.load(result)
         return 0
     return result
 
@@ -982,7 +986,7 @@ def mpi_allreduce(interp, ctx, node, args, instrumented) -> Gen:
     contribs = [slot.contributions[w] for w in comm.members]
     result = apply_reduce(op_h, contribs)
     if isinstance(value, ArrayValue):
-        value.load(np.asarray(result))
+        value.load(result)
         return 0
     return result
 
@@ -1001,11 +1005,23 @@ def mpi_gather(interp, ctx, node, args, instrumented) -> Gen:
         return 0
     comm = interp.world.comm(comm_id)
     if comm.local_rank(ctx.proc.rank) == root and isinstance(recvbuf, ArrayValue):
-        gathered = np.asarray(
-            [float(np.asarray(slot.contributions[w]).flat[0]) for w in comm.members]
-        )
-        recvbuf.load(gathered)
+        recvbuf.load(_first_elements(slot, comm, "mpi_gather"))
     return 0
+
+
+def _first_elements(slot, comm, op: str) -> Payload:
+    """Each member's first payload element, in rank order (gather and
+    allgather move one element per rank)."""
+    out = []
+    for local, w in enumerate(comm.members):
+        contrib = slot.contributions[w]
+        if not isinstance(contrib, tuple):
+            out.append(float(contrib))
+        elif contrib:
+            out.append(contrib[0])
+        else:
+            raise PayloadShapeError(f"{op}: rank {local} sent an empty array")
+    return tuple(out)
 
 
 def mpi_allgather(interp, ctx, node, args, instrumented) -> Gen:
@@ -1020,10 +1036,7 @@ def mpi_allgather(interp, ctx, node, args, instrumented) -> Gen:
         return 0
     comm = interp.world.comm(comm_id)
     if isinstance(recvbuf, ArrayValue):
-        gathered = np.asarray(
-            [float(np.asarray(slot.contributions[w]).flat[0]) for w in comm.members]
-        )
-        recvbuf.load(gathered)
+        recvbuf.load(_first_elements(slot, comm, "mpi_allgather"))
     return 0
 
 
@@ -1040,8 +1053,8 @@ def mpi_scatter(interp, ctx, node, args, instrumented) -> Gen:
     comm = interp.world.comm(comm_id)
     root_contrib = slot.contributions.get(comm.world_rank(root))
     my_local = comm.local_rank(ctx.proc.rank)
-    if isinstance(root_contrib, np.ndarray) and my_local < len(root_contrib):
-        return float(root_contrib[my_local])
+    if isinstance(root_contrib, tuple) and my_local < len(root_contrib):
+        return root_contrib[my_local]
     return 0
 
 
@@ -1059,10 +1072,14 @@ def mpi_alltoall(interp, ctx, node, args, instrumented) -> Gen:
     my_local = comm.local_rank(ctx.proc.rank)
     if isinstance(recvbuf, ArrayValue):
         row = []
-        for w in comm.members:
-            contrib = np.asarray(slot.contributions[w])
-            row.append(float(contrib[my_local]) if my_local < len(contrib) else 0.0)
-        recvbuf.load(np.asarray(row))
+        for local, w in enumerate(comm.members):
+            contrib = slot.contributions[w]
+            if not isinstance(contrib, tuple):
+                raise PayloadShapeError(
+                    f"mpi_alltoall: rank {local} sent a scalar, not an array"
+                )
+            row.append(contrib[my_local] if my_local < len(contrib) else 0.0)
+        recvbuf.load(tuple(row))
     return 0
 
 

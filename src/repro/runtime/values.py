@@ -12,9 +12,7 @@ shares, so a trace never depends on what ran earlier in the process.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import SimAbort
 
@@ -42,15 +40,18 @@ class Cell:
 class ArrayValue:
     """A fixed-size 1-D numeric array with reference semantics.
 
-    Elements are Python floats in a list: element access is the VM's
-    hottest array path, and a bounds-checked list index costs a fraction
-    of a numpy scalar round trip.  numpy stays at the MPI payload
-    boundary: :meth:`snapshot` hands out a float64 ``ndarray`` and
-    :meth:`load` takes one, mirroring real MPI buffer semantics (sends
-    copy out, receives copy back in).  A stored value converts exactly
-    as assigning it into a float64 ndarray would, so every value numpy
-    accepted is stored the same and every value it rejected raises the
-    same error.
+    Elements are Python floats (IEEE float64) in a list: element access
+    is the VM's hottest array path.  MPI payloads are tuples of those
+    floats: :meth:`snapshot` hands one out and :meth:`load` copies one
+    back in, mirroring real MPI buffer semantics (sends copy out,
+    receives copy back in).  A stored value converts exactly as
+    assigning it into a float64 ndarray did (``None`` becomes NaN;
+    strings parse as ``float`` parses them), and a value that
+    conversion rejected raises the same error.  Tuple payloads keep the
+    product on the standard library: ``import repro.cli`` loads 208
+    modules instead of 305, and a fresh check peaks at about 30 MB RSS
+    instead of 43 (``docs/PERFORMANCE.md``, "Standard-library MPI
+    payloads").
     """
 
     __slots__ = ("data",)
@@ -77,16 +78,16 @@ class ArrayValue:
             value = _as_float64(value)
         self.data[index] = value
 
-    def snapshot(self) -> np.ndarray:
-        return np.array(self.data, dtype=np.float64)
+    def snapshot(self) -> Tuple[float, ...]:
+        return tuple(self.data)
 
-    def load(self, payload: np.ndarray, count: Optional[int] = None) -> None:
+    def load(self, payload: Tuple[float, ...], count: Optional[int] = None) -> None:
         n = len(payload) if count is None else min(count, len(payload))
         n = min(n, len(self.data))
-        self.data[:n] = np.asarray(payload[:n], dtype=np.float64).tolist()
+        self.data[:n] = payload[:n]
 
     def _check(self, index: int) -> None:
-        if not isinstance(index, (int, np.integer)):
+        if not isinstance(index, int):
             raise SimAbort(f"array index must be an integer, got {index!r}")
         if not 0 <= index < len(self.data):
             raise SimAbort(
@@ -98,13 +99,11 @@ class ArrayValue:
 
 
 def _as_float64(value: Any) -> float:
-    """*value* as a float64 array element would hold it, as a Python
-    float; raises what assigning it into a float64 ndarray raises."""
-    if type(value) is int or type(value) is bool:
-        return float(value)
-    element = np.empty(1, dtype=np.float64)
-    element[0] = value
-    return float(element[0])
+    """*value* as a float64 array element holds it."""
+    return _NAN if value is None else float(value)
+
+
+_NAN = float("nan")
 
 
 class Scope:
@@ -172,7 +171,7 @@ def truthy(value: Any) -> bool:
     """Mini-language truthiness: numbers nonzero, bools as-is."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, (int, float)):
         return value != 0
     if isinstance(value, str):
         return bool(value)
@@ -185,9 +184,9 @@ def as_int(value: Any, what: str = "value") -> int:
     """Coerce a mini-language value to a Python int (for tags, ranks...)."""
     if isinstance(value, bool):
         return int(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+    if isinstance(value, float) and value.is_integer():
         return int(value)
     raise SimAbort(f"{what} must be an integer, got {value!r}")
 

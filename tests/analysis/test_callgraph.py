@@ -1,15 +1,31 @@
 """Call-graph construction: edges, recursion, bottom-up order, spawn
 reachability, context opacity, the guard meet, and parallel-context
-resolution with root-nid propagation through call chains."""
+resolution with root-nid propagation through call chains, and parallel
+reachability against the separate walk MPI-site collection made."""
+
+from pathlib import Path
 
 from repro.analysis.static_ import (
     GUARD_BOTTOM,
     build_callgraph,
     parallel_guard_contexts,
     resolve_parallel_contexts,
+    run_static_analysis,
 )
+from repro.analysis.static_.callgraph import parallel_callers
 from repro.analysis.static_.dataflow import compute_mhp
+from repro.fuzz.generator import generate_program
+from repro.minilang import ast_nodes as A
 from repro.minilang import parse
+from repro.workloads.case_studies import (
+    case_study_1,
+    case_study_2,
+    case_study_2_fixed,
+    safe_funneled,
+)
+from repro.workloads.patterns import ALL_PATTERNS
+
+from helpers import npb_sources
 
 PROG = "program t;\n"
 
@@ -362,3 +378,74 @@ func main() {
         ctx = resolve_parallel_contexts(cg, mhp)
         assert "forks" not in ctx
         assert "worker" not in ctx
+
+
+def reference_parallel_callers(program):
+    """The walk MPI-site collection made before it read the call graph:
+    user-call edges (spawn targets included) from the node table, roots
+    at calls inside a parallel region and at spawn targets, and each
+    reached non-root function's reached callers."""
+    user = {fn.name for fn in program.functions}
+    table = program.table
+    callees, roots = {}, set()
+    for fn in program.functions:
+        for call in table.calls(fn):
+            if call.name == "thread_spawn" and call.args and isinstance(
+                call.args[0], A.StrLit
+            ):
+                callee, in_parallel = call.args[0].value, True
+            else:
+                callee, in_parallel = call.name, table.ctx[call.nid].region != 0
+            if callee not in user:
+                continue
+            callees.setdefault(fn.name, []).append(callee)
+            if in_parallel:
+                roots.add(callee)
+    seen, stack = set(roots), list(roots)
+    while stack:
+        for callee in callees.get(stack.pop(), ()):
+            if callee not in seen:
+                seen.add(callee)
+                stack.append(callee)
+    out = {fname: set() for fname in seen}
+    for caller in seen:
+        for callee in callees.get(caller, ()):
+            if callee not in roots:
+                out[callee].add(caller)
+    return out
+
+
+def _reachability_corpus():
+    for name, source in sorted(npb_sources().items()):
+        yield name, parse(source)
+    for seed in range(400):
+        yield f"fuzz-{seed}", generate_program(seed)
+    corpus = Path(__file__).resolve().parents[2] / "examples" / "fuzz_corpus"
+    for path in sorted(corpus.glob("*.mini")):
+        yield path.name, parse(path.read_text())
+    for build in (case_study_1, case_study_2, case_study_2_fixed, safe_funneled):
+        yield build.__name__, build()
+    for name, build in sorted(ALL_PATTERNS.items()):
+        yield name, build()
+
+
+class TestParallelReachability:
+    def test_call_graph_matches_the_site_walk(self):
+        """``CallGraph.reached_from_parallel`` and ``parallel_callers`` are
+        the set and caller map the separate site walk computed, on the
+        NPB, generated-fuzz, fuzz-corpus and example programs."""
+        checked = 0
+        for name, program in _reachability_corpus():
+            cg = build_callgraph(program)
+            expected = reference_parallel_callers(program)
+            assert set(cg.reached_from_parallel) == set(expected), name
+            assert parallel_callers(cg) == expected, name
+            checked += 1
+        assert checked > 400
+
+    def test_static_passes_share_the_call_graph_set(self):
+        program = parse(npb_sources()["ip"])
+        report = run_static_analysis(program, cache=False)
+        reached = report.summaries.callgraph.reached_from_parallel
+        assert reached
+        assert report.dataflow_facts.unsafe_funcs == set(reached)

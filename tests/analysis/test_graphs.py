@@ -197,3 +197,25 @@ class TestImportsWithoutNetworkx:
             "print(sorted(m for m in sys.modules if m.startswith('networkx')))"
         )
         assert out.strip() == "[]"
+
+
+class TestImportsWithoutNumpy:
+    def test_cli_import_loads_no_numpy(self):
+        out = run_python(
+            "import sys\nimport repro.cli, repro.fuzz, repro.campaign\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+        )
+        assert out.strip() == "[]"
+
+    def test_check_runs_with_numpy_blocked(self, tmp_path):
+        path = tmp_path / "lu.hmp"
+        out = run_python(
+            "import sys\nsys.modules['numpy'] = None\n"
+            "from pathlib import Path\n"
+            "from repro.cli import main\n"
+            "from repro.workloads.npb.lu_mz import lu_mz_source\n"
+            f"Path({str(path)!r}).write_text(lu_mz_source(True))\n"
+            f"print('exit', main(['check', {str(path)!r}]))"
+        )
+        assert "ConcurrentRecvViolation" in out
+        assert out.splitlines()[-1] == "exit 1"

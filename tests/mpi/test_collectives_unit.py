@@ -1,9 +1,13 @@
 """Collective engine unit tests (no interpreter)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import MPIUsageError
+from repro.errors import MPIUsageError, PayloadShapeError
 from repro.mpi.collectives import CollectiveEngine, apply_reduce
 from repro.mpi.communicator import CommRegistry
 from repro.mpi.constants import MPI_MAX, MPI_MIN, MPI_PROD, MPI_SUM
@@ -26,8 +30,8 @@ class TestApplyReduce:
         assert apply_reduce(MPI_PROD, [2, 3, 4]) == 24
 
     def test_array_sum_elementwise(self):
-        out = apply_reduce(MPI_SUM, [np.asarray([1.0, 2.0]), np.asarray([3.0, 4.0])])
-        assert list(out) == [4.0, 6.0]
+        out = apply_reduce(MPI_SUM, [(1.0, 2.0), (3.0, 4.0)])
+        assert out == (4.0, 6.0)
 
     def test_empty_contributions_rejected(self):
         with pytest.raises(MPIUsageError):
@@ -36,6 +40,49 @@ class TestApplyReduce:
     def test_unknown_op_rejected(self):
         with pytest.raises(MPIUsageError):
             apply_reduce(42, [1, 2])
+        with pytest.raises(MPIUsageError):
+            apply_reduce(42, [(1.0,), (2.0,)])
+
+
+_ELEMENTS = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_NP_REDUCTIONS = {MPI_SUM: "sum", MPI_PROD: "prod", MPI_MAX: "max", MPI_MIN: "min"}
+
+
+class TestApplyReduceAgainstNumpy:
+    """Tuple payloads reduce to exactly what ``np.stack(...)`` reduced
+    along axis 0 gave when payloads were float64 ndarrays."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        op=st.sampled_from(sorted(_NP_REDUCTIONS)),
+        rows=st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(_ELEMENTS, min_size=n, max_size=n).map(tuple),
+                min_size=1, max_size=4,
+            )
+        ),
+    )
+    def test_bit_for_bit(self, op, rows):
+        got = apply_reduce(op, rows)
+        with np.errstate(all="ignore"):
+            want = getattr(np.stack([np.asarray(r, dtype=np.float64) for r in rows]),
+                           _NP_REDUCTIONS[op])(axis=0)
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        assert np.asarray(got, dtype=np.float64).tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        op=st.sampled_from(sorted(_NP_REDUCTIONS)),
+        shapes=st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=2, max_size=4)
+        .filter(lambda shapes: len(set(shapes)) > 1),
+    )
+    def test_mismatched_shapes_raise(self, op, shapes):
+        rows = [1.0 if n is None else (1.0,) * n for n in shapes]
+        with pytest.raises(PayloadShapeError, match="differ in shape"):
+            apply_reduce(op, rows)
 
 
 class TestCollectiveSlots:

@@ -1,6 +1,5 @@
 """Mailbox / envelope-matching unit tests."""
 
-import numpy as np
 import pytest
 
 from repro.mpi.constants import MPI_ANY_SOURCE, MPI_ANY_TAG
@@ -11,7 +10,7 @@ from repro.mpi.world import MPIWorld
 def msg(src=0, tag=1, comm=0, payload=(1.0,), sent=0.0, msg_id=1):
     return Message(
         src=src, dst=1, tag=tag, comm=comm,
-        payload=np.asarray(payload), sent_time=sent, avail_time=sent + 1.0,
+        payload=tuple(payload), sent_time=sent, avail_time=sent + 1.0,
         msg_id=msg_id,
     )
 
@@ -97,7 +96,7 @@ class TestMailbox:
         one (0 means "no message" to the trace analyses)."""
         def send_ids(world, n):
             return [
-                world.post_send(0, 1, 0, 0, np.zeros(1), 0.0, 1.0, 0.0).msg_id
+                world.post_send(0, 1, 0, 0, (0.0,), 0.0, 1.0, 0.0).msg_id
                 for _ in range(n)
             ]
 

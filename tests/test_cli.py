@@ -1,5 +1,7 @@
 """CLI tests (argument parsing and end-to-end subcommands)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -29,6 +31,81 @@ func main() {
     mpi_finalize();
 }
 """
+
+
+#: MPI payloads that cannot combine: (source, sorted summary abort lines)
+PAYLOAD_SHAPE_CASES = {
+    # rank 0 broadcasts an array; rank 1 receives into a scalar
+    "bcast-array-into-scalar": ("""
+program bcastshape;
+var arr[4];
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    var rank = mpi_comm_rank(MPI_COMM_WORLD);
+    var x = 0;
+    if (rank == 0) {
+        mpi_bcast(arr, 0, MPI_COMM_WORLD);
+    } else {
+        x = mpi_bcast(x, 0, MPI_COMM_WORLD);
+        arr[1] = x;
+    }
+    mpi_finalize();
+}
+""", [
+        "rank 1: aborted: mpi_bcast: root 0 sent an array of 4 element(s) "
+        "to a scalar receive buffer",
+    ]),
+    # an array on rank 0, a scalar on rank 1
+    "allreduce-mixed-shapes": ("""
+program allreduceshape;
+var arr[3];
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    var rank = mpi_comm_rank(MPI_COMM_WORLD);
+    var x = 1;
+    if (rank == 0) {
+        mpi_allreduce(arr, MPI_SUM, MPI_COMM_WORLD);
+    } else {
+        x = mpi_allreduce(x, MPI_SUM, MPI_COMM_WORLD);
+    }
+    mpi_finalize();
+}
+""", [
+        f"rank {r}: aborted: reduction contributions differ in shape: rank 0 "
+        "sent an array of 3 element(s), rank 1 sent a scalar"
+        for r in (0, 1)
+    ]),
+    # a scalar where alltoall needs an array
+    "alltoall-scalar": ("""
+program a2ascalar;
+var buf[2];
+var out[2];
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    var rank = mpi_comm_rank(MPI_COMM_WORLD);
+    if (rank == 0) {
+        mpi_alltoall(buf, out, MPI_COMM_WORLD);
+    } else {
+        mpi_alltoall(rank, out, MPI_COMM_WORLD);
+    }
+    mpi_finalize();
+}
+""", [
+        f"rank {r}: aborted: mpi_alltoall: rank 1 sent a scalar, not an array"
+        for r in (0, 1)
+    ]),
+    # a zero-length array where gather takes one element per rank
+    "gather-empty": ("""
+program gatherempty;
+var none[0];
+var out[2];
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    mpi_gather(none, out, 0, MPI_COMM_WORLD);
+    mpi_finalize();
+}
+""", ["rank 0: aborted: mpi_gather: rank 0 sent an empty array"]),
+}
 
 
 @pytest.fixture
@@ -75,13 +152,65 @@ class TestCheck:
         )
         code = main(["check", str(path), "--procs", "2", "--engine", engine, "-v"])
         captured = capsys.readouterr()
-        assert code == 0
+        assert code == 1  # an aborted run is not a clean one
         notes = [line for line in captured.out.splitlines() if "note:" in line]
         assert sorted(notes) == [
             f"  note: rank {r}: aborted: array size 10000000000000 exceeds "
             "the limit of 16777216 elements"
             for r in (0, 1)
         ]
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_aborted_run_is_not_clean(self, tmp_path, engine, fmt, capsys):
+        path = tmp_path / "oob.hmp"
+        path.write_text(
+            "program oob;\nvar a[2];\n"
+            "func main() {\n    a[5] = 1;\n}\n"
+        )
+        code = main(["check", str(path), "--engine", engine, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        expected = [
+            f"rank {r}: aborted: array index 5 out of bounds for array of size 2"
+            for r in (0, 1)
+        ]
+        if fmt == "json":
+            json.loads(captured.out)
+            lines = captured.err.splitlines()
+        else:
+            lines = [line for line in captured.out.splitlines() if "aborted" in line]
+        assert sorted(lines) == expected
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    def test_aborted_threads_are_listed(self, tmp_path, engine, capsys):
+        path = tmp_path / "oob_threads.hmp"
+        path.write_text(
+            "program oobt;\nvar a[2];\nfunc main() {\n"
+            "    omp parallel num_threads(2) {\n        a[5] = 1;\n    }\n}\n"
+        )
+        code = main(["check", str(path), "--engine", engine])
+        out = capsys.readouterr().out
+        assert code == 1
+        why = "aborted: array index 5 out of bounds for array of size 2"
+        assert sorted(line for line in out.splitlines() if "aborted" in line) == sorted(
+            f"rank {r}{thread}: {why}" for r in (0, 1) for thread in ("", " thread 1")
+        )
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    @pytest.mark.parametrize("case", sorted(PAYLOAD_SHAPE_CASES))
+    def test_payload_shape_mismatch_aborts_in_one_line(self, tmp_path, engine, case,
+                                                       capsys):
+        source, expected = PAYLOAD_SHAPE_CASES[case]
+        path = tmp_path / f"{case}.hmp"
+        path.write_text(source)
+        code = main(["check", str(path), "--procs", "2", "--engine", engine])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = [line for line in captured.out.splitlines() if "aborted" in line]
+        assert sorted(lines) == expected
         assert "Traceback" not in captured.out + captured.err
 
     def test_missing_file(self, capsys):

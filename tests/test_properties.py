@@ -12,7 +12,6 @@ from repro.mpi.message import Mailbox, Message
 from repro.omp.team import BarrierState, ForState, static_chunks
 from repro.runtime.scheduler import Scheduler, Step
 
-import numpy as np
 
 # ---------------------------------------------------------------------------
 # Vector clocks
@@ -152,7 +151,7 @@ class TestMatchingLaws:
         for i, (src, tag) in enumerate(sends):
             box.deliver(Message(
                 src=src, dst=0, tag=tag, comm=0,
-                payload=np.asarray([float(i)]), sent_time=0.0, avail_time=0.0,
+                payload=(float(i),), sent_time=0.0, avail_time=0.0,
                 msg_id=i + 1,
             ))
         for src, tag in set(sends):
@@ -167,7 +166,7 @@ class TestMatchingLaws:
         for i, (src, tag) in enumerate(sends):
             box.deliver(Message(
                 src=src, dst=0, tag=tag, comm=0,
-                payload=np.asarray([float(i)]), sent_time=0.0, avail_time=0.0,
+                payload=(float(i),), sent_time=0.0, avail_time=0.0,
                 msg_id=i + 1,
             ))
         order = []
@@ -181,7 +180,7 @@ class TestMatchingLaws:
         for i, (src, tag) in enumerate(sends):
             box.deliver(Message(
                 src=src, dst=0, tag=tag, comm=0,
-                payload=np.asarray([float(i)]), sent_time=0.0, avail_time=0.0,
+                payload=(float(i),), sent_time=0.0, avail_time=0.0,
                 msg_id=i + 1,
             ))
         src, tag = probe_env
