@@ -166,9 +166,7 @@ def compute_happens_before(
         if epochs[tid] > builder.get(tid):
             builder._c[tid] = epochs[tid]
 
-    for event in log:
-        if event.proc != proc:
-            continue
+    for event in log.for_process(proc):
         tid = event.thread
         own = epochs.get(tid)
         if own is None:

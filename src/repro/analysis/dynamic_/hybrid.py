@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ...events import EventLog, MonitoredWrite, MPICall
+from ...events import EventLog, MonitoredWrite
 from ...events.event import MonitoredKind
 from .happensbefore import HBResult, compute_happens_before
 from .lockset import LocksetAnalysis
@@ -117,24 +117,23 @@ class ConcurrencyReport:
 def collect_call_records(log: EventLog, proc: int) -> Dict[int, MPICallRecord]:
     """Group monitored writes (and begin events) into call instances."""
     records: Dict[int, MPICallRecord] = {}
-    for event in log:
-        if event.proc != proc:
-            continue
-        if type(event) is MonitoredWrite:
-            rec = records.get(event.call_id)
-            if rec is None:
-                rec = records[event.call_id] = MPICallRecord(
-                    call_id=event.call_id,
-                    proc=proc,
-                    thread=event.thread,
-                    op=event.mpi_op,
-                    callsite=event.callsite,
-                    loc=event.loc,
-                    time=event.time,
-                )
-            rec.writes[event.kind] = event.seq
-            rec.values[event.kind] = event.value
-        elif type(event) is MPICall and event.phase == "begin":
+    for event in log.of_process_type(proc, MonitoredWrite):
+        rec = records.get(event.call_id)
+        if rec is None:
+            rec = records[event.call_id] = MPICallRecord(
+                call_id=event.call_id,
+                proc=proc,
+                thread=event.thread,
+                op=event.mpi_op,
+                callsite=event.callsite,
+                loc=event.loc,
+                time=event.time,
+            )
+        rec.writes[event.kind] = event.seq
+        rec.values[event.kind] = event.value
+    if records:
+        # a call's begin follows its writes, so every record exists by then
+        for event in log.mpi_calls(proc):
             rec = records.get(event.call_id)
             if rec is not None:
                 rec.is_main_thread = event.is_main_thread

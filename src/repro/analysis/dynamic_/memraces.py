@@ -11,7 +11,6 @@ filtering is so much cheaper.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import attrgetter
@@ -58,10 +57,7 @@ def find_memory_races(
     same ``lock_edges``/``ignored_locks``; without it the log is
     replayed here.
     """
-    accesses: Dict[tuple, List[MemAccess]] = defaultdict(list)
-    for event in log:
-        if type(event) is MemAccess and event.proc == proc:
-            accesses[event.cell, event.index].append(event)
+    accesses = log.memory_locations(proc)
     if not accesses:
         return []
 

@@ -130,9 +130,7 @@ class CrossProcessHB:
         end_count: Dict[Tuple[int, int], int] = {}
         from ...events.event import COLLECTIVE_OPS
 
-        for event in log:
-            if not isinstance(event, MPICall):
-                continue
+        for event in log.of_type(MPICall):
             if event.op in _P2P_SEND_OPS or event.op == "mpi_sendrecv":
                 if event.phase == "begin":
                     send_begin_of_call[(event.proc, event.call_id)] = event.seq
@@ -237,9 +235,7 @@ class CrossProcessHB:
 def _collect_p2p(log: EventLog) -> Tuple[List[SendRecord], List[RecvRecord]]:
     sends: List[SendRecord] = []
     recvs: List[RecvRecord] = []
-    for event in log:
-        if not (isinstance(event, MPICall) and event.phase == "end"):
-            continue
+    for event in log.mpi_calls(phase="end"):
         args = event.args
         msg_id = args.get("msg_id")
         if not msg_id:

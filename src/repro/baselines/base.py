@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord
-from ..events import EventLog, MPICall
+from ..events import EventLog
 from ..events.event import COLLECTIVE_OPS, MonitoredKind
 from ..minilang import ast_nodes as A
 from ..runtime import ExecutionResult, RunConfig, make_interpreter
@@ -148,9 +148,7 @@ def call_records_from_events(
     monitored-variable kinds so the shared violation rules apply.
     """
     records: Dict[int, MPICallRecord] = {}
-    for event in log:
-        if type(event) is not MPICall or event.proc != proc or event.phase != "begin":
-            continue
+    for event in log.mpi_calls(proc):
         if event.op in exclude_ops:
             continue
         if event.op in ("mpi_init", "mpi_init_thread"):

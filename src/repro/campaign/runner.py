@@ -40,6 +40,7 @@ is the campaign's only persistent state: ``resume`` continues from
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import sys
@@ -277,7 +278,26 @@ class CellExecutor:
         self.static = static
 
     def run_cell(self, seed: int, plan_name: str, plan: Optional[FaultPlan]) -> RunOutcome:
-        """One (seed, plan) cell: budgeted attempts, then salvage."""
+        """One (seed, plan) cell: budgeted attempts, then salvage.
+
+        The cyclic garbage collector is paused for the cell.  A cell
+        makes no reference cycles (its interpreter, trace and analysis
+        tables are freed by reference counting, which
+        ``tests/campaign/test_runner.py`` checks), so the collector's
+        passes during a cell only re-traverse the events and replay
+        tables it just built.  Cyclic garbage a cell does leave (compiled
+        code evicted from the compile cache, an unusual program's
+        cycles) waits for the first collection after the cell.
+        """
+        if not gc.isenabled():
+            return self._run_cell(seed, plan_name, plan)
+        gc.disable()
+        try:
+            return self._run_cell(seed, plan_name, plan)
+        finally:
+            gc.enable()
+
+    def _run_cell(self, seed: int, plan_name: str, plan: Optional[FaultPlan]) -> RunOutcome:
         cfg = self.config
         started = time.perf_counter()
         if cfg.force_fail:

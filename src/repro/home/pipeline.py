@@ -109,10 +109,10 @@ def triage_race_candidates(
             for race in proc_races:
                 dynamic_races.setdefault(race.var, []).append(race)
     threads_by_var: Dict[str, Dict[int, set]] = {}
-    for event in log:
-        if type(event) is MemAccess:
+    for proc in log.processes():
+        for event in log.of_process_type(proc, MemAccess):
             threads_by_var.setdefault(event.var, {}).setdefault(
-                event.proc, set()
+                proc, set()
             ).add(event.thread)
 
     locs_by_var: Dict[str, set] = {}

@@ -25,7 +25,7 @@ body **once per program** into flat tuples of compiled closures
 * memory monitoring is decided at compile time, as binary
   instrumentation patches only the selected variables: a variable site
   whose identifier the run's monitoring spec does not select compiles
-  with no hook, and a selected site calls one lean emitter.
+  with no hook, and a selected site carries one lean emitter inline.
 
 Byte-identity contract: yield-point placement is computed here so the
 compiled program presents the scheduler with *exactly* the same sequence
@@ -70,7 +70,15 @@ from ..interpreter import (
     _lock_name,
 )
 from ..scheduler import Block, Step
-from ..values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
+from ..values import (
+    ArrayValue,
+    BinOps,
+    Cell,
+    Scope,
+    as_int,
+    store_element,
+    truthy,
+)
 
 #: statement/expression instruction modes
 PURE = False  # plain closure, cannot reach a scheduling point
@@ -95,25 +103,47 @@ def monitor_spec(config) -> Any:
     return None if monitored is None else frozenset(monitored)
 
 
-def _mem_event(vm, ctx: ThreadCtx, cell, is_write: bool, callsite: int,
-               index: int) -> None:
-    """Memory hook of a monitored site: ``Interpreter._mem_access`` with
-    the monitoring-spec checks settled at compile time.
+def _monitor_lines(is_write: str, index: str):
+    """The memory monitor at a site on ``cell`` (node ``nid``), as source
+    lines: ``Interpreter._mem_access`` with the monitoring-spec checks
+    settled at compile time.
 
     Exact because every resolved cell's ``name`` is the identifier of
-    the site that resolved it.  Charges, then takes seq and time in
+    the site that resolved it.  A multi-thread team is checked before
+    the ``in_parallel`` walk.  Charges, then takes seq and time in
     :meth:`Interpreter.emit`'s order.  The event cost, the log's append
     and its seq allocator are the run's constants ``vm.mem_run``, bound
     once when the run starts.
     """
-    if cell.shared and ctx.in_parallel:
-        cost, append, next_seq = vm.mem_run
-        task = ctx.task
-        task.clock += cost
-        append(MemAccess(
-            ctx.proc.rank, ctx.tid, next_seq(), task.clock,
-            is_write, cell.cid, cell.name, callsite, index,
-        ))
+    return [
+        "if cell.shared:",
+        "    team = ctx.team",
+        "    if (team is not None and team.size > 1) or ctx.in_parallel:",
+        "        cost, append, seqs = vm.mem_run",
+        "        task = ctx.task",
+        "        task.clock = clock = task.clock + cost",
+        "        append(MemAccess(",
+        "            ctx.proc.rank, ctx.tid, next(seqs), clock,",
+        f"            {is_write}, cell.cid, cell.name, nid, {index},",
+        "        ))",
+    ]
+
+
+def _define_mem_event() -> Callable:
+    source = "def _mem_event(vm, ctx, cell, is_write, nid, index):\n" + textwrap.indent(
+        "\n".join(_monitor_lines("is_write", "index")), " " * 4
+    )
+    namespace = {"MemAccess": MemAccess}
+    exec(compile(source, "<memory hook>", "exec"), namespace)  # noqa: S102
+    return namespace["_mem_event"]
+
+
+#: the memory hook of a monitored site, defined from the same lines the
+#: generated access closures carry inline (see :func:`_hook_lines`)
+_mem_event = _define_mem_event()
+
+#: the hook whose body :func:`_hook_lines` inlines
+_INLINED_HOOK = _mem_event
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +279,8 @@ def _maker(kind: str, *shape) -> Callable:
     )
     namespace = {
         "ArrayValue": ArrayValue, "SimAbort": SimAbort, "as_int": as_int,
-        "apply": BinOps.apply,
+        "apply": BinOps.apply, "MemAccess": MemAccess,
+        "store_element": store_element,
     }
     # the source is assembled from the fixed templates below; only
     # identifiers chosen here and operator tokens appear in it.  One
@@ -291,22 +322,41 @@ def _slot(name: str, mode: str, hops: Optional[int]):
     return [], f"(yield from {call})" if mode == YIELD else call
 
 
-def _hook_lines(hooked: bool, is_write: bool, index: str):
-    return [f"hook(vm, ctx, cell, {is_write}, nid, {index})"] if hooked else []
+#: how a site reaches the memory monitor: not at all, through the stock
+#: hook's body generated inline, or by calling its (replaced) hook
+NO_HOOK, INLINE_HOOK, CALL_HOOK = None, "inline", "call"
 
 
-def _load_template(hops, hooked):
-    lines = [*_cell_lines(hops), *_hook_lines(hooked, False, "-1"), "return cell.value"]
+def _hook_mode(hook: Optional[Callable]) -> Optional[str]:
+    if hook is None:
+        return NO_HOOK
+    return INLINE_HOOK if hook is _INLINED_HOOK else CALL_HOOK
+
+
+def _hook_lines(mode: Optional[str], is_write: bool, index: str):
+    """The monitor of a site on ``cell``: :func:`_mem_event`'s lines
+    inline, so a monitored access costs no extra Python call, or a call
+    of the hook when ``_mem_event`` was replaced (instrumentation that
+    counts hook entries) before the site was compiled."""
+    if mode is NO_HOOK:
+        return []
+    if mode == CALL_HOOK:
+        return [f"hook(vm, ctx, cell, {is_write}, nid, {index})"]
+    return _monitor_lines(str(is_write), index)
+
+
+def _load_template(hops, hook_mode):
+    lines = [*_cell_lines(hops), *_hook_lines(hook_mode, False, "-1"), "return cell.value"]
     return lines, ("ident", "hook", "nid")
 
 
-def _store_template(hops, hooked, value_mode, value_hops):
+def _store_template(hops, hook_mode, value_mode, value_hops):
     value_lines, value = _slot("value", value_mode, value_hops)
     lines = [
         *value_lines,
         f"value = {value}",
         *_cell_lines(hops),
-        *_hook_lines(hooked, True, "-1"),
+        *_hook_lines(hook_mode, True, "-1"),
         "cell.value = value",
     ]
     return lines, ("ident", "hook", "nid", "value_op")
@@ -333,12 +383,12 @@ def _array_lines(base_mode, base_hops, index_mode, index_hops):
     ]
 
 
-def _index_load_template(hooked, *operands):
+def _index_load_template(hook_mode, *operands):
     """An element load: an in-range index reads the list directly;
     any other goes through ``ArrayValue.get`` for its error."""
     lines = [
         *_array_lines(*operands),
-        *_hook_lines(hooked, False, "idx"),
+        *_hook_lines(hook_mode, False, "idx"),
         "data = arr.data",
         "if 0 <= idx < len(data):",
         "    return data[idx]",
@@ -347,21 +397,21 @@ def _index_load_template(hooked, *operands):
     return lines, ("base_op", "not_array", "hook", "nid", "index_op")
 
 
-def _index_store_template(hooked, value_mode, value_hops, *operands):
+def _index_store_template(hook_mode, value_mode, value_hops, *operands):
     """An element store: a float into an in-range index writes the list
-    directly; anything else goes through ``ArrayValue.set`` for its
+    directly; anything else goes through ``store_element`` for its
     conversion or error."""
     value_lines, value = _slot("value", value_mode, value_hops)
     lines = [
         *value_lines,
         f"value = {value}",
         *_array_lines(*operands),
-        *_hook_lines(hooked, True, "idx"),
+        *_hook_lines(hook_mode, True, "idx"),
         "data = arr.data",
         "if type(value) is float and 0 <= idx < len(data):",
         "    data[idx] = value",
         "else:",
-        "    arr.set(idx, value)",
+        "    store_element(arr, idx, value)",
     ]
     return lines, ("base_op", "not_array", "hook", "nid", "index_op", "value_op")
 
@@ -411,18 +461,18 @@ _TEMPLATES = {
 
 
 def _name_load(ident: str, hops, hook, nid: int) -> Callable:
-    return _maker("load", hops, hook is not None)(ident, hook, nid)
+    return _maker("load", hops, _hook_mode(hook))(ident, hook, nid)
 
 
 def _name_store(ident: str, hops, hook, nid: int, value: _Operand) -> Callable:
-    make = _maker("store", hops, hook is not None, value.mode, value.hops)
+    make = _maker("store", hops, _hook_mode(hook), value.mode, value.hops)
     return make(ident, hook, nid, value.ref)
 
 
 def _index_load(base: _Operand, not_array: str, hook, nid: int,
                 index: _Operand) -> Callable:
     make = _maker(
-        "index load", hook is not None,
+        "index load", _hook_mode(hook),
         base.mode, base.hops, index.mode, index.hops,
     )
     return make(base.ref, not_array, hook, nid, index.ref)
@@ -431,7 +481,7 @@ def _index_load(base: _Operand, not_array: str, hook, nid: int,
 def _index_store(base: _Operand, not_array: str, hook, nid: int,
                  index: _Operand, value: _Operand) -> Callable:
     make = _maker(
-        "index store", hook is not None, value.mode, value.hops,
+        "index store", _hook_mode(hook), value.mode, value.hops,
         base.mode, base.hops, index.mode, index.hops,
     )
     return make(base.ref, not_array, hook, nid, index.ref, value.ref)

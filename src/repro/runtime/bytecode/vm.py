@@ -39,12 +39,13 @@ class BytecodeInterpreter(Interpreter):
         #: interned Step for the per-statement charge (frozen dataclass,
         #: so one instance serves every statement yield)
         self._step_stmt = Step(self.cm.stmt)
-        #: what a monitored site's ``compiler._mem_event`` needs of the
-        #: run: no ``MemAccess`` is emitted while
+        #: what a monitored site's ``compiler._mem_event`` body needs of
+        #: the run: no ``MemAccess`` is emitted while
         #: ``_close_suspended_threads`` has the log swapped out, since
         #: closing a thread runs only ``finally`` blocks
         self.mem_run = (
-            self.charge_cfg.mem_event_cost, self._log_append, self.log.next_seq
+            self.charge_cfg.mem_event_cost, self._log_append,
+            self.log.seq_counter(),
         )
         return super().run()
 

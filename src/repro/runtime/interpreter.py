@@ -45,7 +45,7 @@ from ..omp import (
 )
 from .config import ExecutionResult, RunConfig, abort_note
 from .scheduler import Block, Scheduler, Step
-from .values import ArrayValue, BinOps, Cell, Scope, as_int, truthy
+from .values import ArrayValue, BinOps, Cell, Scope, as_int, store_element, truthy
 
 _RETURN = "return"
 
@@ -475,7 +475,7 @@ class Interpreter:
             idx = as_int(index, "array index")
             if cell is not None:
                 self._mem_access(ctx, cell, is_write=True, callsite=target.nid, index=idx)
-            arr.set(idx, value)
+            store_element(arr, idx, value)
             return None
         raise SimAbort("invalid assignment target")
 

@@ -40,7 +40,7 @@ from ..mpi.ftmpi import RetryPolicy
 from ..mpi.message import Payload
 from ..mpi.requests import Request
 from .scheduler import Block, Step
-from .values import ArrayValue, as_int
+from .values import ELEMENT_ERRORS, ArrayValue, as_int, describe_value
 
 Gen = Generator
 
@@ -1016,7 +1016,13 @@ def _first_elements(slot, comm, op: str) -> Payload:
     for local, w in enumerate(comm.members):
         contrib = slot.contributions[w]
         if not isinstance(contrib, tuple):
-            out.append(float(contrib))
+            try:
+                out.append(float(contrib))
+            except ELEMENT_ERRORS:
+                raise SimAbort(
+                    f"{op}: rank {local} sent {describe_value(contrib)}, "
+                    "not a number"
+                ) from None
         elif contrib:
             out.append(contrib[0])
         else:

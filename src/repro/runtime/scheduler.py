@@ -180,9 +180,11 @@ class Scheduler:
         # getrandbits consumption as randrange(n) without the
         # randrange/_randbelow call frames on every step.
         getrandbits = self.rng.getrandbits
-        max_steps = self.max_steps
-        deadline = self._deadline
         total = self.total_steps
+        # one compare per step covers both budgets: the step limit and
+        # the wall clock, which is read every _WALL_CHECK_INTERVAL steps
+        check_at = self._next_check(total)
+        n = k = 0
         try:
             while True:
                 if not nblocked:
@@ -196,8 +198,9 @@ class Scheduler:
                     ]
                     if not runnable:
                         runnable = self._stalled(live)
-                n = len(runnable)
-                k = n.bit_length()
+                if len(runnable) != n:
+                    n = len(runnable)
+                    k = n.bit_length()
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
@@ -214,22 +217,9 @@ class Scheduler:
                     continue
                 task.steps += 1
                 total += 1
-                if total > max_steps:
-                    raise StepLimitError(
-                        f"scheduler exceeded {self.max_steps} steps; "
-                        "simulated program is probably in an infinite loop "
-                        f"({self._busiest_tasks()})",
-                        task_steps={t.name: t.steps for t in self.tasks},
-                    )
-                if (
-                    deadline is not None
-                    and not total % _WALL_CHECK_INTERVAL
-                    and _time.monotonic() > deadline
-                ):
-                    raise WallClockLimitError(
-                        f"scheduler exceeded its {self.max_wall_seconds:.1f}s "
-                        f"wall-clock budget after {total} steps"
-                    )
+                if total >= check_at:
+                    self._check_budgets(total)
+                    check_at = self._next_check(total)
                 cls = type(yielded)
                 if cls is Step:
                     task.clock += yielded.cost
@@ -245,6 +235,36 @@ class Scheduler:
             # keep the public counter accurate however the loop exits
             # (done, limit raise, a fault propagating out of a task)
             self.total_steps = total
+
+    def _next_check(self, total: int) -> int:
+        """The first step count after *total* at which a budget must be
+        checked: past the step limit, or the next wall-clock reading."""
+        check_at = self.max_steps + 1
+        if self._deadline is not None:
+            check_at = min(
+                check_at, (total // _WALL_CHECK_INTERVAL + 1) * _WALL_CHECK_INTERVAL
+            )
+        return check_at
+
+    def _check_budgets(self, total: int) -> None:
+        """Raise when *total* steps exceed the step limit or, on a
+        wall-clock reading step, the run is past its deadline."""
+        if total > self.max_steps:
+            raise StepLimitError(
+                f"scheduler exceeded {self.max_steps} steps; "
+                "simulated program is probably in an infinite loop "
+                f"({self._busiest_tasks()})",
+                task_steps={t.name: t.steps for t in self.tasks},
+            )
+        if (
+            self._deadline is not None
+            and not total % _WALL_CHECK_INTERVAL
+            and _time.monotonic() > self._deadline
+        ):
+            raise WallClockLimitError(
+                f"scheduler exceeded its {self.max_wall_seconds:.1f}s "
+                f"wall-clock budget after {total} steps"
+            )
 
     def _stalled(self, live: List[Task]) -> List[Task]:
         """No live task is runnable (so every one is blocked): let the

@@ -105,6 +105,32 @@ def _as_float64(value: Any) -> float:
 
 _NAN = float("nan")
 
+#: what converting a value no float64 element can hold raises
+ELEMENT_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def describe_value(value: Any) -> str:
+    """A mini-language value as an abort message names it."""
+    if isinstance(value, ArrayValue):
+        return "an array"
+    if value is None:
+        return "no value"
+    if isinstance(value, str):
+        return f"the string {value!r}"
+    return f"a {type(value).__name__}"
+
+
+def store_element(arr: ArrayValue, index: int, value: Any) -> None:
+    """A program's element store: :meth:`ArrayValue.set`, with a value
+    no element can hold aborting the rank instead of escaping as a
+    Python error."""
+    try:
+        arr.set(index, value)
+    except ELEMENT_ERRORS:
+        raise SimAbort(
+            f"array element cannot hold {describe_value(value)}"
+        ) from None
+
 
 class Scope:
     """A lexical scope: name -> Cell, chained to a parent scope.

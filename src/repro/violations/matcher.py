@@ -104,9 +104,7 @@ def extract_handler_spans(log: EventLog, proc: int) -> List[HandlerSpan]:
     """
     open_stacks: Dict[int, List[ErrorHandlerEvent]] = {}
     spans: List[HandlerSpan] = []
-    for event in log:
-        if type(event) is not ErrorHandlerEvent or event.proc != proc:
-            continue
+    for event in log.of_process_type(proc, ErrorHandlerEvent):
         if event.phase == "enter":
             open_stacks.setdefault(event.thread, []).append(event)
         else:
@@ -143,19 +141,16 @@ def extract_collective_traces(log: EventLog, proc: int) -> List[CollectiveTrace]
     members_of: Dict[int, Tuple[int, ...]] = {}
     arrivals: Dict[int, Dict[int, List[Tuple[int, Tuple[str, str, str, int]]]]] = {}
     closed_tids: Dict[int, set] = {}
-    for event in log:
-        if event.proc != proc:
-            continue
-        etype = type(event)
-        if etype is CollectiveArrive:
-            arrivals.setdefault(event.team, {}).setdefault(
-                event.thread, []
-            ).append((event.index, (event.kind, event.loc, event.op, event.callsite)))
-        elif etype is ThreadFork:
-            members_of[event.team] = (event.thread,) + tuple(event.children)
-        elif etype is ThreadEnd:
-            closed_tids.setdefault(event.team, set()).add(event.thread)
-        elif etype is ThreadJoin:
+    for event in log.of_process_type(proc, CollectiveArrive):
+        arrivals.setdefault(event.team, {}).setdefault(
+            event.thread, []
+        ).append((event.index, (event.kind, event.loc, event.op, event.callsite)))
+    if not arrivals:
+        return []
+    for event in log.of_process_type(proc, ThreadFork):
+        members_of[event.team] = (event.thread,) + tuple(event.children)
+    for etype in (ThreadEnd, ThreadJoin):
+        for event in log.of_process_type(proc, etype):
             closed_tids.setdefault(event.team, set()).add(event.thread)
     traces: List[CollectiveTrace] = []
     for team in sorted(arrivals):
@@ -181,8 +176,7 @@ def build_view(log: EventLog, proc: int, report: ConcurrencyReport) -> ProcessVi
     """Assemble the per-process rule input."""
     calls = log.mpi_calls(proc)
     had_parallel = any(
-        type(e) is ThreadFork and e.proc == proc and len(e.children) > 0
-        for e in log
+        len(e.children) > 0 for e in log.of_process_type(proc, ThreadFork)
     )
     return ProcessView(
         proc=proc,

@@ -1,9 +1,11 @@
 """Campaign runner tests: isolation, merging, resume, degradation."""
 
+import gc
 import os
 
 import pytest
 
+from helpers import npb_sources
 from repro.campaign import (
     STATUS_BUDGET,
     STATUS_ERROR,
@@ -17,11 +19,18 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.faults import RANK_CRASH, FaultPlan, FaultSpec, builtin_plans
+from repro.fuzz.generator import generate_program
 from repro.home import Home
 from repro.minilang import parse, validate
 from repro.violations.matcher import ViolationReport
 from repro.violations.spec import Violation
-from repro.workloads.case_studies import case_study_2, safe_funneled
+from repro.workloads.case_studies import (
+    case_study_1,
+    case_study_2,
+    case_study_2_fixed,
+    safe_funneled,
+)
+from repro.workloads.npb import build_racy_npb
 from repro.workloads.npb.lu_mz import build_lu_mz
 
 SPIN = """
@@ -93,6 +102,58 @@ class TestHealthyCampaign:
         text = result.summary()
         assert "1 run(s)" in text
         assert "ConcurrentRecvViolation" in text
+
+
+def _cell_programs():
+    """Programs campaign and serve cells run: every NPB source, the case
+    studies and a few generated programs."""
+    programs = {}
+    for name, source in npb_sources().items():
+        program = parse(source)
+        validate(program)
+        programs[name] = program
+    for build in (case_study_1, case_study_2, case_study_2_fixed, safe_funneled):
+        programs[build.__name__] = build()
+    for seed in range(3):
+        programs[f"fuzz-{seed}"] = generate_program(seed)
+    programs["budget-spin"] = spin_program()
+    return programs
+
+
+_CELL_PROGRAMS = _cell_programs()
+
+
+class TestCyclicCollector:
+    """A cell runs with the cyclic collector paused, which is only free
+    while cells make no reference cycles."""
+
+    @pytest.mark.parametrize("name", sorted(_CELL_PROGRAMS))
+    def test_a_cell_leaves_no_cyclic_garbage(self, name):
+        plans = builtin_plans(2)
+        # the spin program exhausts its step budget, retry included
+        budget = {"budget_steps": 2000} if name == "budget-spin" else {}
+        runner = CampaignRunner(
+            _CELL_PROGRAMS[name], CampaignConfig(seeds=(), jobs=1, **budget)
+        )
+        # the first cell compiles the program, which may evict (cyclic)
+        # compiled code of earlier programs from the compile cache
+        runner.run_cell(0, "none", None)
+        gc.collect()
+        for plan in sorted(plans):
+            runner.run_cell(3, plan, plans[plan])
+            assert gc.isenabled()
+            assert gc.collect() == 0, plan
+
+    def test_the_collector_state_is_restored(self):
+        runner = CampaignRunner(build_racy_npb(), CampaignConfig(seeds=(), jobs=1))
+        gc.disable()
+        try:
+            runner.run_cell(0, "none", None)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        runner.run_cell(0, "none", None)
+        assert gc.isenabled()
 
 
 class TestBudgets:

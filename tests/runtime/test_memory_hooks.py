@@ -2,8 +2,11 @@
 
 The bytecode compiler decides per variable site whether it is
 monitored: an unselected site compiles with no hook, a selected one
-calls ``compiler._mem_event``.  These tests count hook entries
-deterministically by swapping in a counting hook before compiling.
+carries ``compiler._mem_event``'s lines inline.  A site compiled while
+``_mem_event`` is replaced calls the replacement instead, so these tests
+count hook entries deterministically by swapping in a counting hook
+before compiling; the last test checks that a called hook and the
+inline lines emit the same events.
 """
 
 from __future__ import annotations
@@ -73,3 +76,19 @@ def test_narrowed_hook_entries_track_emitted_events(hook_entries, seed):
     entries = hook_entries["sites"] + hook_entries["shared"]
     assert emitted > 0
     assert entries <= 1.01 * emitted, (entries, emitted)
+
+
+@pytest.mark.parametrize("monitored", [None, frozenset(RACY_VARS)], ids=["all", "narrowed"])
+def test_called_hook_emits_what_the_inline_lines_emit(monkeypatch, monitored):
+    cfg = {"monitor_memory": True, "monitored_vars": monitored}
+    clear_compile_cache()
+    inline = _run(build_racy_npb(), seed=3, **cfg)
+    stock = compiler._mem_event
+    monkeypatch.setattr(compiler, "_mem_event", lambda *args: stock(*args))
+    clear_compile_cache()
+    try:
+        called = _run(build_racy_npb(), seed=3, **cfg)
+    finally:
+        clear_compile_cache()
+    assert any(type(e) is MemAccess for e in inline.log)
+    assert list(called.log) == list(inline.log)

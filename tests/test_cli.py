@@ -108,6 +108,40 @@ func main() {
 }
 
 
+#: programs whose stored or gathered value no float64 element can hold:
+#: case -> (source, the aborted lines ``check`` prints)
+UNHOLDABLE_VALUE_CASES = {
+    "string-element": ("""
+program strstore;
+var a[2];
+func main() {
+    a[0] = "abc";
+}
+""", [f"rank {r}: aborted: array element cannot hold the string 'abc'" for r in (0, 1)]),
+    "array-element": ("""
+program arrstore;
+var a[2];
+var b[2];
+func main() {
+    a[0] = b;
+}
+""", [f"rank {r}: aborted: array element cannot hold an array" for r in (0, 1)]),
+    # a bare ``return;`` gives the gather no value to send
+    "gather-no-value": ("""
+program gathernone;
+var out[2];
+func f() {
+    return;
+}
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    mpi_gather(f(), out, 0, MPI_COMM_WORLD);
+    mpi_finalize();
+}
+""", ["rank 0: aborted: mpi_gather: rank 0 sent no value, not a number"]),
+}
+
+
 @pytest.fixture
 def racy_file(tmp_path):
     path = tmp_path / "racy.hmp"
@@ -204,6 +238,19 @@ class TestCheck:
     def test_payload_shape_mismatch_aborts_in_one_line(self, tmp_path, engine, case,
                                                        capsys):
         source, expected = PAYLOAD_SHAPE_CASES[case]
+        path = tmp_path / f"{case}.hmp"
+        path.write_text(source)
+        code = main(["check", str(path), "--procs", "2", "--engine", engine])
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = [line for line in captured.out.splitlines() if "aborted" in line]
+        assert sorted(lines) == expected
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    @pytest.mark.parametrize("case", sorted(UNHOLDABLE_VALUE_CASES))
+    def test_unholdable_value_aborts_in_one_line(self, tmp_path, engine, case, capsys):
+        source, expected = UNHOLDABLE_VALUE_CASES[case]
         path = tmp_path / f"{case}.hmp"
         path.write_text(source)
         code = main(["check", str(path), "--procs", "2", "--engine", engine])
