@@ -1,7 +1,11 @@
 """Runtime (dynamic) analysis phase: vector clocks, happens-before,
 lockset, and the hybrid concurrency detector."""
 
-from .happensbefore import HBResult, compute_happens_before  # noqa: F401
+from .happensbefore import (  # noqa: F401
+    HBResult,
+    compute_cross_process_happens_before,
+    compute_happens_before,
+)
 from .hybrid import (  # noqa: F401
     ConcurrencyReport,
     DetectorConfig,
@@ -19,18 +23,17 @@ from .lockset import (  # noqa: F401
 )
 from .memraces import MemRace, find_memory_races  # noqa: F401
 from .msgrace import (  # noqa: F401
-    CrossProcessHB,
     MessageRace,
     find_message_races,
     wildcard_races,
 )
-from .vectorclock import VectorClock, join_all  # noqa: F401
+from .vectorclock import VectorClock  # noqa: F401
 
 __all__ = [
     "VectorClock",
-    "join_all",
     "HBResult",
     "compute_happens_before",
+    "compute_cross_process_happens_before",
     "LocksetAnalysis",
     "LocationState",
     "AccessRecord",
@@ -44,7 +47,6 @@ __all__ = [
     "collect_call_records",
     "MemRace",
     "find_memory_races",
-    "CrossProcessHB",
     "MessageRace",
     "find_message_races",
     "wildcard_races",

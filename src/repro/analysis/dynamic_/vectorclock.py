@@ -1,26 +1,20 @@
-"""Vector clocks over process-local thread ids.
+"""Vector clocks over thread keys.
 
 Sparse dict-backed implementation: component absent == 0.  Used by the
-happens-before pass to order events of one process's threads (Lamport's
-partial order, as the paper cites).
+happens-before replay to order events of one process's threads, or of
+every thread of the job (Lamport's partial order, as the paper cites).
 
-Two representations share the component dict format:
-
-* :class:`VectorClock` — immutable; ``tick``/``join`` return new clocks
-  and allocate exactly one dict (the old implementation copied once in
-  ``copy()`` and forced callers to defensively copy again).  The hash
-  is computed once and cached, so clocks can key large dicts cheaply.
-* :class:`VectorClockBuilder` — a mutable scratch clock for hot loops
-  that apply several synchronization edges before snapshotting (the
-  happens-before replay joins fork/join/barrier/lock clocks and then
-  ticks once per synchronization event); it mutates in place and
-  ``freeze()``\\ s into an immutable clock with a single dict
-  allocation.
+A :class:`VectorClock` is immutable: ``tick``/``join`` return new
+clocks and allocate exactly one dict.  The hash is computed once and
+cached, so clocks can key large dicts cheaply.  The replay builds each
+synchronization event's clock in a plain component dict, joins its
+edges into it in place, and adopts the dict without copying
+(:meth:`VectorClock._adopt`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict
 
 #: sentinel meaning "hash not computed yet" (a real hash can be any int,
 #: so use a private object, not 0/None ambiguity — None is fine here
@@ -50,17 +44,6 @@ class VectorClock:
 
     def get(self, tid: int) -> int:
         return self._c.get(tid, 0)
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._c.items())
-
-    def copy(self) -> "VectorClock":
-        """Clocks are immutable, so a copy is the clock itself."""
-        return self
-
-    def mutable(self) -> "VectorClockBuilder":
-        """A mutable scratch copy for multi-step updates."""
-        return VectorClockBuilder(dict(self._c))
 
     # -- derivation (pure) ---------------------------------------------------
 
@@ -92,13 +75,6 @@ class VectorClock:
         theirs = other._c
         return all(val <= theirs.get(tid, 0) for tid, val in self._c.items())
 
-    def happens_before(self, other: "VectorClock") -> bool:
-        """Strict Lamport order: self <= other and not other <= self."""
-        return self.leq(other) and not other.leq(self)
-
-    def concurrent(self, other: "VectorClock") -> bool:
-        return not self.leq(other) and not other.leq(self)
-
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -119,54 +95,3 @@ class VectorClock:
         inner = ", ".join(f"t{t}:{v}" for t, v in sorted(self._c.items()))
         return f"VC({inner})"
 
-
-class VectorClockBuilder:
-    """Mutable vector clock for hot loops; ``freeze()`` when done.
-
-    All operations mutate in place and return ``self`` so edge chains
-    read naturally::
-
-        clock = clock.mutable().join(fork).join(release).tick(tid).freeze()
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, components: Dict[int, int] | None = None) -> None:
-        self._c: Dict[int, int] = components if components is not None else {}
-
-    def get(self, tid: int) -> int:
-        return self._c.get(tid, 0)
-
-    def tick(self, tid: int) -> "VectorClockBuilder":
-        self._c[tid] = self._c.get(tid, 0) + 1
-        return self
-
-    def join(self, other: "VectorClock | VectorClockBuilder") -> "VectorClockBuilder":
-        mine = self._c
-        for tid, val in other._c.items():
-            if val > mine.get(tid, 0):
-                mine[tid] = val
-        return self
-
-    def freeze(self) -> VectorClock:
-        """Snapshot into an immutable clock (one dict allocation); the
-        builder stays usable and independent of the snapshot."""
-        return VectorClock(self._c)
-
-    def into_clock(self) -> VectorClock:
-        """Transfer the components into an immutable clock with *zero*
-        copies; the builder is reset to empty afterwards."""
-        components = self._c
-        self._c = {}
-        return VectorClock._adopt(components)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"t{t}:{v}" for t, v in sorted(self._c.items()))
-        return f"VCBuilder({inner})"
-
-
-def join_all(clocks: Iterable[VectorClock]) -> VectorClock:
-    builder = VectorClockBuilder()
-    for clock in clocks:
-        builder.join(clock)
-    return builder.freeze()

@@ -48,12 +48,6 @@ class Checklist:
 
     entries: List[ChecklistEntry] = field(default_factory=list)
 
-    def kinds_watched(self) -> set:
-        out: set = set()
-        for entry in self.entries:
-            out.update(entry.kinds)
-        return out
-
     def candidate_violations(self) -> set:
         out: set = set()
         for entry in self.entries:

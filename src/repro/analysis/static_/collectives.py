@@ -68,7 +68,7 @@ from ..cfg import CFG, build_program_cfgs
 from ..graphs import reachable
 from .dataflow.divergence import TaintSet, branch_taints, expr_thread_dependent
 from .mpi_sites import MPISite, functions_called_from_parallel
-from .prunes import count_prune, make_prune_dict, prune_summary, total_pruned
+from .prunes import count_prune, make_prune_dict, total_pruned
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .summaries import SummaryTable
@@ -254,9 +254,6 @@ class CollectiveDivergenceReport:
 
     def count_prune(self, kind: str) -> None:
         count_prune(self.pruned, kind)
-
-    def summary_line(self) -> str:
-        return prune_summary("divergence pruned", self.pruned)
 
     def as_dict(self) -> Dict[str, object]:
         return {

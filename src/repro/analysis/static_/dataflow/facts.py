@@ -116,9 +116,6 @@ class DataflowFacts:
     def count_prune(self, kind: str) -> None:
         self.pruned[kind] = self.pruned.get(kind, 0) + 1
 
-    def reset_counts(self) -> None:
-        self.pruned = {PRUNE_ENVELOPE: 0, PRUNE_LOCKSTATE: 0, PRUNE_MHP: 0}
-
     @property
     def total_pruned(self) -> int:
         return sum(self.pruned.values())

@@ -156,9 +156,6 @@ class TriageBank:
             oracle_signature(finding), finding.seed, example, reproducer
         )
 
-    def new_signatures(self) -> List[TriageEntry]:
-        return list(self.entries.values())
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "distinct": len(self.entries),

@@ -57,10 +57,6 @@ def idx(base: ExprLike, index: ExprLike) -> A.Index:
     return A.Index(expr(base), expr(index))
 
 
-def unop(op: str, operand: ExprLike) -> A.Unary:
-    return A.Unary(op, expr(operand))
-
-
 def binop(op: str, left: ExprLike, right: ExprLike) -> A.Binary:
     return A.Binary(op, expr(left), expr(right))
 
@@ -120,10 +116,6 @@ def if_(cond: ExprLike, then: Sequence[A.Stmt], els: Optional[Sequence[A.Stmt]] 
         A.Block(list(then)),
         A.Block(list(els)) if els is not None else None,
     )
-
-
-def while_(cond: ExprLike, body: Sequence[A.Stmt]) -> A.While:
-    return A.While(expr(cond), A.Block(list(body)))
 
 
 def for_range(var: str, start: ExprLike, stop: ExprLike, body: Sequence[A.Stmt], step: int = 1) -> A.For:

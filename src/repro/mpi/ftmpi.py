@@ -108,9 +108,6 @@ class FTState:
     def mark_failed(self, world_rank: int) -> None:
         self.failed.add(world_rank)
 
-    def is_failed(self, world_rank: int) -> bool:
-        return world_rank in self.failed
-
     def ack_failures(self, world_rank: int) -> int:
         """``comm_failure_ack``: acknowledge all currently known failures;
         returns how many failed ranks are now acknowledged."""

@@ -13,13 +13,10 @@ from typing import Dict, List, Optional
 from ..errors import MPIUsageError
 from .collectives import CollectiveEngine
 from .communicator import CommRegistry, Communicator
-from .constants import (
-    MPI_THREAD_SINGLE,
-    THREAD_LEVEL_NAMES,
-)
+from .constants import MPI_THREAD_SINGLE
 from .ftmpi import FTState
 from .message import Mailbox, Message, Payload
-from .requests import Request, RequestTable
+from .requests import RequestTable
 
 
 @dataclass
@@ -45,10 +42,6 @@ class ProcState:
     def __post_init__(self) -> None:
         if self.requests is None:
             self.requests = RequestTable(self.rank)
-
-    @property
-    def thread_level_name(self) -> str:
-        return THREAD_LEVEL_NAMES.get(self.thread_level, f"level {self.thread_level}")
 
 
 class MPIWorld:
@@ -138,16 +131,3 @@ class MPIWorld:
         """Probe: first matching message without consuming it."""
         return self.mailbox(dst_world, comm_id).find(src, tag)
 
-    # -- diagnostics ------------------------------------------------------------
-
-    def undelivered_messages(self) -> List[Message]:
-        out: List[Message] = []
-        for box in self._mailboxes.values():
-            out.extend(box.queue)
-        return out
-
-    def pending_requests(self, rank: int) -> List[Request]:
-        return self.proc(rank).requests.pending()
-
-    def all_finalized(self) -> bool:
-        return all(p.finalized for p in self.procs if p.initialized)

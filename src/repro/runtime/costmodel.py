@@ -25,7 +25,7 @@ matter for reproducing the paper's overhead bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,3 @@ ITC_CHARGE = InstrumentationCharge(
 )
 
 DEFAULT_COST_MODEL = CostModel()
-
-
-@dataclass
-class CostAccumulator:
-    """Per-run tallies of where virtual time went (diagnostics)."""
-
-    base: float = 0.0
-    instrumentation: float = 0.0
-    communication: float = 0.0
-    counts: dict = field(default_factory=dict)
-
-    def charge(self, bucket: str, amount: float) -> None:
-        if bucket == "base":
-            self.base += amount
-        elif bucket == "instrumentation":
-            self.instrumentation += amount
-        elif bucket == "communication":
-            self.communication += amount
-        self.counts[bucket] = self.counts.get(bucket, 0) + 1

@@ -459,14 +459,20 @@ def mpi_finalize(interp, ctx, node, args, instrumented) -> Gen:
 # ---------------------------------------------------------------------------
 
 
+def _comm_arg(args, op: str) -> int:
+    if len(args) != 1:
+        raise SimAbort(f"{op} expects (comm)")
+    return as_int(args[0], "communicator")
+
+
 def mpi_comm_rank(interp, ctx, node, args, instrumented) -> Gen:
-    comm = interp.world.comm(as_int(args[0], "communicator"))
+    comm = interp.world.comm(_comm_arg(args, "mpi_comm_rank"))
     return comm.local_rank(ctx.proc.rank)
     yield  # pragma: no cover
 
 
 def mpi_comm_size(interp, ctx, node, args, instrumented) -> Gen:
-    comm = interp.world.comm(as_int(args[0], "communicator"))
+    comm = interp.world.comm(_comm_arg(args, "mpi_comm_size"))
     return comm.size
     yield  # pragma: no cover
 
@@ -948,6 +954,17 @@ def mpi_bcast(interp, ctx, node, args, instrumented) -> Gen:
     return root_value
 
 
+def _reduced(slot, comm, op: str, op_h: int) -> Any:
+    """The members' contributions, in rank order, combined by *op_h*."""
+    contribs = [slot.contributions[w] for w in comm.members]
+    for local, contrib in enumerate(contribs):
+        if not isinstance(contrib, (tuple, int, float)):
+            raise SimAbort(
+                f"{op}: rank {local} sent {describe_value(contrib)}, not a number"
+            )
+    return apply_reduce(op_h, contribs)
+
+
 def mpi_reduce(interp, ctx, node, args, instrumented) -> Gen:
     value, op_h, root, comm_id = (
         args[0], as_int(args[1], "op"), as_int(args[2], "root"),
@@ -964,8 +981,7 @@ def mpi_reduce(interp, ctx, node, args, instrumented) -> Gen:
     comm = interp.world.comm(comm_id)
     if comm.local_rank(ctx.proc.rank) != root:
         return 0
-    contribs = [slot.contributions[w] for w in comm.members]
-    result = apply_reduce(op_h, contribs)
+    result = _reduced(slot, comm, "mpi_reduce", op_h)
     if isinstance(value, ArrayValue):
         value.load(result)
         return 0
@@ -983,8 +999,7 @@ def mpi_allreduce(interp, ctx, node, args, instrumented) -> Gen:
     if slot is None or slot.mismatch:
         return 0
     comm = interp.world.comm(comm_id)
-    contribs = [slot.contributions[w] for w in comm.members]
-    result = apply_reduce(op_h, contribs)
+    result = _reduced(slot, comm, "mpi_allreduce", op_h)
     if isinstance(value, ArrayValue):
         value.load(result)
         return 0

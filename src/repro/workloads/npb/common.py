@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Optional
 
 from ...minilang import Program, ast_nodes as A, parse
 from ...violations.spec import (
@@ -80,16 +80,6 @@ class NPBSpec:
     #: serial (main-thread) work per step — boundary conditions etc.;
     #: the Amdahl fraction that keeps strong scaling from being ideal
     serial_units: int = 120
-
-    def injected_classes(self) -> Tuple[str, ...]:
-        return (
-            INITIALIZATION,
-            FINALIZATION,
-            CONCURRENT_RECV,
-            CONCURRENT_REQUEST,
-            PROBE,
-            COLLECTIVE,
-        )
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Reference dynamic analyses: the whole-log scans the per-process
-:class:`~repro.events.log.EventLog` index replaced, kept unchanged as
-the oracle the index-backed analyses are compared against.
+:class:`~repro.events.log.EventLog` index replaced, kept as the oracle
+the index-backed analyses are compared against, and the DAMPI model's
+own cross-process replay (``CrossProcessHB``), kept as the oracle for
+the shared replay's cross-process form.
 
 Each function filters the full log for its process and event types, as
 before the index existed; the happens-before replay steps through every
 event of its process.  ``EventLog.mpi_calls`` is inlined as the scan it
-was.
+was.  Clock arithmetic is done here on plain component dicts, so the
+product keeps no clock operations for its references.
 """
 
 from collections import defaultdict
@@ -14,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.dynamic_.happensbefore import HBResult, _NO_EDGES, _SYNC_EVENTS
 from repro.analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord
 from repro.analysis.dynamic_.memraces import MemRace, _first_race
-from repro.analysis.dynamic_.vectorclock import VectorClock, VectorClockBuilder
+from repro.analysis.dynamic_.vectorclock import VectorClock
 from repro.events import (
     BarrierEvent,
     CollectiveArrive,
@@ -30,16 +33,25 @@ from repro.events import (
     ThreadFork,
     ThreadJoin,
 )
+from repro.events.event import COLLECTIVE_OPS
 from repro.violations.matcher import ViolationReport
 from repro.violations.spec import ALL_RULES, CollectiveTrace, HandlerSpan, ProcessView, Violation
 
 # The functions below are the whole-log versions as they stood before
-# the index; only their names changed (``reference_*``) and the log
-# queries they called are inlined above.
+# the index; only their names changed (``reference_*``), the log
+# queries they called are inlined above, and the replay's clock
+# arithmetic works on component dicts (``_join_into``).
 
 
 def _processes(log):
     return sorted({e.proc for e in log})
+
+
+def _join_into(clock: Dict, other: Dict) -> None:
+    """Pointwise maximum of two clocks' component dicts, into *clock*."""
+    for key, val in other.items():
+        if val > clock.get(key, 0):
+            clock[key] = val
 
 
 def _mpi_calls(log, proc, phase="begin"):
@@ -94,11 +106,11 @@ def reference_happens_before(
     #: team id -> member thread ids (learned from fork/begin events)
     team_members: Dict[int, Set[int]] = {}
 
-    def join_thread(builder: VectorClockBuilder, tid: int) -> None:
+    def join_thread(builder: Dict[int, int], tid: int) -> None:
         """Join *tid*'s current full clock into *builder*."""
-        builder.join(views[tid])
-        if epochs[tid] > builder.get(tid):
-            builder._c[tid] = epochs[tid]
+        _join_into(builder, views[tid]._c)
+        if epochs[tid] > builder.get(tid, 0):
+            builder[tid] = epochs[tid]
 
     for event in log:
         if event.proc != proc:
@@ -126,17 +138,17 @@ def reference_happens_before(
 
         # A sync event builds the thread's full clock, absorbs its
         # edges and advances program order in one mutating pass.
-        builder = views[tid].mutable()
-        builder._c[tid] = own
+        builder = dict(views[tid]._c)
+        builder[tid] = own
         if kind is ThreadFork:
             # workers start from the clock before the fork's own tick
-            fork_vc[event.team] = builder.freeze()
+            fork_vc[event.team] = VectorClock(builder)
             team_members.setdefault(event.team, set()).add(tid)
             team_members[event.team].update(event.children)
         elif kind is ThreadBegin:
             base = fork_vc.get(event.team)
             if base is not None:
-                builder.join(base)
+                _join_into(builder, base._c)
             team_members.setdefault(event.team, set()).add(tid)
         elif kind is ThreadJoin:
             for child in event.children:
@@ -147,26 +159,27 @@ def reference_happens_before(
             joined = barrier_vc.get(key)
             if joined is None:
                 members = team_members.get(event.team, {tid})
-                team = VectorClockBuilder()
+                team: Dict[int, int] = {}
                 for member in members:
                     if member in views and member != tid:
                         join_thread(team, member)
-                team.join(builder)
-                joined = team.into_clock()
+                _join_into(team, builder)
+                joined = VectorClock(team)
                 barrier_vc[key] = joined
-            builder.join(joined)
+            _join_into(builder, joined._c)
         elif kind is LockAcquire:
             if not _is_ignored(event.lock):
                 if lock_edges and event.lock in lock_vc:
-                    builder.join(lock_vc[event.lock])
+                    _join_into(builder, lock_vc[event.lock]._c)
                 held[tid] = held[tid] | {event.lock}
         elif kind is LockRelease:
             if not _is_ignored(event.lock):
                 held[tid] = held[tid] - {event.lock}
 
-        current = builder.tick(tid).into_clock()
+        builder[tid] = builder.get(tid, 0) + 1
+        current = VectorClock(builder)
         views[tid] = current
-        epochs[tid] = own = current._c[tid]
+        epochs[tid] = own = builder[tid]
         epoch[seq] = own
         view[seq] = current
         locks_held[seq] = held[tid]
@@ -373,3 +386,163 @@ def reference_match_violations(
             for violation in rule(view):
                 final.add(violation)
     return final
+
+
+# -- the DAMPI model's own replay ---------------------------------------------
+#
+# ``CrossProcessHB`` as it stood in ``msgrace.py`` before the message-race
+# model queried the shared epoch/view replay.  Its clocks are plain
+# ``{thread key: component}`` dicts (a component absent is 0), so it needs
+# no clock operations from the product.  ``_tid_key`` is the original
+# single-int encoding: it merges thread 10000 of process 0 with thread 0
+# of process 1, which ``test_msgrace.TestThreadKeys`` pins down.
+
+
+def _tid_key(proc: int, thread: int) -> int:
+    return proc * 10_000 + thread
+
+
+def _tick(clock: Dict[int, int], key: int) -> Dict[int, int]:
+    out = dict(clock)
+    out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _join(clock: Dict[int, int], other: Dict[int, int]) -> Dict[int, int]:
+    out = dict(clock)
+    _join_into(out, other)
+    return out
+
+
+def _leq(clock: Dict[int, int], other: Dict[int, int]) -> bool:
+    return all(val <= other.get(key, 0) for key, val in clock.items())
+
+
+_P2P_SEND_OPS = frozenset({"mpi_send", "mpi_ssend", "mpi_isend"})
+_P2P_RECV_OPS = frozenset({"mpi_recv", "mpi_irecv"})
+
+
+class CrossProcessHB:
+    """Vector clocks over every (process, thread) in the job.
+
+    Built in two passes: the first pairs message ids with their send
+    *begin* events and groups collective calls into match slots (the
+    k-th collective a process completes on a communicator); the second
+    replays the log computing clocks.  Emission order guarantees that a
+    send's begin precedes any receive of its message and that every
+    collective participant's begin precedes every participant's end, so
+    all joins in pass two reference already-computed clocks.
+    """
+
+    def __init__(self, log: EventLog) -> None:
+        self.clocks: Dict[int, Dict[int, int]] = {}    # event seq -> VC
+        self._build(log)
+
+    def _index_log(self, log: EventLog):
+        """Pass 1: message-id -> send-begin seq; collective slot groups."""
+        send_begin_of_call: Dict[Tuple[int, int], int] = {}
+        msg_send_begin: Dict[int, int] = {}
+        coll_group_of_end: Dict[int, Tuple[int, int]] = {}
+        coll_begins: Dict[Tuple[int, int], List[int]] = {}
+        begin_count: Dict[Tuple[int, int], int] = {}
+        end_count: Dict[Tuple[int, int], int] = {}
+
+        for event in log.of_type(MPICall):
+            if event.op in _P2P_SEND_OPS or event.op == "mpi_sendrecv":
+                if event.phase == "begin":
+                    send_begin_of_call[(event.proc, event.call_id)] = event.seq
+                else:
+                    msg_id = event.args.get("msg_id")
+                    begin_seq = send_begin_of_call.get((event.proc, event.call_id))
+                    if msg_id and begin_seq is not None and event.op != "mpi_sendrecv":
+                        msg_send_begin[msg_id] = begin_seq
+            if event.op in COLLECTIVE_OPS:
+                comm = event.args.get("comm", 0)
+                if event.phase == "begin":
+                    idx = begin_count.get((event.proc, comm), 0)
+                    begin_count[(event.proc, comm)] = idx + 1
+                    coll_begins.setdefault((comm, idx), []).append(event.seq)
+                else:
+                    idx = end_count.get((event.proc, comm), 0)
+                    end_count[(event.proc, comm)] = idx + 1
+                    coll_group_of_end[event.seq] = (comm, idx)
+        return msg_send_begin, coll_group_of_end, coll_begins
+
+    def _build(self, log: EventLog) -> None:
+        msg_send_begin, coll_group_of_end, coll_begins = self._index_log(log)
+        vc: Dict[int, Dict[int, int]] = {}
+        fork_vc: Dict[Tuple[int, int], Dict[int, int]] = {}
+        barrier_vc: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+        team_members: Dict[Tuple[int, int], Set[int]] = {}
+        lock_vc: Dict[Tuple[int, str], Dict[int, int]] = {}
+
+        def clock_of(proc: int, thread: int) -> Dict[int, int]:
+            key = _tid_key(proc, thread)
+            if key not in vc:
+                vc[key] = {key: 1}
+            return vc[key]
+
+        for event in log:
+            key = _tid_key(event.proc, event.thread)
+            current = clock_of(event.proc, event.thread)
+
+            if isinstance(event, ThreadFork):
+                fork_vc[(event.proc, event.team)] = current
+                members = team_members.setdefault((event.proc, event.team), set())
+                members.add(key)
+                members.update(_tid_key(event.proc, c) for c in event.children)
+            elif isinstance(event, ThreadBegin):
+                base = fork_vc.get((event.proc, event.team))
+                if base is not None:
+                    current = _join(current, base)
+            elif isinstance(event, ThreadJoin):
+                for child in event.children:
+                    child_vc = vc.get(_tid_key(event.proc, child))
+                    if child_vc is not None:
+                        current = _join(current, child_vc)
+            elif isinstance(event, BarrierEvent):
+                bkey = (event.proc, event.team, event.epoch)
+                joined = barrier_vc.get(bkey)
+                if joined is None:
+                    members = team_members.get((event.proc, event.team), {key})
+                    joined = {}
+                    for m in members:
+                        if m in vc:
+                            joined = _join(joined, vc[m])
+                    joined = _join(joined, current)
+                    barrier_vc[bkey] = joined
+                current = _join(current, joined)
+            elif isinstance(event, LockAcquire):
+                held = lock_vc.get((event.proc, event.lock))
+                if held is not None:
+                    current = _join(current, held)
+            elif isinstance(event, MPICall) and event.phase == "end":
+                msg_id = event.args.get("msg_id")
+                op = event.op
+                if msg_id and (op in _P2P_RECV_OPS or op == "mpi_sendrecv"
+                               or (op == "mpi_wait"
+                                   and event.args.get("kind") == "recv")):
+                    begin_seq = msg_send_begin.get(msg_id)
+                    if begin_seq is not None and begin_seq in self.clocks:
+                        current = _join(current, self.clocks[begin_seq])
+                group = coll_group_of_end.get(event.seq)
+                if group is not None:
+                    for begin_seq in coll_begins.get(group, ()):
+                        clock = self.clocks.get(begin_seq)
+                        if clock is not None:
+                            current = _join(current, clock)
+
+            current = _tick(current, key)
+            vc[key] = current
+            self.clocks[event.seq] = current
+
+            if isinstance(event, LockRelease):
+                lock_vc[(event.proc, event.lock)] = current
+
+    def ordered(self, seq_a: int, seq_b: int) -> bool:
+        a, b = self.clocks[seq_a], self.clocks[seq_b]
+        return _leq(a, b) or _leq(b, a)
+
+    def happens_before(self, seq_a: int, seq_b: int) -> bool:
+        a, b = self.clocks[seq_a], self.clocks[seq_b]
+        return _leq(a, b) and not _leq(b, a)

@@ -19,6 +19,15 @@ def mem_events(result, var):
     return [e for e in result.log.of_type(MemAccess) if e.var == var]
 
 
+def strictly_before(hb, seq_a, seq_b):
+    """The epoch test, checked against the full clocks it stands for."""
+    clock_a, clock_b = hb.clock(seq_a), hb.clock(seq_b)
+    assert hb.happens_before(seq_a, seq_b) == (
+        clock_a.leq(clock_b) and not clock_b.leq(clock_a)
+    )
+    return hb.happens_before(seq_a, seq_b)
+
+
 class TestProgramOrder:
     def test_same_thread_events_ordered(self):
         body = """
@@ -35,7 +44,7 @@ omp parallel num_threads(2) {
             per_thread.setdefault(e.thread, []).append(e)
         for evs in per_thread.values():
             for a, b in zip(evs, evs[1:]):
-                assert hb.clock(a.seq).happens_before(hb.clock(b.seq))
+                assert strictly_before(hb, a.seq, b.seq)
 
 
 class TestForkJoin:
@@ -113,7 +122,7 @@ omp parallel num_threads(2) {
         writes = [e for e in mem_events(result, "x") if e.is_write]
         assert len(writes) == 2
         a, b = sorted(writes, key=lambda e: e.seq)
-        assert hb.clock(a.seq).happens_before(hb.clock(b.seq))
+        assert strictly_before(hb, a.seq, b.seq)
 
 
 class TestLockEdges:

@@ -1,14 +1,30 @@
 """DAMPI-style message-race detection tests."""
 
+import itertools
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
-from helpers import MPI_PAIR_HEADER, run_src, wrap_main
+from helpers import MPI_PAIR_HEADER, npb_sources, run_src, wrap_main
 
+from .reference_dynamic import CrossProcessHB
+from repro.analysis.dynamic_ import msgrace
+from repro.analysis.dynamic_.happensbefore import (
+    compute_cross_process_happens_before,
+)
 from repro.analysis.dynamic_.msgrace import (
-    CrossProcessHB,
     find_message_races,
     wildcard_races,
 )
+from repro.events import EventLog, MemAccess, MPICall
+from repro.home import Home
+from repro.minilang import parse
+from repro.runtime import run_program
+from repro.workloads import case_studies
+from repro.workloads.patterns import master_worker
+
+CORPUS = Path(__file__).resolve().parents[2] / "examples" / "fuzz_corpus"
 
 
 def run_world(body, nprocs=3, **kw):
@@ -155,7 +171,7 @@ class TestCrossProcessHB:
     mpi_finalize();
 """
         result = run_world(body, nprocs=2)
-        hb = CrossProcessHB(result.log)
+        hb = compute_cross_process_happens_before(result.log)
         # The causal edge sources at the send *begin* (the message's
         # content is fixed when it is posted).
         send_begin = next(
@@ -177,7 +193,7 @@ class TestCrossProcessHB:
 
     def test_independent_processes_concurrent(self):
         result = run_world("    compute(3);\n    mpi_finalize();", nprocs=2)
-        hb = CrossProcessHB(result.log)
+        hb = compute_cross_process_happens_before(result.log)
         ends = [e for e in result.log
                 if getattr(e, "op", "") == "mpi_finalize" and e.phase == "end"]
         assert len(ends) == 2
@@ -193,3 +209,86 @@ class TestCrossProcessHB:
         result = run_program(master_worker(tasks=4),
                              RunConfig(nprocs=3, num_threads=2))
         assert wildcard_races(result.log)
+
+
+class TestThreadKeys:
+    def test_thread_ids_past_ten_thousand_stay_distinct(self):
+        """Threads are keyed by (process, thread): thread 10000 of process
+        0 is not thread 0 of process 1, and with no edge between them
+        their events are unordered."""
+        log = EventLog()
+        for proc, thread in ((0, 10_000), (1, 0)):
+            log.append(MemAccess(proc, thread, log.next_seq(), 0.0, True, 1, "x", 1, -1))
+        first, second = (event.seq for event in log)
+        hb = compute_cross_process_happens_before(log)
+        assert not hb.ordered(first, second)
+        assert not hb.happens_before(first, second)
+        assert not hb.happens_before(second, first)
+
+
+# -- equivalence with the reference replay ------------------------------------
+
+
+def _programs():
+    programs = {f"npb-{name}": src for name, src in npb_sources().items()}
+    for name in ("case_study_1", "case_study_2", "case_study_2_fixed",
+                 "safe_funneled"):
+        programs[name] = getattr(case_studies, name.upper())
+    for path in sorted(CORPUS.glob("seed-*.mini")):
+        programs[f"corpus-{path.stem}"] = path.read_text()
+    return programs
+
+
+PROGRAMS = _programs()
+#: master/worker's wildcard result collection races by design; its
+#: synchronous-send run puts each send's end after its receive's end
+MASTER_WORKER = ("master-worker", "master-worker-sync")
+
+
+@lru_cache(maxsize=None)
+def _log(name, engine):
+    tool = Home()
+    if name in MASTER_WORKER:
+        to_run, static = master_worker(tasks=4), None
+        nprocs, extra = 3, {"sync_sends": name.endswith("-sync")}
+    else:
+        to_run, static = tool.prepare(parse(PROGRAMS[name]))
+        nprocs, extra = 2, {}
+    config = tool.run_config(
+        nprocs, 2, 0, static=static, engine=engine, max_steps=200_000,
+        capture_partial=True, **extra,
+    )
+    return run_program(to_run, config).log
+
+
+@pytest.mark.parametrize("engine", ["ast", "bytecode"])
+@pytest.mark.parametrize("name", [*sorted(PROGRAMS), *MASTER_WORKER])
+def test_cross_process_order_matches_the_reference(name, engine, monkeypatch):
+    log = _log(name, engine)
+    with monkeypatch.context() as patch:
+        patch.setattr(msgrace, "compute_cross_process_happens_before", CrossProcessHB)
+        expected = find_message_races(log), wildcard_races(log)
+    assert (find_message_races(log), wildcard_races(log)) == expected
+    reference = CrossProcessHB(log)
+    hb = compute_cross_process_happens_before(log)
+    calls = [event.seq for event in log.of_type(MPICall)]
+    for a, b in itertools.product(calls, repeat=2):
+        assert hb.happens_before(a, b) == reference.happens_before(a, b), (a, b)
+        assert hb.ordered(a, b) == reference.ordered(a, b), (a, b)
+
+
+def test_reference_logs_exercise_the_message_edges():
+    """The logs above include wildcard races, message races refuted by
+    causality, collectives, and a receive that ends before its send."""
+    log = _log("master-worker", "bytecode")
+    assert wildcard_races(log)
+    sync_log = _log("master-worker-sync", "bytecode")
+    ends = {}
+    for call in sync_log.mpi_calls(phase="end"):
+        msg_id = call.args.get("msg_id")
+        if msg_id:
+            ends.setdefault(msg_id, []).append(call.op)
+    assert any(ops[0] == "mpi_recv" and ops[1] == "mpi_send"
+               for ops in ends.values() if len(ops) == 2)
+    assert any(call.op == "mpi_allreduce"
+               for call in _log("npb-lu", "bytecode").of_type(MPICall))

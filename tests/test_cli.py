@@ -141,6 +141,27 @@ func main() {
 """, ["rank 0: aborted: mpi_gather: rank 0 sent no value, not a number"]),
 }
 
+#: MPI calls with a missing argument or a contribution no reduction takes
+MALFORMED_MPI_CALL_CASES = {
+    "comm-rank-no-comm": ("""
+program norank;
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    var r = mpi_comm_rank();
+    mpi_finalize();
+}
+""", [f"rank {r}: aborted: mpi_comm_rank expects (comm)" for r in (0, 1)]),
+    "allreduce-string": ("""
+program strsum;
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    var q = mpi_allreduce("s", MPI_SUM, MPI_COMM_WORLD);
+    mpi_finalize();
+}
+""", [f"rank {r}: aborted: mpi_allreduce: rank 0 sent the string 's', not a number"
+      for r in (0, 1)]),
+}
+
 
 @pytest.fixture
 def racy_file(tmp_path):
@@ -250,7 +271,17 @@ class TestCheck:
     @pytest.mark.parametrize("engine", ["ast", "bytecode"])
     @pytest.mark.parametrize("case", sorted(UNHOLDABLE_VALUE_CASES))
     def test_unholdable_value_aborts_in_one_line(self, tmp_path, engine, case, capsys):
-        source, expected = UNHOLDABLE_VALUE_CASES[case]
+        self._assert_aborts_in_one_line(
+            tmp_path, engine, case, *UNHOLDABLE_VALUE_CASES[case], capsys)
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MPI_CALL_CASES))
+    def test_malformed_mpi_call_aborts_in_one_line(self, tmp_path, engine, case, capsys):
+        self._assert_aborts_in_one_line(
+            tmp_path, engine, case, *MALFORMED_MPI_CALL_CASES[case], capsys)
+
+    @staticmethod
+    def _assert_aborts_in_one_line(tmp_path, engine, case, source, expected, capsys):
         path = tmp_path / f"{case}.hmp"
         path.write_text(source)
         code = main(["check", str(path), "--procs", "2", "--engine", engine])
