@@ -22,6 +22,7 @@ from repro.home import Home
 from repro.minilang import parse
 from repro.runtime import Interpreter, RunConfig
 from repro.workloads.npb import build_lu_mz, build_racy_npb, lu_mz_source
+from tests.analysis.reference_dynamic import reference_happens_before
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +76,15 @@ def test_hybrid_analysis_lu(benchmark, lu_home_run):
 # -- dynamic race phase ------------------------------------------------------
 #
 # HOME replays happens-before once per process and hands the replay to
-# the memory-race scan, so the scan's own cost is what the replay does
-# not already pay for.  On a racy-NPB campaign cell (a dense MemAccess
-# stream) the linear scan costs about 0.6 of a replay; the quadratic
-# scan it replaced cost three to four.  A same-machine ratio, so the
-# gate does not depend on the runner's speed.  Each timed call gets a
-# log whose index is split by process but not yet by type, so the scan
-# pays for picking out and grouping its accesses every time.
+# the memory-race scan.  The replay visits only sync events, so on a
+# racy-NPB campaign cell (a dense MemAccess stream) it costs well under
+# a quarter of the whole-log replay that stores every event's epoch and
+# view (kept as ``reference_happens_before``, the cost model of the
+# replay before it); the scan costs under one such replay, as it did
+# when that replay was the product's.  Same-machine ratios, so the gate
+# does not depend on the runner's speed.  Each timed call gets a log
+# whose index is split by process but not yet by type, so whichever
+# runs pays for the split it reads.
 
 
 def _fastest(fn, reps=15, setup=lambda: None):
@@ -110,10 +113,14 @@ def test_memory_race_scan_costs_at_most_one_replay():
         fault_plan=builtin_plans(2)["jitter"],
     )
     log = Interpreter(program, config).run().log
-    replay = scan = 0.0
+    reference = replay = scan = 0.0
     for proc in log.processes():
         hb = compute_happens_before(log, proc)
         assert find_memory_races(log, proc, hb=hb)
+        reference += _fastest(
+            lambda fresh: reference_happens_before(fresh, proc),
+            setup=lambda: _split_copy(log),
+        )
         replay += _fastest(
             lambda fresh: compute_happens_before(fresh, proc),
             setup=lambda: _split_copy(log),
@@ -123,19 +130,21 @@ def test_memory_race_scan_costs_at_most_one_replay():
             setup=lambda: _split_copy(log),
         )
     print(
-        f"race phase per cell: replay {replay * 1e3:.2f} ms, "
-        f"scan {scan * 1e3:.2f} ms ({scan / replay:.2f}x)"
+        f"race phase per cell: whole-log replay {reference * 1e3:.2f} ms, "
+        f"replay {replay * 1e3:.2f} ms ({replay / reference:.2f}x), "
+        f"scan {scan * 1e3:.2f} ms ({scan / reference:.2f}x)"
     )
-    assert scan <= 1.0 * replay
+    assert scan <= 1.0 * reference
+    assert replay <= 0.25 * reference
 
 
 # -- vector-clock hot path ---------------------------------------------------
 #
-# The happens-before replay executes one tick (and usually one or more
-# joins) per event, so these dict-sized operations dominate the dynamic
-# phase.  The immutable-with-cached-hash rework eliminated the
-# copy-then-mutate double allocation in tick/join and made no-op joins
-# and repeat hashes allocation-free; these benchmarks pin that down.
+# The full-clock reference replays of the tests execute one tick (and
+# usually one or more joins) per event.  The immutable-with-cached-hash
+# rework eliminated the copy-then-mutate double allocation in tick/join
+# and made no-op joins and repeat hashes allocation-free; these
+# benchmarks pin that down.
 
 
 @pytest.fixture(scope="module")

@@ -171,15 +171,16 @@ def analyze_process(
                 key=(proc, kind),
                 seq=seq,
                 thread=rec.thread,
-                locks=hb.locks_held.get(seq, frozenset()),
+                locks=hb.locks((rec.thread, seq)),
                 is_write=True,
             )
     report.lockset = lockset
 
-    def racy(seq_a: int, seq_b: int) -> bool:
-        if config.use_hb and hb.ordered(seq_a, seq_b):
+    def racy(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+        """Whether the two ``(thread, seq)`` writes race."""
+        if config.use_hb and hb.ordered(a, b):
             return False
-        if config.use_lockset and not hb.disjoint_locks(seq_a, seq_b):
+        if config.use_lockset and not hb.disjoint_locks(a, b):
             return False
         return True
 
@@ -192,7 +193,8 @@ def analyze_process(
                 continue
             common = [k for k in a.writes if k in b.writes]
             kinds = tuple(
-                k for k in common if racy(a.writes[k], b.writes[k])
+                k for k in common
+                if racy((a.thread, a.writes[k]), (b.thread, b.writes[k]))
             )
             if kinds:
                 report.pairs.append(RacingPair(a, b, kinds))

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ...events import EventLog, MemAccess
 from .happensbefore import HBResult, compute_happens_before
-from .vectorclock import VectorClock
 
 
 _THREAD = attrgetter("thread")
@@ -85,10 +84,10 @@ def _first_race(
 ) -> Optional[Tuple[MemAccess, MemAccess]]:
     """The lexicographically first racing ``(evs[i], evs[j])``, i < j.
 
-    *evs* are in replay order, so ``evs[i]`` happens-before ``evs[j]``
-    (i < j) iff ``evs[j]``'s clock has reached ``evs[i]``'s own epoch —
-    the one-sided epoch test of :mod:`.happensbefore` (an access is never
-    ordered before one replayed earlier).
+    *evs* are in emission order, so ``evs[i]`` happens-before ``evs[j]``
+    (i < j) iff ``evs[j]``'s view has reached ``evs[i]``'s seq — the
+    one-sided epoch test of :mod:`.happensbefore` (an access is never
+    ordered before one emitted earlier).
 
     Accesses come in runs of one thread.  Within a run every access has
     the same next access (and next write) on each other thread, so when
@@ -107,21 +106,22 @@ def _first_race(
     if not any(map(_IS_WRITE, evs)):
         return None
     runs = [(thread, list(run)) for thread, run in groupby(evs, _THREAD)]
-    epoch, view = hb.epoch, hb.view
-    #: other thread -> its next access / next write after the current run
-    next_access: Dict[int, MemAccess] = {}
-    next_write: Dict[int, MemAccess] = {}
+    #: other thread -> the view components at its next access / next
+    #: write after the current run
+    next_access: Dict[int, Dict] = {}
+    next_write: Dict[int, Dict] = {}
     suspects: List[int] = []
     for r in range(len(runs) - 1, -1, -1):
         tid, run = runs[r]
         last_write = next(filter(_IS_WRITE, reversed(run)), None)
-        if not _run_ordered(
-            tid, run, last_write, next_access, next_write, epoch, view
-        ):
+        if not _run_ordered(tid, run, last_write, next_access, next_write):
             suspects.append(r)
-        next_access[tid] = run[0]
+        timeline = hb.timeline(tid)
+        seqs, views = timeline.seqs, timeline.views
+        next_access[tid] = views[bisect_right(seqs, run[0].seq) - 1]
         if last_write is not None:
-            next_write[tid] = next(filter(_IS_WRITE, run))
+            first_write = next(filter(_IS_WRITE, run))
+            next_write[tid] = views[bisect_right(seqs, first_write.seq) - 1]
     if not suspects:
         return None
     suspects.reverse()
@@ -132,23 +132,21 @@ def _run_ordered(
     tid: int,
     run: List[MemAccess],
     last_write: Optional[MemAccess],
-    next_access: Dict[int, MemAccess],
-    next_write: Dict[int, MemAccess],
-    epoch: Dict[int, int],
-    view: Dict[int, VectorClock],
+    next_access: Dict[int, Dict],
+    next_write: Dict[int, Dict],
 ) -> bool:
     """True when every access of thread *tid*'s *run* is ordered before
     every later conflicting access of the other threads."""
     if last_write is not None:
-        own = epoch[last_write.seq]
-        for other, event in next_access.items():
-            if other != tid and own > view[event.seq]._c.get(tid, 0):
+        own = last_write.seq
+        for other, view in next_access.items():
+            if other != tid and own > view.get(tid, -1):
                 return False
     last = run[-1]
     if last is not last_write:
-        own = epoch[last.seq]
-        for other, event in next_write.items():
-            if other != tid and own > view[event.seq]._c.get(tid, 0):
+        own = last.seq
+        for other, view in next_write.items():
+            if other != tid and own > view.get(tid, -1):
                 return False
     return True
 
@@ -176,9 +174,20 @@ def _first_race_in_runs(
         mine[0].append(pos)
         if event.is_write:
             mine[1].append(pos)
-    offsets = list(accumulate((len(run) for _, run in runs), initial=0))
-    epoch, view, locks = hb.epoch, hb.view, hb.locks_held
+    # the view components and lockset at each access, by position
     end = len(evs)
+    views: List = [None] * end
+    locks: List = [None] * end
+    for thread, (everything, _writes) in by_thread.items():
+        timeline = hb.timeline(thread)
+        seqs, thread_views, thread_locks = (
+            timeline.seqs, timeline.views, timeline.locks
+        )
+        for pos in everything:
+            at = bisect_right(seqs, evs[pos].seq) - 1
+            views[pos] = thread_views[at]
+            locks[pos] = thread_locks[at]
+    offsets = list(accumulate((len(run) for _, run in runs), initial=0))
     for r in suspects:
         tid = runs[r][0]
         start, stop = offsets[r], offsets[r + 1]
@@ -191,13 +200,13 @@ def _first_race_in_runs(
         ]
         for i in range(start, stop):
             a = evs[i]
-            own = epoch[a.seq]
+            own = a.seq
             first = end
             for everything, writes in tails:
                 for j in (everything if a.is_write else writes):
-                    if j >= first or own <= view[evs[j].seq]._c.get(tid, 0):
+                    if j >= first or own <= views[j].get(tid, -1):
                         break  # cannot improve, or ordered after a
-                    if use_lockset and locks[a.seq] & locks[evs[j].seq]:
+                    if use_lockset and locks[i] & locks[j]:
                         continue
                     first = j
                     break

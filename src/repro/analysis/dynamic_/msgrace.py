@@ -153,12 +153,12 @@ def find_message_races(log: EventLog) -> List[MessageRace]:
             if not _envelope_accepts(recv, send):
                 continue
             # a send that causally depends on this receive couldn't race it
-            if hb.happens_before(recv.seq, send.seq):
+            if hb.happens_before(recv, send):
                 continue
             # a message already consumed by a receive that happens-before
             # this one was gone in every timing consistent with the order
             consumer = consumer_of.get(send.msg_id)
-            if consumer is not None and hb.happens_before(consumer.seq, recv.seq):
+            if consumer is not None and hb.happens_before(consumer, recv):
                 continue
             # same-sender same-tag messages are FIFO: only the racy case
             # of distinct (sender, tag) streams is a true nondeterministic

@@ -1,15 +1,14 @@
 """Vector clocks over thread keys.
 
-Sparse dict-backed implementation: component absent == 0.  Used by the
-happens-before replay to order events of one process's threads, or of
-every thread of the job (Lamport's partial order, as the paper cites).
+Sparse dict-backed implementation: component absent == 0.  Lamport's
+partial order, as the paper cites.  The happens-before replay keeps its
+clocks as plain component dicts (seq-valued, see :mod:`.happensbefore`)
+and hands one out as a :class:`VectorClock` from ``HBResult.clock``,
+adopting the dict without copying (:meth:`VectorClock._adopt`).
 
 A :class:`VectorClock` is immutable: ``tick``/``join`` return new
 clocks and allocate exactly one dict.  The hash is computed once and
-cached, so clocks can key large dicts cheaply.  The replay builds each
-synchronization event's clock in a plain component dict, joins its
-edges into it in place, and adopts the dict without copying
-(:meth:`VectorClock._adopt`).
+cached, so clocks can key large dicts cheaply.
 """
 
 from __future__ import annotations

@@ -61,10 +61,6 @@ def itc_concurrency(log: EventLog, proc: int) -> ConcurrencyReport:
     report.hb = hb
     recs = sorted(report.records.values(), key=lambda r: r.call_id)
     # ITC keys races off the begin events of intercepted calls.
-    seq_of = {}
-    for rec in recs:
-        for kind, seq in rec.writes.items():
-            seq_of[(rec.call_id, kind)] = seq
     for i in range(len(recs)):
         a = recs[i]
         for j in range(i + 1, len(recs)):
@@ -74,9 +70,7 @@ def itc_concurrency(log: EventLog, proc: int) -> ConcurrencyReport:
             common = [k for k in a.writes if k in b.writes]
             kinds = []
             for k in common:
-                sa, sb = a.writes[k], b.writes[k]
-                if sa not in hb.thread_of or sb not in hb.thread_of:
-                    continue
+                sa, sb = (a.thread, a.writes[k]), (b.thread, b.writes[k])
                 if hb.ordered(sa, sb):
                     continue
                 if not hb.disjoint_locks(sa, sb):

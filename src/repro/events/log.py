@@ -51,8 +51,9 @@ class _ProcessIndex:
         typed = self._typed
         if typed is None:
             split: Dict[type, List[Event]] = defaultdict(list)
-            for event in self.events:
-                split[type(event)].append(event)
+            # memory accesses come in long runs between sync events
+            for kind, run in itertools.groupby(self.events, type):
+                split[kind].extend(run)
             typed = self._typed = dict(split)
         return typed.get(etype, [])
 

@@ -146,7 +146,9 @@ def load_log(source: Union[str, Path, TextIO], strict: bool = True):
     analyzers can still consume what the dying run managed to record.
     Truncation handling is shared with the campaign journal
     (:func:`repro.jsonlines.read_json_lines`), so both artifacts agree
-    on what a damaged tail means.
+    on what a damaged tail means.  An event whose seq does not exceed
+    the previous event's is damage of the same kind: the happens-before
+    replay uses seqs as clock epochs and needs them strictly increasing.
     """
     own = isinstance(source, (str, Path))
     fh: TextIO = open(source) if own else source  # type: ignore[arg-type]
@@ -167,8 +169,22 @@ def load_log(source: Union[str, Path, TextIO], strict: bool = True):
                 f"unsupported trace version {header.get('version')}"
             )
         meta = dict(header.get("meta", {}))
+        last_seq = -1
+
+        def decode(line: str) -> Event:
+            # the happens-before replay takes seqs as clock epochs, so
+            # they must strictly increase in log order
+            nonlocal last_seq
+            event = _event_from_dict(json.loads(line))
+            if event.seq <= last_seq:
+                raise AnalysisError(
+                    f"event seq {event.seq} does not increase past {last_seq}"
+                )
+            last_seq = event.seq
+            return event
+
         events, truncation = read_json_lines(
-            fh, lambda line: _event_from_dict(json.loads(line)), start_lineno=2,
+            fh, decode, start_lineno=2,
             start_offset=len(header_line.encode("utf-8")),
         )
         if truncation is not None and strict:
@@ -178,10 +194,7 @@ def load_log(source: Union[str, Path, TextIO], strict: bool = True):
                 f"(truncated write or damaged file): {truncation.error}"
             )
         log = EventLog()
-        max_seq = -1
-        for event in events:
-            log.append(event)
-            max_seq = max(max_seq, event.seq)
+        log.extend(events)
         if truncation is not None:
             # Tolerant mode: everything from the first bad line on is
             # suspect — salvage the valid prefix only, and record where
@@ -190,7 +203,7 @@ def load_log(source: Union[str, Path, TextIO], strict: bool = True):
             meta["dropped_lines"] = truncation.dropped
             meta["corrupt_byte_offset"] = truncation.byte_offset
         # keep the seq allocator consistent for appended events
-        log.reserve_seqs(max_seq)
+        log.reserve_seqs(last_seq)
         return log, meta
     finally:
         if own:

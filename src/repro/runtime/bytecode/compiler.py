@@ -635,6 +635,7 @@ class _Compiler:
         from .. import mpi_builtins  # deferred: import cycle with runtime
 
         self.mpi_table = mpi_builtins.BUILTINS
+        self.arity_error = mpi_builtins.arity_error
 
     def compile(self) -> CompiledProgram:
         gframe = _Frame(None, True)
@@ -839,6 +840,30 @@ class _Compiler:
 
         return (GEN, fn)
 
+    def _short_call(self, node: A.CallExpr, ag: bool, af):
+        """For a builtin called with fewer arguments than it takes, the
+        closure that evaluates them and aborts, as the tree-walk does;
+        None for every other call."""
+        name = node.name
+        if name.startswith("hmpi_") or name.startswith("mpi_"):
+            op = name[1:] if name.startswith("hmpi_") else name
+            if op in self.mpi_table:
+                name = op
+        if name not in self.mpi_table and name not in _SIMPLE_BUILTINS:
+            return None
+        msg = self.arity_error(name, len(node.args))
+        if msg is None:
+            return None
+
+        def fn(vm, ctx):
+            if ag:
+                yield from af(vm, ctx)
+            else:
+                af(vm, ctx)
+            raise SimAbort(msg)
+
+        return (GEN, fn)
+
     def _compile_call_stmt(self, node: A.CallExpr, frame: _Frame):
         """Call-as-statement superinstructions.
 
@@ -850,6 +875,9 @@ class _Compiler:
         """
         name = node.name
         ag, af = self._compile_args(node.args, frame)
+        short = self._short_call(node, ag, af)
+        if short is not None:
+            return short
         if name.startswith("hmpi_") or name.startswith("mpi_"):
             op = name[1:] if name.startswith("hmpi_") else name
             handler = self.mpi_table.get(op)
@@ -1853,6 +1881,9 @@ class _Compiler:
     def _compile_call(self, node: A.CallExpr, frame: _Frame):
         name = node.name
         ag, af = self._compile_args(node.args, frame)
+        short = self._short_call(node, ag, af)
+        if short is not None:
+            return short
         if name.startswith("hmpi_") or name.startswith("mpi_"):
             op = name[1:] if name.startswith("hmpi_") else name
             handler = self.mpi_table.get(op)

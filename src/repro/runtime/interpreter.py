@@ -204,6 +204,7 @@ class Interpreter:
         from . import mpi_builtins
 
         self._mpi_table = mpi_builtins.BUILTINS
+        self._arity_error = mpi_builtins.arity_error
 
     # -- event helpers ------------------------------------------------------
 
@@ -933,6 +934,9 @@ class Interpreter:
                 for arg in node.args:
                     val = yield from self._eval(arg, ctx)
                     args.append(val)
+                short = self._arity_error(op, len(args))
+                if short is not None:
+                    raise SimAbort(short)
                 if op in COLLECTIVE_OPS:
                     # an MPI collective issued from inside a team is a
                     # per-thread collective arrival (PARCOACH matching)
@@ -945,6 +949,9 @@ class Interpreter:
             for arg in node.args:
                 val = yield from self._eval(arg, ctx)
                 args.append(val)
+            short = self._arity_error(name, len(args))
+            if short is not None:
+                raise SimAbort(short)
             return (yield from builtin(self, ctx, node, args))
         fn = self._functions.get(name)
         if fn is not None:
@@ -1080,7 +1087,7 @@ def _bi_max_threads(interp, ctx, node, args) -> Gen:
 
 
 def _lock_name(args) -> str:
-    if not args or not isinstance(args[0], str):
+    if not isinstance(args[0], str):
         raise SimAbort("lock routines take a lock name string")
     return args[0]
 

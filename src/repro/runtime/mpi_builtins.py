@@ -459,20 +459,14 @@ def mpi_finalize(interp, ctx, node, args, instrumented) -> Gen:
 # ---------------------------------------------------------------------------
 
 
-def _comm_arg(args, op: str) -> int:
-    if len(args) != 1:
-        raise SimAbort(f"{op} expects (comm)")
-    return as_int(args[0], "communicator")
-
-
 def mpi_comm_rank(interp, ctx, node, args, instrumented) -> Gen:
-    comm = interp.world.comm(_comm_arg(args, "mpi_comm_rank"))
+    comm = interp.world.comm(as_int(args[0], "communicator"))
     return comm.local_rank(ctx.proc.rank)
     yield  # pragma: no cover
 
 
 def mpi_comm_size(interp, ctx, node, args, instrumented) -> Gen:
-    comm = interp.world.comm(_comm_arg(args, "mpi_comm_size"))
+    comm = interp.world.comm(as_int(args[0], "communicator"))
     return comm.size
     yield  # pragma: no cover
 
@@ -497,10 +491,8 @@ def mpi_initialized(interp, ctx, node, args, instrumented) -> Gen:
 # ---------------------------------------------------------------------------
 
 
-def _p2p_args(args, op: str):
-    if len(args) != 5:
-        raise SimAbort(f"{op} expects (buf, count, peer, tag, comm)")
-    buf, count, peer, tag, comm_id = args
+def _p2p_args(args):
+    buf, count, peer, tag, comm_id = args[:5]
     return (
         buf,
         as_int(count, "count"),
@@ -511,7 +503,7 @@ def _p2p_args(args, op: str):
 
 
 def mpi_send(interp, ctx, node, args, instrumented) -> Gen:
-    buf, count, dest, tag, comm_id = _p2p_args(args, "mpi_send")
+    buf, count, dest, tag, comm_id = _p2p_args(args)
     monitored = [
         (MonitoredKind.SRC, dest),
         (MonitoredKind.TAG, tag),
@@ -572,7 +564,7 @@ def _match_blocking(interp, ctx, comm_id: int, src: int, tag: int, what: str) ->
 
 
 def mpi_recv(interp, ctx, node, args, instrumented) -> Gen:
-    buf, count, src, tag, comm_id = _p2p_args(args, "mpi_recv")
+    buf, count, src, tag, comm_id = _p2p_args(args)
     monitored = [
         (MonitoredKind.SRC, src),
         (MonitoredKind.TAG, tag),
@@ -603,7 +595,7 @@ def mpi_recv(interp, ctx, node, args, instrumented) -> Gen:
 
 
 def mpi_isend(interp, ctx, node, args, instrumented) -> Gen:
-    buf, count, dest, tag, comm_id = _p2p_args(args, "mpi_isend")
+    buf, count, dest, tag, comm_id = _p2p_args(args)
     req = Request(kind="send", comm=comm_id, src=ctx.proc.rank, tag=tag,
                   dst=dest, count=count, owner_thread=ctx.tid)
     ctx.proc.mpi.requests.allocate(req)
@@ -649,7 +641,7 @@ def mpi_isend(interp, ctx, node, args, instrumented) -> Gen:
 
 
 def mpi_irecv(interp, ctx, node, args, instrumented) -> Gen:
-    buf, count, src, tag, comm_id = _p2p_args(args, "mpi_irecv")
+    buf, count, src, tag, comm_id = _p2p_args(args)
     if not isinstance(buf, ArrayValue):
         raise SimAbort("mpi_irecv requires an array receive buffer")
     req = Request(kind="recv", comm=comm_id, src=src, tag=tag,
@@ -1183,7 +1175,7 @@ def mpi_comm_split(interp, ctx, node, args, instrumented) -> Gen:
 
 def mpi_ssend(interp, ctx, node, args, instrumented) -> Gen:
     """Synchronous-mode send: always rendezvous, regardless of config."""
-    buf, count, dest, tag, comm_id = _p2p_args(args, "mpi_ssend")
+    buf, count, dest, tag, comm_id = _p2p_args(args)
     monitored = [
         (MonitoredKind.SRC, dest),
         (MonitoredKind.TAG, tag),
@@ -1225,11 +1217,6 @@ def mpi_sendrecv(interp, ctx, node, args, instrumented) -> Gen:
     Signature: mpi_sendrecv(sendbuf, count, dest, sendtag,
                             recvbuf, source, recvtag, comm).
     """
-    if len(args) != 8:
-        raise SimAbort(
-            "mpi_sendrecv expects (sendbuf, count, dest, sendtag, "
-            "recvbuf, source, recvtag, comm)"
-        )
     sendbuf = args[0]
     count = as_int(args[1], "count")
     dest = as_int(args[2], "dest")
@@ -1472,3 +1459,64 @@ BUILTINS = {
     "mpi_comm_revoke": mpi_comm_revoke,
     "mpi_comm_shrink": mpi_comm_shrink,
 }
+
+
+#: builtin -> (the fewest arguments it takes, its parameters): one table
+#: for the MPI builtins above and the interpreter's OpenMP and runtime
+#: builtins.  Both engines check a call against it once the call's
+#: arguments are evaluated, before the builtin runs (see
+#: :func:`arity_error`); builtins that need no argument are not listed.
+MIN_ARGS: Dict[str, Tuple[int, str]] = {
+    "mpi_comm_rank": (1, "comm"),
+    "mpi_comm_size": (1, "comm"),
+    **dict.fromkeys(
+        ("mpi_send", "mpi_ssend", "mpi_recv", "mpi_isend", "mpi_irecv"),
+        (5, "buf, count, peer, tag, comm"),
+    ),
+    "mpi_sendrecv": (
+        8, "sendbuf, count, dest, sendtag, recvbuf, source, recvtag, comm"
+    ),
+    "mpi_wait": (1, "request"),
+    "mpi_test": (1, "request"),
+    "mpi_probe": (3, "source, tag, comm"),
+    "mpi_iprobe": (3, "source, tag, comm"),
+    "mpi_barrier": (1, "comm"),
+    "mpi_bcast": (3, "value, root, comm"),
+    "mpi_reduce": (4, "value, op, root, comm"),
+    "mpi_allreduce": (3, "value, op, comm"),
+    "mpi_gather": (4, "value, recvbuf, root, comm"),
+    "mpi_allgather": (3, "value, recvbuf, comm"),
+    "mpi_scatter": (3, "sendbuf, root, comm"),
+    "mpi_alltoall": (3, "sendbuf, recvbuf, comm"),
+    "mpi_comm_dup": (1, "comm"),
+    "mpi_comm_split": (3, "comm, color, key"),
+    "mpi_comm_set_errhandler": (2, "comm, handler"),
+    "mpi_comm_get_errhandler": (1, "comm"),
+    "mpi_error_string": (1, "error code"),
+    "mpi_set_timeout": (2, "comm, timeout[, retries]"),
+    "mpi_comm_failure_ack": (1, "comm"),
+    "mpi_comm_revoke": (1, "comm"),
+    "mpi_comm_shrink": (1, "comm"),
+    "omp_set_num_threads": (1, "num threads"),
+    **dict.fromkeys(
+        ("omp_init_lock", "omp_destroy_lock", "omp_set_lock", "omp_unset_lock",
+         "omp_test_lock"),
+        (1, "lock name"),
+    ),
+    "array_size": (1, "array"),
+    "min": (1, "value, ..."),
+    "max": (1, "value, ..."),
+    "abs": (1, "value"),
+    "thread_spawn": (2, '"function_name", arg'),
+    "thread_join": (1, "thread handle"),
+}
+
+
+def arity_error(name: str, nargs: int) -> Optional[str]:
+    """The abort message for calling builtin *name* (an MPI builtin by
+    its ``mpi_`` name) with *nargs* arguments, or None when that is
+    enough."""
+    need = MIN_ARGS.get(name)
+    if need is None or nargs >= need[0]:
+        return None
+    return f"{name} expects ({need[1]})"

@@ -6,15 +6,22 @@ the shared replay's cross-process form.
 
 Each function filters the full log for its process and event types, as
 before the index existed; the happens-before replay steps through every
-event of its process.  ``EventLog.mpi_calls`` is inlined as the scan it
-was.  Clock arithmetic is done here on plain component dicts, so the
-product keeps no clock operations for its references.
+event of its process and stores per-event dicts, with clock components
+that count events (the replay before the product's sync-only one, whose
+components are seqs).  :func:`relation` and :func:`reference_relation`
+translate both into the relation they stand for, and
+:func:`as_hb_result` hands the reference replay to the product's race
+scan.  ``EventLog.mpi_calls`` is inlined as the scan it was.  Clock
+arithmetic is done here on plain component dicts, so the product keeps
+no clock operations for its references.
 """
 
+from bisect import bisect_right
 from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.dynamic_.happensbefore import HBResult, _NO_EDGES, _SYNC_EVENTS
+from repro.analysis.dynamic_.happensbefore import HBResult, Timeline, _SYNC_EVENTS
 from repro.analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord
 from repro.analysis.dynamic_.memraces import MemRace, _first_race
 from repro.analysis.dynamic_.vectorclock import VectorClock
@@ -43,6 +50,10 @@ from repro.violations.spec import ALL_RULES, CollectiveTrace, HandlerSpan, Proce
 # arithmetic works on component dicts (``_join_into``).
 
 
+#: the view of a thread that has passed no sync event yet
+_NO_EDGES = VectorClock()
+
+
 def _processes(log):
     return sorted({e.proc for e in log})
 
@@ -61,13 +72,39 @@ def _mpi_calls(log, proc, phase="begin"):
     ]
 
 
+@dataclass
+class ReferenceHB:
+    """The whole-log replay's result: per-event dicts keyed by seq.
+
+    Clock components count events: a thread's component starts at 1 and
+    each of its events ticks it, so a component ``c`` covers the
+    thread's first ``c - 1`` events.
+    """
+
+    proc: int
+    #: event seq -> the event's own-thread clock component
+    epoch: Dict[int, int] = field(default_factory=dict)
+    #: event seq -> its thread's clock at the thread's last sync event
+    view: Dict[int, VectorClock] = field(default_factory=dict)
+    #: event seq -> frozenset of lock names held by the thread at the event
+    locks_held: Dict[int, frozenset] = field(default_factory=dict)
+    #: event seq -> the thread that executed it
+    thread_of: Dict[int, int] = field(default_factory=dict)
+
+    def clock(self, seq: int) -> VectorClock:
+        """The full vector clock at event *seq*."""
+        components = dict(self.view[seq]._c)
+        components[self.thread_of[seq]] = self.epoch[seq]
+        return VectorClock._adopt(components)
+
+
 def reference_happens_before(
     log: EventLog,
     proc: int,
     lock_edges: bool = True,
     ignored_locks=None,
-) -> HBResult:
-    """Replay the events of process *proc* into epochs and views.
+) -> ReferenceHB:
+    """Replay every event of process *proc* into epochs and views.
 
     ``ignored_locks``: a set of lock names, or a predicate
     ``name -> bool``, describing locks the analysis cannot see — used to
@@ -85,7 +122,7 @@ def reference_happens_before(
 
         def _is_ignored(name: str) -> bool:
             return name in _ignored_set
-    result = HBResult(proc)
+    result = ReferenceHB(proc)
     epoch = result.epoch
     view = result.view
     locks_held = result.locks_held
@@ -120,7 +157,6 @@ def reference_happens_before(
         if own is None:
             views[tid] = _NO_EDGES
             held[tid] = frozenset()
-            result.threads.add(tid)
             own = 1
         seq = event.seq
         kind = type(event)
@@ -193,6 +229,75 @@ def reference_happens_before(
     return result
 
 
+# -- translating between the two replays --------------------------------------
+#
+# The product's replay keeps seqs as clock components and the reference
+# counts events.  Both are compared as the relation they stand for: per
+# event, how many of each thread's events its clock covers, plus the
+# event's lockset.
+
+
+def thread_seqs(log: EventLog, proc: int) -> Dict[int, List[int]]:
+    """Thread -> the seqs of its events in *proc*, ascending."""
+    seqs: Dict[int, List[int]] = defaultdict(list)
+    for event in log:
+        if event.proc == proc:
+            seqs[event.thread].append(event.seq)
+    return dict(seqs)
+
+
+def covered(seqs: Dict[int, List[int]], clock: VectorClock) -> Dict[int, int]:
+    """Thread -> how many of its events the product clock *clock* covers
+    (threads it covers none of are left out)."""
+    counts = {
+        tid: bisect_right(seqs.get(tid, ()), val) for tid, val in clock._c.items()
+    }
+    return {tid: n for tid, n in counts.items() if n}
+
+
+def reference_covered(clock: VectorClock) -> Dict[int, int]:
+    """:func:`covered` for a reference (event-counting) clock."""
+    return {tid: val - 1 for tid, val in clock._c.items() if val > 1}
+
+
+def relation(log: EventLog, proc: int, hb: HBResult) -> Dict[int, Tuple]:
+    """Event seq -> (:func:`covered` counts of its clock, its lockset),
+    for every event of *proc*, from the product's replay *hb*."""
+    seqs = thread_seqs(log, proc)
+    return {
+        event.seq: (covered(seqs, hb.clock(event)), hb.locks(event))
+        for event in log if event.proc == proc
+    }
+
+
+def reference_relation(ref: ReferenceHB) -> Dict[int, Tuple]:
+    """:func:`relation` of a reference replay."""
+    return {
+        seq: (reference_covered(ref.clock(seq)), ref.locks_held[seq])
+        for seq in ref.thread_of
+    }
+
+
+def as_hb_result(log: EventLog, ref: ReferenceHB) -> HBResult:
+    """The reference replay as the product's :class:`HBResult`: each sync
+    event's view rewritten from event counts to the seq of the last
+    event covered, so the product's race scan can run on it."""
+    seqs = thread_seqs(log, ref.proc)
+    result = HBResult(ref.proc)
+    for event in log:
+        if event.proc != ref.proc or type(event) not in _SYNC_EVENTS:
+            continue
+        view = {
+            tid: seqs[tid][count - 1]
+            for tid, count in reference_covered(ref.view[event.seq]).items()
+        }
+        timeline = result.timelines.setdefault(event.thread, Timeline())
+        timeline.seqs.append(event.seq)
+        timeline.views.append(view)
+        timeline.locks.append(ref.locks_held[event.seq])
+    return result
+
+
 def reference_memory_races(
     log: EventLog,
     proc: int,
@@ -217,9 +322,9 @@ def reference_memory_races(
         return []
 
     if hb is None:
-        hb = reference_happens_before(
+        hb = as_hb_result(log, reference_happens_before(
             log, proc, lock_edges=lock_edges, ignored_locks=ignored_locks
-        )
+        ))
 
     races: List[MemRace] = []
     for (cell, index), evs in accesses.items():
@@ -539,10 +644,10 @@ class CrossProcessHB:
             if isinstance(event, LockRelease):
                 lock_vc[(event.proc, event.lock)] = current
 
-    def ordered(self, seq_a: int, seq_b: int) -> bool:
-        a, b = self.clocks[seq_a], self.clocks[seq_b]
+    def ordered(self, event_a, event_b) -> bool:
+        a, b = self.clocks[event_a.seq], self.clocks[event_b.seq]
         return _leq(a, b) or _leq(b, a)
 
-    def happens_before(self, seq_a: int, seq_b: int) -> bool:
-        a, b = self.clocks[seq_a], self.clocks[seq_b]
+    def happens_before(self, event_a, event_b) -> bool:
+        a, b = self.clocks[event_a.seq], self.clocks[event_b.seq]
         return _leq(a, b) and not _leq(b, a)

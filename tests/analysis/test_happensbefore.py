@@ -4,6 +4,7 @@ import pytest
 
 from helpers import run_main
 
+from .reference_dynamic import covered, thread_seqs
 from repro.analysis.dynamic_.happensbefore import compute_happens_before
 from repro.events import LockAcquire, LockRelease, MemAccess
 
@@ -19,13 +20,22 @@ def mem_events(result, var):
     return [e for e in result.log.of_type(MemAccess) if e.var == var]
 
 
-def strictly_before(hb, seq_a, seq_b):
+def covered_by(result, hb, event):
+    """Thread -> how many of its events the clock at *event* covers."""
+    return covered(thread_seqs(result.log, 0), hb.clock(event))
+
+
+def leq(counts_a, counts_b):
+    return all(n <= counts_b.get(tid, 0) for tid, n in counts_a.items())
+
+
+def strictly_before(result, hb, a, b):
     """The epoch test, checked against the full clocks it stands for."""
-    clock_a, clock_b = hb.clock(seq_a), hb.clock(seq_b)
-    assert hb.happens_before(seq_a, seq_b) == (
-        clock_a.leq(clock_b) and not clock_b.leq(clock_a)
+    clock_a, clock_b = covered_by(result, hb, a), covered_by(result, hb, b)
+    assert hb.happens_before(a, b) == (
+        leq(clock_a, clock_b) and not leq(clock_b, clock_a)
     )
-    return hb.happens_before(seq_a, seq_b)
+    return hb.happens_before(a, b)
 
 
 class TestProgramOrder:
@@ -44,7 +54,7 @@ omp parallel num_threads(2) {
             per_thread.setdefault(e.thread, []).append(e)
         for evs in per_thread.values():
             for a, b in zip(evs, evs[1:]):
-                assert strictly_before(hb, a.seq, b.seq)
+                assert strictly_before(result, hb, a, b)
 
 
 class TestForkJoin:
@@ -66,7 +76,7 @@ omp parallel num_threads(2) {
         assert reads
         for a in writes:
             for b in reads:
-                assert hb.ordered(a.seq, b.seq)
+                assert hb.ordered(a, b)
 
     def test_post_join_reads_ordered_after_worker_writes(self):
         body = """
@@ -86,7 +96,7 @@ omp parallel num_threads(2) {
         assert reads
         for w in writes:
             for r in reads:
-                assert hb.ordered(w.seq, r.seq)
+                assert hb.ordered(w, r)
 
 
 class TestConcurrency:
@@ -106,7 +116,7 @@ omp parallel num_threads(2) {
             by_thread.setdefault(e.thread, e)
         threads = list(by_thread.values())
         assert len(threads) == 2
-        assert hb.concurrent(threads[0].seq, threads[1].seq)
+        assert hb.concurrent(threads[0], threads[1])
 
     def test_barrier_orders_across_threads(self):
         body = """
@@ -122,7 +132,7 @@ omp parallel num_threads(2) {
         writes = [e for e in mem_events(result, "x") if e.is_write]
         assert len(writes) == 2
         a, b = sorted(writes, key=lambda e: e.seq)
-        assert strictly_before(hb, a.seq, b.seq)
+        assert strictly_before(result, hb, a, b)
 
 
 class TestLockEdges:
@@ -145,20 +155,20 @@ omp parallel num_threads(2) {
         result = run_main(self.CRITICAL, monitor_memory=True)
         hb = compute_happens_before(result.log, 0, lock_edges=True)
         a, b = self._write_pair(result)
-        assert hb.ordered(a.seq, b.seq)
+        assert hb.ordered(a, b)
 
     def test_without_lock_edges_writes_concurrent(self):
         result = run_main(self.CRITICAL, monitor_memory=True)
         hb = compute_happens_before(result.log, 0, lock_edges=False)
         a, b = self._write_pair(result)
-        assert hb.concurrent(a.seq, b.seq)
+        assert hb.concurrent(a, b)
 
     def test_locksets_disjointness(self):
         result = run_main(self.CRITICAL, monitor_memory=True)
         hb = compute_happens_before(result.log, 0)
         a, b = self._write_pair(result)
         # Both writes hold the same critical lock.
-        assert not hb.disjoint_locks(a.seq, b.seq)
+        assert not hb.disjoint_locks(a, b)
 
     def test_ignored_locks_predicate(self):
         body = """
@@ -173,8 +183,8 @@ omp parallel num_threads(2) {
             ignored_locks=lambda name: "named" in name,
         )
         a, b = self._write_pair(result)
-        assert hb.concurrent(a.seq, b.seq)
-        assert hb.disjoint_locks(a.seq, b.seq)
+        assert hb.concurrent(a, b)
+        assert hb.disjoint_locks(a, b)
 
     def test_ignored_locks_set(self):
         result = run_main(self.CRITICAL, monitor_memory=True)
@@ -182,7 +192,7 @@ omp parallel num_threads(2) {
             result.log, 0, ignored_locks={"critical:<anonymous>"}
         )
         a, b = self._write_pair(result)
-        assert hb.concurrent(a.seq, b.seq)
+        assert hb.concurrent(a, b)
 
     def test_lockset_snapshot_inside_critical(self):
         result = run_main(self.CRITICAL, monitor_memory=True)
@@ -190,4 +200,4 @@ omp parallel num_threads(2) {
         writes = [e for e in result.log.of_type(MemAccess)
                   if e.var == "x" and e.is_write]
         for w in writes:
-            assert "critical:<anonymous>" in hb.locks_held[w.seq]
+            assert "critical:<anonymous>" in hb.locks(w)

@@ -19,14 +19,29 @@ from .reference_dynamic import (
     reference_happens_before,
     reference_match_violations,
     reference_memory_races,
+    reference_relation,
+    relation,
 )
 
-from repro.analysis.dynamic_.happensbefore import compute_happens_before
+from repro.analysis.dynamic_.happensbefore import (
+    compute_cross_process_happens_before,
+    compute_happens_before,
+)
 from repro.analysis.dynamic_.hybrid import analyze, collect_call_records
 from repro.analysis.dynamic_.memraces import find_memory_races
 from repro.baselines import IntelThreadChecker
 from repro.baselines.itc import itc_ignores_lock
-from repro.events import EventLog, LockAcquire, MemAccess, MPICall
+from repro.events import (
+    BarrierEvent,
+    EventLog,
+    LockAcquire,
+    LockRelease,
+    MemAccess,
+    MPICall,
+    ThreadBegin,
+    ThreadFork,
+    ThreadJoin,
+)
 from repro.home import Home
 from repro.minilang import parse
 from repro.runtime import run_program
@@ -121,6 +136,55 @@ def test_home_analyze_makes_one_pass_over_a_campaign_cell_log():
     assert any(v.vclass == "DataRace" for v in violations)
 
 
+class _ReadCounter(list):
+    """A list that counts the elements read by iterating over it."""
+
+    def __init__(self, items) -> None:
+        super().__init__(items)
+        self.reads = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+SYNC_TYPES = (ThreadFork, ThreadBegin, ThreadJoin, BarrierEvent, LockAcquire, LockRelease)
+
+
+def _count_reads(log):
+    """Wrap every process's event list and per-type lists of *log*'s
+    index in :class:`_ReadCounter`; returns the wrappers."""
+    counters = []
+    for proc in log.processes():
+        index = log._indexed().process(proc)
+        index.typed(MemAccess)  # split by type before wrapping
+        index.events = _ReadCounter(index.events)
+        index._typed = {kind: _ReadCounter(events) for kind, events in index._typed.items()}
+        counters += [index.events, *index._typed.values()]
+    return counters
+
+
+def test_replay_reads_only_sync_events():
+    home = Home()
+    to_run, static = home.prepare(build_racy_npb())
+    log = run_program(to_run, home.run_config(2, 2, 7, static=static)).log
+    counters = _count_reads(log)
+    for proc in log.processes():
+        sync = [e for e in log if e.proc == proc and type(e) in SYNC_TYPES]
+        before = sum(counter.reads for counter in counters)
+        hb = compute_happens_before(log, proc)
+        assert sum(counter.reads for counter in counters) - before == len(sync)
+        # one timeline entry per sync event, and nothing kept per event
+        assert sum(len(t.seqs) - 1 for t in hb.timelines.values()) == len(sync)
+        assert set(vars(hb)) == {"proc", "timelines"}
+    job_sync = [e for e in log if type(e) in (*SYNC_TYPES, MPICall)]
+    before = sum(counter.reads for counter in counters)
+    compute_cross_process_happens_before(log)
+    assert sum(counter.reads for counter in counters) - before == len(job_sync)
+    assert len(job_sync) < len(log) / 10
+
+
 TOOLS = {"home": Home, "itc": IntelThreadChecker}
 
 
@@ -148,7 +212,8 @@ def test_index_backed_analyses_match_the_whole_log_scans(name, tool_name, engine
     hb_configs = [{}, {"lock_edges": False}, {"ignored_locks": itc_ignores_lock}]
     for proc in log.processes():
         for cfg in hb_configs:
-            assert compute_happens_before(_fresh(log), proc, **cfg) == (
+            hb = compute_happens_before(_fresh(log), proc, **cfg)
+            assert relation(log, proc, hb) == reference_relation(
                 reference_happens_before(log, proc, **cfg)
             )
         for lockset in (True, False):

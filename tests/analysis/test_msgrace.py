@@ -182,14 +182,14 @@ class TestCrossProcessHB:
             e for e in result.log
             if getattr(e, "op", "") == "mpi_recv" and e.phase == "end"
         )
-        assert hb.happens_before(send_begin.seq, recv_end.seq)
+        assert hb.happens_before(send_begin, recv_end)
         # ...and therefore everything before the send orders before
         # everything after the receive.
         recv_begin = next(
             e for e in result.log
             if getattr(e, "op", "") == "mpi_recv" and e.phase == "begin"
         )
-        assert not hb.happens_before(recv_begin.seq, send_begin.seq)
+        assert not hb.happens_before(recv_begin, send_begin)
 
     def test_independent_processes_concurrent(self):
         result = run_world("    compute(3);\n    mpi_finalize();", nprocs=2)
@@ -197,7 +197,7 @@ class TestCrossProcessHB:
         ends = [e for e in result.log
                 if getattr(e, "op", "") == "mpi_finalize" and e.phase == "end"]
         assert len(ends) == 2
-        assert not hb.ordered(ends[0].seq, ends[1].seq)
+        assert not hb.ordered(ends[0], ends[1])
 
     def test_master_worker_pattern_is_racy_by_design(self):
         """ANY_SOURCE result collection in master/worker is the textbook
@@ -219,7 +219,7 @@ class TestThreadKeys:
         log = EventLog()
         for proc, thread in ((0, 10_000), (1, 0)):
             log.append(MemAccess(proc, thread, log.next_seq(), 0.0, True, 1, "x", 1, -1))
-        first, second = (event.seq for event in log)
+        first, second = log
         hb = compute_cross_process_happens_before(log)
         assert not hb.ordered(first, second)
         assert not hb.happens_before(first, second)
@@ -271,7 +271,7 @@ def test_cross_process_order_matches_the_reference(name, engine, monkeypatch):
     assert (find_message_races(log), wildcard_races(log)) == expected
     reference = CrossProcessHB(log)
     hb = compute_cross_process_happens_before(log)
-    calls = [event.seq for event in log.of_type(MPICall)]
+    calls = log.of_type(MPICall)
     for a, b in itertools.product(calls, repeat=2):
         assert hb.happens_before(a, b) == reference.happens_before(a, b), (a, b)
         assert hb.ordered(a, b) == reference.ordered(a, b), (a, b)

@@ -1,5 +1,5 @@
-"""The linear memory-race scan, the O(1) epoch ordering and the
-epoch/view replay agree with the quadratic, full-clock reference they
+"""The linear memory-race scan, the epoch ordering and the sync-only
+timeline replay agree with the quadratic, full-clock reference they
 replaced.
 
 The reference keeps the original algorithms as a test-only oracle: a
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from .reference_dynamic import covered, reference_covered, thread_seqs
 from repro.analysis.dynamic_.happensbefore import compute_happens_before
 from repro.analysis.dynamic_.memraces import MemRace, find_memory_races
 from repro.baselines import IntelThreadChecker
@@ -282,7 +283,8 @@ def test_lockset_snapshots_match_reference(log_id, config):
     ignored = CONFIGS[config].get("ignored_locks")
     for proc in log.processes():
         hb = compute_happens_before(log, proc, ignored_locks=ignored)
-        assert hb.locks_held == reference_locks_held(log, proc, ignored)
+        locks = {e.seq: hb.locks(e) for e in log if e.proc == proc}
+        assert locks == reference_locks_held(log, proc, ignored)
 
 
 # -- ordered ------------------------------------------------------------------
@@ -317,9 +319,9 @@ def test_epoch_ordered_matches_full_clock_compare(log_id):
         for proc in source.processes():
             hb = compute_happens_before(source, proc, lock_edges=lock_edges)
             clocks = reference_clocks(source, proc, lock_edges)
-            seqs = [e.seq for e in source if e.proc == proc]
-            for a, b in _pairs(seqs):
-                expected = reference_ordered(clocks, a, b)
+            events = [e for e in source if e.proc == proc]
+            for a, b in _pairs(events):
+                expected = reference_ordered(clocks, a.seq, b.seq)
                 assert hb.ordered(a, b) == expected, (a, b)
                 assert hb.ordered(b, a) == expected, (b, a)
 
@@ -334,25 +336,31 @@ def test_same_location_pairs_all_checked():
         by_loc = {}
         for e in log:
             if type(e) is MemAccess and e.proc == proc:
-                by_loc.setdefault((e.cell, e.index), []).append(e.seq)
+                by_loc.setdefault((e.cell, e.index), []).append(e)
         for seqs in by_loc.values():
             for i, a in enumerate(seqs):
                 for b in seqs[i + 1:]:
-                    assert hb.ordered(a, b) == reference_ordered(clocks, a, b)
+                    assert hb.ordered(a, b) == reference_ordered(clocks, a.seq, b.seq)
 
 
 @pytest.mark.parametrize("log_id", LOG_IDS)
 @pytest.mark.parametrize("config", ["default", "itc", "no-lock-edges"])
 def test_replay_clocks_match_reference(log_id, config):
-    """Every event's epoch plus view rebuilds its full reference clock."""
+    """Every event's clock, rebuilt from its seq and its thread's
+    timeline, covers as many of each thread's events as its full
+    reference clock."""
     log = log_of(log_id)
     options = {k: v for k, v in CONFIGS[config].items() if k != "use_lockset"}
     for proc in log.processes():
         hb = compute_happens_before(log, proc, **options)
         expected = reference_clocks(log, proc, **options)
-        assert hb.thread_of.keys() == expected.keys()
-        for seq, clock in expected.items():
-            assert hb.clock(seq) == clock, seq
+        seqs = thread_seqs(log, proc)
+        events = [e for e in log if e.proc == proc]
+        assert [e.seq for e in events] == list(expected)
+        for event in events:
+            assert covered(seqs, hb.clock(event)) == (
+                reference_covered(expected[event.seq])
+            ), event.seq
 
 
 #: logs small enough to compare every pair of their monitored events
@@ -367,12 +375,12 @@ def test_ordered_matches_full_leq_on_every_access_pair(log_id):
             hb = compute_happens_before(log, proc, lock_edges=lock_edges)
             clocks = reference_clocks(log, proc, lock_edges)
             seqs = [
-                e.seq for e in log
+                e for e in log
                 if e.proc == proc and type(e) in (MemAccess, MonitoredWrite)
             ]
             for i, a in enumerate(seqs):
                 for b in seqs[i:]:
-                    expected = reference_ordered(clocks, a, b)
+                    expected = reference_ordered(clocks, a.seq, b.seq)
                     assert hb.ordered(a, b) == expected, (a, b)
                     assert hb.ordered(b, a) == expected, (b, a)
 

@@ -1,9 +1,19 @@
 """EventLog query tests."""
 
+import functools
+from pathlib import Path
+
 import pytest
+
+from helpers import npb_sources
 
 from repro.events import EventLog, LockAcquire, MemAccess, MonitoredWrite, MPICall
 from repro.events.event import MonitoredKind
+from repro.faults import builtin_plans
+from repro.home import Home
+from repro.minilang import parse
+from repro.runtime import run_program
+from repro.workloads import case_studies
 
 
 def make_log():
@@ -82,3 +92,46 @@ class TestQueries:
         counts = make_log().counts()
         assert counts["MPICall"] == 4
         assert counts["LockAcquire"] == 1
+
+
+# -- seqs strictly increase in every interpreter log --------------------------
+#
+# The happens-before replay uses each event's seq as its clock epoch,
+# which needs seqs strictly increasing in log order.  Checked on every
+# program the analyses are tested on, under every builtin fault plan
+# (but the drill that kills its host process) and both engines.
+
+CORPUS = Path(__file__).resolve().parents[2] / "examples" / "fuzz_corpus"
+
+
+def _sources():
+    sources = {f"npb-{name}": src for name, src in npb_sources().items()}
+    for name in ("case_study_1", "case_study_2", "case_study_2_fixed",
+                 "safe_funneled"):
+        sources[name] = getattr(case_studies, name.upper())
+    for path in sorted(CORPUS.glob("seed-*.mini")):
+        sources[f"corpus-{path.stem}"] = path.read_text()
+    return sources
+
+
+SOURCES = _sources()
+PLANS = {name: plan for name, plan in builtin_plans(2).items() if name != "killworker"}
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared(name):
+    return Home().prepare(parse(SOURCES[name]))
+
+
+@pytest.mark.parametrize("engine", ["ast", "bytecode"])
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_interpreter_logs_have_strictly_increasing_seqs(name, engine):
+    to_run, static = _prepared(name)
+    for plan in PLANS.values():
+        config = Home().run_config(
+            2, 2, 0, static=static, engine=engine, fault_plan=plan,
+            max_steps=200_000, capture_partial=True,
+        )
+        seqs = [event.seq for event in run_program(to_run, config).log]
+        assert len(seqs) > 1
+        assert all(a < b for a, b in zip(seqs, seqs[1:])), plan.name

@@ -220,3 +220,48 @@ class TestTruncatedTraceSalvage:
         dump_log(report.execution.log, path)
         _, meta = load_log(path, strict=False)
         assert "salvaged" not in meta
+
+
+class TestSeqOrder:
+    """The replay takes seqs as clock epochs: a trace whose seqs fail to
+    increase is damaged like a corrupt line."""
+
+    def disordered_trace(self, tmp_path, swap_at=5):
+        report = Home().check(case_study_2(), nprocs=2)
+        path = tmp_path / "run.trace"
+        dump_log(report.execution.log, path)
+        lines = path.read_text().splitlines()
+        # event lines start at line 2; swapping two makes the seq drop
+        lines[swap_at], lines[swap_at + 1] = lines[swap_at + 1], lines[swap_at]
+        path.write_text("\n".join(lines) + "\n")
+        return path, len(lines), swap_at
+
+    def test_strict_load_names_the_line(self, tmp_path):
+        path, _total, swap_at = self.disordered_trace(tmp_path)
+        with pytest.raises(AnalysisError) as err:
+            load_log(path)
+        message = str(err.value)
+        assert "\n" not in message
+        assert message.startswith(f"corrupt trace line {swap_at + 2} ")
+        assert "does not increase" in message
+
+    def test_repeated_seq_rejected(self, tmp_path):
+        log = EventLog()
+        for _ in range(2):
+            log.append(LockAcquire(0, 0, 3, 0.0, lock="L"))
+        path = tmp_path / "repeat.trace"
+        dump_log(log, path)
+        with pytest.raises(AnalysisError, match="corrupt trace line 3 .*seq 3"):
+            load_log(path)
+
+    def test_tolerant_load_salvages_the_prefix(self, tmp_path):
+        path, total, swap_at = self.disordered_trace(tmp_path)
+        log, meta = load_log(path, strict=False)
+        assert meta["salvaged"] is True
+        # lines[1 .. swap_at] were events in order; the swapped-in later
+        # event at swap_at stays, the one after it is where seqs drop
+        assert len(log) == swap_at
+        assert meta["dropped_lines"] == total - 1 - swap_at
+        seqs = [event.seq for event in log]
+        assert seqs == sorted(set(seqs))
+        assert log.next_seq() == seqs[-1] + 1

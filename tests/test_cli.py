@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.runtime.interpreter import _SIMPLE_BUILTINS
+from repro.runtime.mpi_builtins import BUILTINS, MIN_ARGS
 
 TINY_RACY = """
 program tiny;
@@ -163,6 +165,29 @@ func main() {
 }
 
 
+def _builtin_call_source(name, nargs):
+    args = ", ".join(["0"] * nargs)
+    return (
+        "program short;\nfunc main() {\n"
+        "    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);\n"
+        f"    var x = {name}({args});\n"
+        "    mpi_finalize();\n}\n"
+    )
+
+
+#: every builtin that takes arguments, called with one too few (the
+#: instrumented wrapper spelling too), and what each rank's abort says
+SHORT_CALL_CASES = {
+    name: (
+        _builtin_call_source(name, MIN_ARGS[name.lstrip("h")][0] - 1),
+        [f"rank {r}: aborted: {name.lstrip('h')} expects "
+         f"({MIN_ARGS[name.lstrip('h')][1]})" for r in (0, 1)],
+    )
+    for name in [*MIN_ARGS, "hmpi_barrier", "hmpi_send"]
+}
+#: every builtin that takes no argument
+NO_ARG_BUILTINS = sorted((set(BUILTINS) | set(_SIMPLE_BUILTINS)) - set(MIN_ARGS))
+
 @pytest.fixture
 def racy_file(tmp_path):
     path = tmp_path / "racy.hmp"
@@ -279,6 +304,24 @@ class TestCheck:
     def test_malformed_mpi_call_aborts_in_one_line(self, tmp_path, engine, case, capsys):
         self._assert_aborts_in_one_line(
             tmp_path, engine, case, *MALFORMED_MPI_CALL_CASES[case], capsys)
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    @pytest.mark.parametrize("case", sorted(SHORT_CALL_CASES))
+    def test_builtin_with_too_few_arguments_aborts_in_one_line(self, tmp_path, engine,
+                                                               case, capsys):
+        self._assert_aborts_in_one_line(
+            tmp_path, engine, case, *SHORT_CALL_CASES[case], capsys)
+
+    @pytest.mark.parametrize("engine", ["ast", "bytecode"])
+    @pytest.mark.parametrize("name", NO_ARG_BUILTINS)
+    def test_builtin_without_arguments_runs_without_a_traceback(self, tmp_path, engine,
+                                                                name, capsys):
+        path = tmp_path / f"{name}.hmp"
+        path.write_text(_builtin_call_source(name, 0))
+        code = main(["check", str(path), "--procs", "2", "--engine", engine])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert "Traceback" not in captured.out + captured.err
 
     @staticmethod
     def _assert_aborts_in_one_line(tmp_path, engine, case, source, expected, capsys):
