@@ -69,15 +69,15 @@ class TestCompileCost:
 
     def test_memo_is_keyed_on_monitoring_spec(self):
         """One compilation per (program, monitoring spec): the same spec
-        hits the memo, a different monitored set compiles afresh, and
-        the spec-less call keeps meaning "no memory monitoring"."""
+        hits the memo, a different monitored site set compiles afresh,
+        and the spec-less call keeps meaning "no memory monitoring"."""
         program = BENCHMARKS["lu"](inject=True)
         clear_compile_cache()
         plain = compile_program(program)
         assert plain.codes
-        field = compile_program(program, frozenset({"field"}))
-        assert compile_program(program, frozenset({"field"})) is field
-        tmp = compile_program(program, frozenset({"tmp"}))
+        field = compile_program(program, frozenset({"58:18"}))
+        assert compile_program(program, frozenset({"58:18"})) is field
+        tmp = compile_program(program, frozenset({"48:13"}))
         everything = compile_program(program, None)
         assert compile_program(program, None) is everything
         assert len({id(plain), id(field), id(tmp), id(everything)}) == 4

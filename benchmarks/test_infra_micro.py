@@ -77,8 +77,9 @@ def test_hybrid_analysis_lu(benchmark, lu_home_run):
 #
 # HOME replays happens-before once per process and hands the replay to
 # the memory-race scan.  The replay visits only sync events, so on a
-# racy-NPB campaign cell (a dense MemAccess stream) it costs well under
-# a quarter of the whole-log replay that stores every event's epoch and
+# racy-NPB cell that monitors every access site (a dense MemAccess
+# stream; HOME's own cell watches only the sites its static race pass
+# could not clear) it costs well under a quarter of the whole-log replay that stores every event's epoch and
 # view (kept as ``reference_happens_before``, the cost model of the
 # replay before it); the scan costs under one such replay, as it did
 # when that replay was the product's.  Same-machine ratios, so the gate
@@ -110,7 +111,7 @@ def test_memory_race_scan_costs_at_most_one_replay():
     program, static = home.prepare(build_racy_npb())
     config = home.run_config(
         nprocs=2, num_threads=2, seed=1, static=static,
-        fault_plan=builtin_plans(2)["jitter"],
+        fault_plan=builtin_plans(2)["jitter"], memory_sites=None,
     )
     log = Interpreter(program, config).run().log
     reference = replay = scan = 0.0

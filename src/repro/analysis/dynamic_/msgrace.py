@@ -80,6 +80,18 @@ class MessageRace:
     def is_wildcard(self) -> bool:
         return self.recv.src == MPI_ANY_SOURCE or self.recv.tag == MPI_ANY_TAG
 
+    def as_dict(self) -> Dict[str, object]:
+        """Machine-readable form (``check --format json --msg-races``)."""
+        return {
+            "rank": self.recv.proc,
+            "loc": self.recv.loc,
+            "src": self.recv.src,
+            "tag": self.recv.tag,
+            "alternatives": [
+                {"rank": s.proc, "loc": s.loc} for s in self.alternatives
+            ],
+        }
+
     def __str__(self) -> str:
         alts = ", ".join(
             f"rank {s.proc}@{s.loc}" for s in self.alternatives

@@ -371,4 +371,5 @@ def resolve_parallel_contexts(
 
     for fname in candidates:
         resolve(fname, frozenset())
+    del resolve  # the recursive closure's own cell: a reference cycle
     return resolved

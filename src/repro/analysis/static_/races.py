@@ -23,10 +23,11 @@ This pass closes the gap at compile time, in four steps:
    under one ``omp for`` is iteration-disjoint, ``a[i+1]`` write vs
    ``a[i]`` read is loop-carried and stays.
 4. **Reporting** — surviving pairs become :class:`StaticRaceCandidate`
-   entries whose variables seed the *monitored-variable set* of the
-   instrumentation policy, so the dynamic phase watches exactly the
-   statically-suspect memory instead of everything (the ITC model's
-   monitor-everything behaviour).
+   entries.  Their variables are the *monitored variables* the
+   instrumented program announces, and their access sites are the
+   *monitored sites* (:attr:`StaticRaceReport.monitored_locs`) the
+   dynamic phase watches, instead of every shared access (the ITC
+   model's monitor-everything behaviour).
 
 Known imprecision, both conservative in opposite directions: array
 aliasing through call arguments is ignored (arrays are only tracked by
@@ -185,9 +186,46 @@ class StaticRaceReport:
 
     @property
     def monitored_vars(self) -> FrozenSet[str]:
-        """Variables the dynamic phase should monitor (race-directed
-        narrowing of the instrumentation policy)."""
+        """Variables of the static candidates: the variables the
+        instrumented program announces as monitored."""
         return frozenset(c.var for c in self.candidates)
+
+    @property
+    def whole_vars(self) -> FrozenSet[str]:
+        """Monitored variables the pass cannot pair completely, so every
+        access of theirs is monitored: those with an ``unresolved``
+        interprocedural access, and those named in a ``reduction``
+        clause (a reduction fold is no access site, so it is never
+        paired)."""
+        incomplete = {site.var for site in self.unresolved}
+        for region in self.regions:
+            incomplete.update(
+                name for name, cls in region.sharing.items() if cls == REDUCTION
+            )
+        return self.monitored_vars & incomplete
+
+    def site_locs(self, names: FrozenSet[str]) -> FrozenSet[str]:
+        """The "line:col" locs of every access site of the variables
+        *names*: each lexical and summary-instantiated access (the
+        callee's loc), each interprocedural access, and each construct
+        whose ``reduction`` clause names one of them (its folds' site)."""
+        sites = (*self.accesses, *self.unresolved, *self.resolved_interproc)
+        locs = {site.loc for site in sites if site.var in names}
+        locs.update(
+            region.loc for region in self.regions
+            if any(region.sharing.get(name) == REDUCTION for name in names)
+        )
+        return frozenset(locs)
+
+    @property
+    def monitored_locs(self) -> FrozenSet[str]:
+        """The access sites the dynamic phase monitors (site-directed
+        narrowing, ``RunConfig.memory_sites``): both sides of every
+        candidate, plus every site of each :attr:`whole_vars` variable.
+        A site is keyed by its "line:col" loc, which survives the
+        instrumented clone's renumbering."""
+        locs = {loc for cand in self.candidates for loc in (cand.a.loc, cand.b.loc)}
+        return frozenset(locs) | self.site_locs(self.whole_vars)
 
     @property
     def total_pruned(self) -> int:
@@ -222,6 +260,7 @@ class StaticRaceReport:
                 for c in self.candidates
             ],
             "monitored_vars": sorted(self.monitored_vars),
+            "monitored_locs": sorted(self.monitored_locs),
             "accesses": len(self.accesses),
             "unresolved": [site(s) for s in self.unresolved],
             "interproc": {

@@ -311,7 +311,8 @@ def run_static_analysis(
 
     With ``races`` enabled the static data-race pass runs before
     instrumentation, so its candidate variables become the monitored-
-    variable set of the instrumented program (race-directed narrowing).
+    variable set of the instrumented program, and its ``monitored_locs``
+    the access sites HOME's run watches (race-directed narrowing).
     ``collectives`` adds the PARCOACH-family collective-matching pass;
     its candidate sites narrow the dynamic collective confirm pass the
     same way.  ``summaries`` computes the context-sensitive

@@ -167,12 +167,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         program, nprocs=args.procs, num_threads=args.threads, seed=args.seed,
         **overrides,
     )
-    if args.format == "json":
-        from .violations.render import report_to_json
+    msg_races = None
+    if args.msg_races:
+        from .analysis.dynamic_.msgrace import wildcard_races
 
-        print(report_to_json(report.violations))
+        msg_races = wildcard_races(report.execution.log)
+    if args.format == "json":
+        # stdout carries the one JSON document; notes go to stderr
+        from .violations.render import report_to_dict
+
+        payload = report_to_dict(report.violations)
+        if msg_races is not None:
+            payload["message_races"] = [race.as_dict() for race in msg_races]
+        print(json.dumps(payload, indent=2))
         for note in report.execution.aborts:
             print(note, file=sys.stderr)
+        _write_check_files(args, tool, program, source, report, sys.stderr)
         return _check_status(report)
     if args.excerpts:
         from .violations.render import render_report
@@ -192,18 +202,37 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("suggested fixes:")
         for suggestion in suggest_fixes(report.violations):
             print(f"  {suggestion}")
-    if args.msg_races:
-        from .analysis.dynamic_.msgrace import wildcard_races
-
-        races = wildcard_races(report.execution.log)
+    if msg_races is not None:
         print()
-        if races:
-            print(f"{len(races)} nondeterministic message match(es) "
+        if msg_races:
+            print(f"{len(msg_races)} nondeterministic message match(es) "
                   "(DAMPI-style analysis):")
-            for race in races:
+            for race in msg_races:
                 print(f"  {race}")
         else:
             print("no nondeterministic message matches (DAMPI-style analysis)")
+    _write_check_files(args, tool, program, source, report, sys.stdout)
+    if args.verbose:
+        for warning in report.extras.get("static_warnings", []):
+            print(f"  {warning}")
+        for note in report.execution.notes:
+            print(f"  note: {note}")
+        if report.extras.get("monitored_vars"):
+            from .violations.render import render_race_triage
+
+            print("  race-directed monitoring: "
+                  + ", ".join(report.extras["monitored_vars"]))
+            print(render_race_triage(report.extras["race_triage"]))
+        if report.extras.get("divergence_triage"):
+            from .violations.render import render_divergence_triage
+
+            print(render_divergence_triage(report.extras["divergence_triage"]))
+    return _check_status(report)
+
+
+def _write_check_files(args, tool, program, source, report, out) -> None:
+    """Write ``check``'s ``--html`` report and ``--save-trace`` trace,
+    each announced with a line on *out*."""
     if args.html:
         from .violations.html import report_to_html
 
@@ -230,7 +259,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             static_info=static_info,
         )
         Path(args.html).write_text(page)
-        print(f"HTML report written to {args.html}")
+        print(f"HTML report written to {args.html}", file=out)
     if args.save_trace:
         from .events.serialize import dump_log
 
@@ -242,23 +271,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             },
         )
-        print(f"trace written to {args.save_trace}")
-    if args.verbose:
-        for warning in report.extras.get("static_warnings", []):
-            print(f"  {warning}")
-        for note in report.execution.notes:
-            print(f"  note: {note}")
-        if report.extras.get("monitored_vars"):
-            from .violations.render import render_race_triage
-
-            print("  race-directed monitoring: "
-                  + ", ".join(report.extras["monitored_vars"]))
-            print(render_race_triage(report.extras["race_triage"]))
-        if report.extras.get("divergence_triage"):
-            from .violations.render import render_divergence_triage
-
-            print(render_divergence_triage(report.extras["divergence_triage"]))
-    return _check_status(report)
+        print(f"trace written to {args.save_trace}", file=out)
 
 
 def _check_status(report) -> int:

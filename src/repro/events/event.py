@@ -69,11 +69,13 @@ class Event:
 class MemAccess(Event):
     """A read or write of a *shared* program variable.
 
-    Only emitted while memory monitoring is on: for every shared
-    variable under the ITC model, and under HOME's race-directed
-    narrowing for just the variables its static race pass flagged
-    (``RunConfig.monitored_vars``).  HOME monitors no other computation
-    variables.
+    Only emitted while memory monitoring is on: at every access site
+    under the ITC model, and under HOME's site-directed narrowing at
+    just the sites its static race pass could not clear
+    (``RunConfig.memory_sites``): both sides of each candidate, and
+    every site of a monitored variable with an unresolved
+    interprocedural access or a ``reduction`` clause.  HOME monitors no
+    other accesses.  A reduction fold is emitted with ``callsite`` 0.
     """
 
     is_write: bool = False

@@ -284,8 +284,9 @@ def oracle_narrowing(
 ) -> List[OracleFinding]:
     """HOME narrowed monitoring vs monitor-everything: same race set.
 
-    Race-directed narrowing monitors only the static candidates'
-    variables; an ITC-style run monitors every shared access.  Memory
+    Race-directed narrowing monitors only the access sites the static
+    race pass could not clear; an ITC-style run monitors every shared
+    access.  Memory
     monitoring adds trace events without scheduler yields, so both runs
     see the same schedule — restricted to the monitored variables, the
     dynamic race sets must be identical.
@@ -304,7 +305,7 @@ def oracle_narrowing(
     runs = []
     for overrides in (
         {},  # narrowed (pipeline default)
-        {"monitor_memory": True, "monitored_vars": None},  # everything
+        {"monitor_memory": True, "memory_sites": None},  # everything
     ):
         config = tool.run_config(
             ctx.nprocs,

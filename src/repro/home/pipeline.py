@@ -88,11 +88,13 @@ def triage_race_candidates(
 
     * **confirmed** — the lockset/happens-before analysis found an
       unordered conflicting access pair on the candidate variable;
-    * **refuted** — the variable was observed from several threads but
-      every conflicting pair was ordered or lock-protected;
+    * **refuted** — the variable's monitored sites were observed from
+      several threads but every conflicting pair was ordered or
+      lock-protected;
     * **missed-by-dynamic** — the monitored run never exercised the
-      variable from more than one thread, so the schedule says nothing
-      (the candidate stands untested, the classic dynamic-tool gap).
+      variable's monitored sites from more than one thread, so the
+      schedule says nothing (the candidate stands untested, the classic
+      dynamic-tool gap).
 
     *memory_races* (process -> :func:`find_memory_races` result) passes
     in races already found for this run, e.g. by :meth:`Home.analyze`;
@@ -218,7 +220,8 @@ class Home(CheckingTool):
 
     def run_config(self, nprocs, num_threads, seed, static=None, **overrides):
         """Race-directed narrowing: monitor memory only when the static
-        race pass produced candidates, and then only their variables."""
+        race pass produced candidates, and then only the access sites it
+        could not clear (:attr:`StaticRaceReport.monitored_locs`)."""
         if (
             self.options.races
             and isinstance(static, StaticReport)
@@ -226,7 +229,7 @@ class Home(CheckingTool):
             and static.races.monitored_vars
         ):
             overrides.setdefault("monitor_memory", True)
-            overrides.setdefault("monitored_vars", static.races.monitored_vars)
+            overrides.setdefault("memory_sites", static.races.monitored_locs)
             overrides.setdefault(
                 "charge",
                 replace(self.charge, mem_event_cost=self.options.race_memory_cost),

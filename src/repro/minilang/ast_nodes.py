@@ -541,7 +541,7 @@ class FuncDef(Node):
 class Program(Node):
     """A whole mini-language translation unit."""
 
-    __slots__ = ("name", "globals", "functions", "_table")
+    __slots__ = ("name", "globals", "functions", "_table", "__weakref__")
 
     def __init__(
         self,

@@ -225,9 +225,10 @@ _EQ_IGNORED_SLOTS = {"nid", "loc", "_table"}
 
 @functools.cache
 def _copy_slots(cls: type) -> tuple:
-    """Every slot of *cls* except derived state (a program's table)."""
+    """Every slot of *cls* except derived state (a program's table and
+    its weak-reference slot)."""
     slots = [s for klass in cls.__mro__ for s in getattr(klass, "__slots__", ())]
-    return tuple(s for s in slots if s != "_table")
+    return tuple(s for s in slots if s not in ("_table", "__weakref__"))
 
 
 @functools.cache

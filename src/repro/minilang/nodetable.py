@@ -15,11 +15,14 @@ static passes would otherwise re-derive by walking the tree again:
 
 The table is derived state.  ``renumber_nids`` rebuilds it whenever it
 renumbers a program, and it is not an AST field: structural equality,
-the printer and pickling never see it.
+the printer and pickling never see it.  A program holds its table, so
+the table refers to the program itself only weakly: no reference cycle
+keeps a dropped program alive until a cyclic collection.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from . import ast_nodes as A
@@ -73,7 +76,9 @@ _TOP = OmpContext()
 class NodeTable:
     """Every node of one tree, indexed by nid (index 0 is unused)."""
 
-    __slots__ = ("nodes", "parent", "end", "func", "ctx", "binding", "_calls")
+    __slots__ = (
+        "nodes", "parent", "end", "func", "ctx", "binding", "_calls", "_program",
+    )
 
     def __init__(self, root: A.Node, number: bool = True) -> None:
         # Without ``number`` the tree keeps its ids, which must already
@@ -96,24 +101,33 @@ class NodeTable:
         self.binding: Dict[int, int] = {}
         #: function nid -> its CallExpr nids in post-order
         self._calls: Dict[int, List[int]] = {}
+        #: weak reference to a root :class:`Program`, whose own row in
+        #: ``nodes`` stays empty (None: the root is not a program)
+        self._program: Optional[weakref.ref] = None
         _build(self, root, number)
 
     # -- lookups -------------------------------------------------------------
 
     def node(self, nid: int) -> Optional[A.Node]:
-        return self.nodes[nid] if 0 < nid < len(self.nodes) else None
+        if not 0 < nid < len(self.nodes):
+            return None
+        node = self.nodes[nid]
+        if node is None and self._program is not None:
+            return self._program()  # the only empty row of a program's table
+        return node
 
     def owns(self, node: A.Node) -> bool:
         """Is *node* the table's node at its nid?"""
-        nid = node.nid
-        return 0 < nid < len(self.nodes) and self.nodes[nid] is node
+        return self.node(node.nid) is node
 
     def subtree(self, node: A.Node) -> List[A.Node]:
         """*node* and its descendants in pre-order (walked only for a
         node the table does not hold, e.g. one added after numbering)."""
         if self.owns(node):
             nid = node.nid
-            return self.nodes[nid:self.end[nid] + 1]
+            rows = self.nodes[nid:self.end[nid] + 1]
+            rows[0] = node
+            return rows
         return list(node.walk())
 
     def contains(self, outer: int, nid: int) -> bool:
@@ -281,3 +295,7 @@ def _build(table: NodeTable, root: A.Node, number: bool) -> None:
         end[nid] = len(nodes) - 1
 
     visit(root, 0, None, _TOP, [{}])
+    del visit  # the recursive closure's own cell: a reference cycle
+    if type(root) is A.Program:
+        nodes[root.nid] = None
+        table._program = weakref.ref(root)

@@ -23,9 +23,10 @@ body **once per program** into flat tuples of compiled closures
   variable or element access, or an operator over literal and variable
   operands, is one Python call;
 * memory monitoring is decided at compile time, as binary
-  instrumentation patches only the selected variables: a variable site
-  whose identifier the run's monitoring spec does not select compiles
-  with no hook, and a selected site carries one lean emitter inline.
+  instrumentation patches only the selected accesses: a variable or
+  element site whose loc the run's monitoring spec does not select
+  compiles with no hook, and a selected site carries one lean emitter
+  inline.
 
 Byte-identity contract: yield-point placement is computed here so the
 compiled program presents the scheduler with *exactly* the same sequence
@@ -51,6 +52,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ...errors import SimAbort
 from ...events import MemAccess, ThreadBegin, ThreadEnd, ThreadFork, ThreadJoin
 from ...events.event import COLLECTIVE_OPS
+from ...events.intern import intern_loc
 from ...minilang import ast_nodes as A
 from ...mpi import LANGUAGE_CONSTANTS
 from ...omp import (
@@ -90,8 +92,8 @@ Code = Tuple[Tuple[Tuple[bool, Callable], ...], bool]
 _MISSING = object()
 
 #: the monitoring spec of a program compiled with no memory monitoring;
-#: the other specs are None (every shared variable) and a frozenset of
-#: the monitored variable names
+#: the other specs are None (every access site) and a frozenset of the
+#: monitored sites' "line:col" locs
 MONITOR_OFF = False
 
 
@@ -99,21 +101,18 @@ def monitor_spec(config) -> Any:
     """The monitoring spec a run under *config* compiles its program with."""
     if not config.monitor_memory:
         return MONITOR_OFF
-    monitored = config.monitored_vars
-    return None if monitored is None else frozenset(monitored)
+    sites = config.memory_sites
+    return None if sites is None else frozenset(sites)
 
 
-def _monitor_lines(is_write: str, index: str):
-    """The memory monitor at a site on ``cell`` (node ``nid``), as source
-    lines: ``Interpreter._mem_access`` with the monitoring-spec checks
-    settled at compile time.
+def _monitor_lines(is_write: bool, index: str):
+    """The memory monitor at a selected site on ``cell`` (node ``nid``),
+    as source lines: ``Interpreter._mem_event``.
 
-    Exact because every resolved cell's ``name`` is the identifier of
-    the site that resolved it.  A multi-thread team is checked before
-    the ``in_parallel`` walk.  Charges, then takes seq and time in
-    :meth:`Interpreter.emit`'s order.  The event cost, the log's append
-    and its seq allocator are the run's constants ``vm.mem_run``, bound
-    once when the run starts.
+    A multi-thread team is checked before the ``in_parallel`` walk.
+    Charges, then takes seq and time in :meth:`Interpreter.emit`'s
+    order.  The event cost, the log's append and its seq allocator are
+    the run's constants ``vm.mem_run``, bound once when the run starts.
     """
     return [
         "if cell.shared:",
@@ -127,23 +126,6 @@ def _monitor_lines(is_write: str, index: str):
         f"            {is_write}, cell.cid, cell.name, nid, {index},",
         "        ))",
     ]
-
-
-def _define_mem_event() -> Callable:
-    source = "def _mem_event(vm, ctx, cell, is_write, nid, index):\n" + textwrap.indent(
-        "\n".join(_monitor_lines("is_write", "index")), " " * 4
-    )
-    namespace = {"MemAccess": MemAccess}
-    exec(compile(source, "<memory hook>", "exec"), namespace)  # noqa: S102
-    return namespace["_mem_event"]
-
-
-#: the memory hook of a monitored site, defined from the same lines the
-#: generated access closures carry inline (see :func:`_hook_lines`)
-_mem_event = _define_mem_event()
-
-#: the hook whose body :func:`_hook_lines` inlines
-_INLINED_HOOK = _mem_event
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +143,7 @@ _INLINED_HOOK = _mem_event
 
 
 def _worker_task(vm, body_code: Code, ret_msg: str, wctx: ThreadCtx,
-                 reduction_outers):
+                 reduction_outers, construct: A.OmpParallel):
     """Compiled analogue of ``Interpreter._worker_body``.
 
     The region body's statement loop is inlined so a worker's yield
@@ -185,7 +167,7 @@ def _worker_task(vm, body_code: Code, ret_msg: str, wctx: ThreadCtx,
         finally:
             if push:
                 wctx.scope = saved
-        yield from vm._fold_reductions(wctx, reduction_outers)
+        yield from vm._fold_reductions(wctx, reduction_outers, construct)
         vm._collective_close(wctx)
     except SimAbort as err:
         vm.note(abort_note(f"rank {wctx.proc.rank} thread {wctx.tid}", err))
@@ -322,44 +304,28 @@ def _slot(name: str, mode: str, hops: Optional[int]):
     return [], f"(yield from {call})" if mode == YIELD else call
 
 
-#: how a site reaches the memory monitor: not at all, through the stock
-#: hook's body generated inline, or by calling its (replaced) hook
-NO_HOOK, INLINE_HOOK, CALL_HOOK = None, "inline", "call"
+def _hook_lines(monitored: bool, is_write: bool, index: str):
+    """The monitor of a site on ``cell``: none for an unselected site,
+    the emitter's lines inline for a selected one, so a monitored access
+    costs no extra Python call."""
+    return _monitor_lines(is_write, index) if monitored else []
 
 
-def _hook_mode(hook: Optional[Callable]) -> Optional[str]:
-    if hook is None:
-        return NO_HOOK
-    return INLINE_HOOK if hook is _INLINED_HOOK else CALL_HOOK
+def _load_template(hops, monitored):
+    lines = [*_cell_lines(hops), *_hook_lines(monitored, False, "-1"), "return cell.value"]
+    return lines, ("ident", "nid")
 
 
-def _hook_lines(mode: Optional[str], is_write: bool, index: str):
-    """The monitor of a site on ``cell``: :func:`_mem_event`'s lines
-    inline, so a monitored access costs no extra Python call, or a call
-    of the hook when ``_mem_event`` was replaced (instrumentation that
-    counts hook entries) before the site was compiled."""
-    if mode is NO_HOOK:
-        return []
-    if mode == CALL_HOOK:
-        return [f"hook(vm, ctx, cell, {is_write}, nid, {index})"]
-    return _monitor_lines(str(is_write), index)
-
-
-def _load_template(hops, hook_mode):
-    lines = [*_cell_lines(hops), *_hook_lines(hook_mode, False, "-1"), "return cell.value"]
-    return lines, ("ident", "hook", "nid")
-
-
-def _store_template(hops, hook_mode, value_mode, value_hops):
+def _store_template(hops, monitored, value_mode, value_hops):
     value_lines, value = _slot("value", value_mode, value_hops)
     lines = [
         *value_lines,
         f"value = {value}",
         *_cell_lines(hops),
-        *_hook_lines(hook_mode, True, "-1"),
+        *_hook_lines(monitored, True, "-1"),
         "cell.value = value",
     ]
-    return lines, ("ident", "hook", "nid", "value_op")
+    return lines, ("ident", "nid", "value_op")
 
 
 def _array_lines(base_mode, base_hops, index_mode, index_hops):
@@ -383,21 +349,21 @@ def _array_lines(base_mode, base_hops, index_mode, index_hops):
     ]
 
 
-def _index_load_template(hook_mode, *operands):
+def _index_load_template(monitored, *operands):
     """An element load: an in-range index reads the list directly;
     any other goes through ``ArrayValue.get`` for its error."""
     lines = [
         *_array_lines(*operands),
-        *_hook_lines(hook_mode, False, "idx"),
+        *_hook_lines(monitored, False, "idx"),
         "data = arr.data",
         "if 0 <= idx < len(data):",
         "    return data[idx]",
         "return arr.get(idx)",
     ]
-    return lines, ("base_op", "not_array", "hook", "nid", "index_op")
+    return lines, ("base_op", "not_array", "nid", "index_op")
 
 
-def _index_store_template(hook_mode, value_mode, value_hops, *operands):
+def _index_store_template(monitored, value_mode, value_hops, *operands):
     """An element store: a float into an in-range index writes the list
     directly; anything else goes through ``store_element`` for its
     conversion or error."""
@@ -406,14 +372,14 @@ def _index_store_template(hook_mode, value_mode, value_hops, *operands):
         *value_lines,
         f"value = {value}",
         *_array_lines(*operands),
-        *_hook_lines(hook_mode, True, "idx"),
+        *_hook_lines(monitored, True, "idx"),
         "data = arr.data",
         "if type(value) is float and 0 <= idx < len(data):",
         "    data[idx] = value",
         "else:",
         "    store_element(arr, idx, value)",
     ]
-    return lines, ("base_op", "not_array", "hook", "nid", "index_op", "value_op")
+    return lines, ("base_op", "not_array", "nid", "index_op", "value_op")
 
 
 #: binary operators whose ``BinOps`` semantics are exactly ``a <op> b``
@@ -460,31 +426,31 @@ _TEMPLATES = {
 }
 
 
-def _name_load(ident: str, hops, hook, nid: int) -> Callable:
-    return _maker("load", hops, _hook_mode(hook))(ident, hook, nid)
+def _name_load(ident: str, hops, monitored: bool, nid: int) -> Callable:
+    return _maker("load", hops, monitored)(ident, nid)
 
 
-def _name_store(ident: str, hops, hook, nid: int, value: _Operand) -> Callable:
-    make = _maker("store", hops, _hook_mode(hook), value.mode, value.hops)
-    return make(ident, hook, nid, value.ref)
+def _name_store(ident: str, hops, monitored: bool, nid: int,
+                value: _Operand) -> Callable:
+    make = _maker("store", hops, monitored, value.mode, value.hops)
+    return make(ident, nid, value.ref)
 
 
-def _index_load(base: _Operand, not_array: str, hook, nid: int,
+def _index_load(base: _Operand, not_array: str, monitored: bool, nid: int,
                 index: _Operand) -> Callable:
     make = _maker(
-        "index load", _hook_mode(hook),
-        base.mode, base.hops, index.mode, index.hops,
+        "index load", monitored, base.mode, base.hops, index.mode, index.hops,
     )
-    return make(base.ref, not_array, hook, nid, index.ref)
+    return make(base.ref, not_array, nid, index.ref)
 
 
-def _index_store(base: _Operand, not_array: str, hook, nid: int,
+def _index_store(base: _Operand, not_array: str, monitored: bool, nid: int,
                  index: _Operand, value: _Operand) -> Callable:
     make = _maker(
-        "index store", _hook_mode(hook), value.mode, value.hops,
+        "index store", monitored, value.mode, value.hops,
         base.mode, base.hops, index.mode, index.hops,
     )
-    return make(base.ref, not_array, hook, nid, index.ref, value.ref)
+    return make(base.ref, not_array, nid, index.ref, value.ref)
 
 
 def _binop(op: str, left: _Operand, right: _Operand) -> Callable:
@@ -647,13 +613,13 @@ class _Compiler:
             codes[fn.name] = self._compile_func(fn, gframe)
         return CompiledProgram(self.program, codes)
 
-    def _mem_hook(self, ident: str) -> Optional[Callable]:
-        """The memory hook for a variable site on *ident*: None when the
-        monitoring spec leaves *ident* unmonitored (no hook is compiled)."""
+    def _monitored(self, site: A.Expr) -> bool:
+        """Does the monitoring spec select the variable or element access
+        *site*?  An unselected site compiles with no hook."""
         monitor = self.monitor
-        if monitor is MONITOR_OFF or (monitor is not None and ident not in monitor):
-            return None
-        return _mem_event
+        if monitor is MONITOR_OFF:
+            return False
+        return monitor is None or intern_loc(site.loc) in monitor
 
     def _compile_func(self, fn: A.FuncDef, gframe: _Frame) -> FuncCode:
         needs_frame = bool(fn.params) or _block_declares(fn.body)
@@ -806,14 +772,14 @@ class _Compiler:
         if isinstance(target, A.Name):
             ident = target.ident
             fn = _name_store(
-                ident, _resolve_hops(frame, ident), self._mem_hook(ident),
+                ident, _resolve_hops(frame, ident), self._monitored(target),
                 target.nid, value,
             )
             return (value.mode == YIELD, fn)
         if isinstance(target, A.Index):
             index = self._compile_operand(target.index, frame)
-            base, not_array, hook = self._array_base(target.base, frame)
-            fn = _index_store(base, not_array, hook, target.nid, index, value)
+            base, not_array, monitored = self._array_base(target, frame)
+            fn = _index_store(base, not_array, monitored, target.nid, index, value)
             return (YIELD in (value.mode, base.mode, index.mode), fn)
 
         def fail(vm, ctx):
@@ -1274,7 +1240,9 @@ class _Compiler:
                 wctx = ThreadCtx(pctx, tid, member_scope(ctx), team, index)
                 task = vm.scheduler.spawn(
                     f"p{pctx.rank}.t{tid}", pctx.rank, tid,
-                    _worker_task(vm, body_code, ret_msg, wctx, reduction_outers),
+                    _worker_task(
+                        vm, body_code, ret_msg, wctx, reduction_outers, node
+                    ),
                     start_clock=ctx.clock,
                 )
                 wctx.task = task
@@ -1304,7 +1272,7 @@ class _Compiler:
                 finally:
                     if push:
                         ctx.scope = b_saved
-                yield from vm._fold_reductions(ctx, reduction_outers)
+                yield from vm._fold_reductions(ctx, reduction_outers, node)
                 vm._collective_close(ctx)
             finally:
                 team.final_clocks[0] = ctx.clock
@@ -1511,7 +1479,7 @@ class _Compiler:
                                         raise SimAbort(ret_msg)
                             finally:
                                 ctx.scope = saved
-                yield from vm._fold_reductions(ctx, reduction_outers)
+                yield from vm._fold_reductions(ctx, reduction_outers, node)
             finally:
                 if loop_scope is not None:
                     ctx.scope = loop_scope.parent
@@ -1724,7 +1692,7 @@ class _Compiler:
         if isinstance(node, A.Name):
             ident = node.ident
             fn = _name_load(
-                ident, _resolve_hops(frame, ident), self._mem_hook(ident), node.nid
+                ident, _resolve_hops(frame, ident), self._monitored(node), node.nid
             )
             return (PURE, fn)
         if isinstance(node, A.Index):
@@ -1765,21 +1733,23 @@ class _Compiler:
 
     def _compile_index(self, node: A.Index, frame: _Frame):
         index = self._compile_operand(node.index, frame)
-        base, not_array, hook = self._array_base(node.base, frame)
-        fn = _index_load(base, not_array, hook, node.nid, index)
+        base, not_array, monitored = self._array_base(node, frame)
+        fn = _index_load(base, not_array, monitored, node.nid, index)
         return (YIELD in (base.mode, index.mode), fn)
 
-    def _array_base(self, base: A.Expr, frame: _Frame):
-        """``(operand, not-an-array message, hook)`` of an indexed
-        expression's base: a variable resolves (and may hook) its cell,
-        anything else is evaluated."""
+    def _array_base(self, site: A.Index, frame: _Frame):
+        """``(operand, not-an-array message, monitored)`` of the element
+        access *site*'s base: a variable resolves its cell, for the
+        site's hook when the spec selects it; anything else is evaluated
+        and never hooked."""
+        base = site.base
         if isinstance(base, A.Name):
             ident = base.ident
             operand = _Operand(NAME, ident, _resolve_hops(frame, ident))
-            return operand, f"{ident!r} is not an array", self._mem_hook(ident)
+            return operand, f"{ident!r} is not an array", self._monitored(site)
         is_gen, fn = self._compile_expr(base, frame)
         operand = _Operand(YIELD if is_gen else CALL, fn)
-        return operand, "indexed expression is not an array", None
+        return operand, "indexed expression is not an array", False
 
     def _compile_operand(self, node: A.Expr, frame: _Frame) -> _Operand:
         """*node* as an operand of a generated closure: literals and
@@ -1787,7 +1757,7 @@ class _Compiler:
         value = _literal_value(node)
         if value is not _MISSING:
             return _Operand(CONST, value)
-        if isinstance(node, A.Name) and self._mem_hook(node.ident) is None:
+        if isinstance(node, A.Name) and not self._monitored(node):
             return _Operand(NAME, node.ident, _resolve_hops(frame, node.ident))
         is_gen, fn = self._compile_expr(node, frame)
         return _Operand(YIELD if is_gen else CALL, fn)

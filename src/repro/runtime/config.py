@@ -64,10 +64,15 @@ class RunConfig:
     raise_on_deadlock: bool = False
     #: record MemAccess events for shared variables in parallel regions
     monitor_memory: bool = False
-    #: restrict memory monitoring to these variable names (None = all
-    #: shared variables, the monitor-everything ITC behaviour; HOME
-    #: narrows this to the static race pass's candidate variables)
-    monitored_vars: Optional[frozenset] = None
+    #: restrict memory monitoring to the access sites at these
+    #: "line:col" locs (None = every site, the monitor-everything ITC
+    #: behaviour; HOME narrows this to the static race pass's
+    #: ``monitored_locs``).  An element access's site is its ``a[i]``
+    #: expression; a reduction fold's site is the loc of the construct
+    #: whose clause names the variable.  Loc-keyed like
+    #: ``collective_sites``, so the instrumented clone's renumbering
+    #: needs no nid mapping.
+    memory_sites: Optional[frozenset] = None
     #: record CollectiveArrive events at OMP/MPI collective encounters
     #: (the PARCOACH-style dynamic collective-matching confirm pass)
     monitor_collectives: bool = False

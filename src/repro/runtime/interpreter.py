@@ -467,7 +467,7 @@ class Interpreter:
     def _store(self, target: A.Expr, value: Any, ctx: ThreadCtx) -> Gen:
         if isinstance(target, A.Name):
             cell = ctx.scope.lookup(target.ident)
-            self._mem_access(ctx, cell, is_write=True, callsite=target.nid)
+            self._mem_access(ctx, cell, is_write=True, site=target)
             cell.value = value
             return None
         if isinstance(target, A.Index):
@@ -475,7 +475,7 @@ class Interpreter:
             index = yield from self._eval(target.index, ctx)
             idx = as_int(index, "array index")
             if cell is not None:
-                self._mem_access(ctx, cell, is_write=True, callsite=target.nid, index=idx)
+                self._mem_access(ctx, cell, is_write=True, site=target, index=idx)
             store_element(arr, idx, value)
             return None
         raise SimAbort("invalid assignment target")
@@ -577,7 +577,7 @@ class Interpreter:
             flow = yield from self._exec_block(node.body, ctx, new_scope=False)
             if flow is not None:
                 raise SimAbort(f"return inside omp parallel at {node.loc}")
-            yield from self._fold_reductions(ctx, reduction_outers)
+            yield from self._fold_reductions(ctx, reduction_outers, node)
             self._collective_close(ctx)
         finally:
             team.final_clocks[0] = ctx.clock
@@ -605,7 +605,7 @@ class Interpreter:
             flow = yield from self._exec_block(node.body, wctx, new_scope=False)
             if flow is not None:
                 raise SimAbort(f"return inside omp parallel at {node.loc}")
-            yield from self._fold_reductions(wctx, reduction_outers)
+            yield from self._fold_reductions(wctx, reduction_outers, node)
             self._collective_close(wctx)
         except SimAbort as err:
             self.note(abort_note(f"rank {wctx.proc.rank} thread {wctx.tid}", err))
@@ -613,19 +613,25 @@ class Interpreter:
             self.emit(ThreadEnd, wctx, team=wctx.team.team_id)
             wctx.team.worker_done(wctx.team_index, wctx.clock)
 
-    def _fold_reductions(self, ctx: ThreadCtx, reduction_outers) -> Gen:
+    def _fold_reductions(
+        self, ctx: ThreadCtx, reduction_outers, construct: A.Stmt
+    ) -> Gen:
         """Combine a member's private reduction partials into the shared
         variables under the process atomic lock (the synchronization a
-        real OpenMP runtime performs, visible to the analyses)."""
+        real OpenMP runtime performs, visible to the analyses).  The
+        folds' memory site is *construct*, the ``omp parallel``/``omp
+        for`` whose clause names the variables."""
         if not reduction_outers:
             return None
+        monitored = self._monitors_site(construct)
         lock = ctx.proc.locks.atomic()
         yield from self._acquire(lock, ctx, "omp reduction")
         try:
             for op, nm, outer in reduction_outers:
                 partial = ctx.scope.lookup(nm).value
                 combine = _REDUCTION_SEMANTICS[op][1]
-                self._mem_access(ctx, outer, is_write=True, callsite=0)
+                if monitored:
+                    self._mem_event(ctx, outer, is_write=True, callsite=0)
                 outer.value = combine(outer.value, partial)
         finally:
             self._release(lock, ctx)
@@ -734,7 +740,7 @@ class Interpreter:
                         break
                     for i in batch:
                         yield from run_iteration(i)
-            yield from self._fold_reductions(ctx, reduction_outers)
+            yield from self._fold_reductions(ctx, reduction_outers, node)
         finally:
             if loop_scope is not None:
                 ctx.scope = loop_scope.parent
@@ -840,25 +846,37 @@ class Interpreter:
 
     # -- expressions ------------------------------------------------------------
 
+    def _monitors_site(self, site: A.Node) -> bool:
+        """Does the run's memory monitoring select the access site
+        *site*?  The bytecode VM settles this when it compiles a site."""
+        config = self.config
+        if not config.monitor_memory:
+            return False
+        sites = config.memory_sites
+        return sites is None or intern_loc(site.loc) in sites
+
     def _mem_access(
+        self, ctx: ThreadCtx, cell: Cell, is_write: bool, site: A.Expr,
+        index: int = -1,
+    ) -> None:
+        """Record (and charge for) a shared-memory access at the
+        variable or element expression *site*, when it is monitored."""
+        if self._monitors_site(site):
+            self._mem_event(ctx, cell, is_write, site.nid, index)
+
+    def _mem_event(
         self, ctx: ThreadCtx, cell: Cell, is_write: bool, callsite: int,
         index: int = -1,
     ) -> None:
-        """Record (and charge for) a monitored shared-memory access.
+        """Record (and charge for) an access at a monitored site: a
+        shared cell, in parallel context.
 
         Array accesses carry their element index so the race analyses are
         address-granular, like a real binary-instrumentation checker.
-        The bytecode VM settles the ``monitor_memory``/``monitored_vars``
-        checks when it compiles a variable site and calls
-        ``compiler._mem_event`` instead; reduction folds come here on
-        both engines.
+        The bytecode VM inlines this at its compiled monitored sites;
+        reduction folds come here on both engines.
         """
-        if not self.config.monitor_memory:
-            return
         if not cell.shared or not ctx.in_parallel:
-            return
-        monitored = self.config.monitored_vars
-        if monitored is not None and cell.name not in monitored:
             return
         ctx.charge(self.charge_cfg.mem_event_cost)
         self.emit(
@@ -878,14 +896,14 @@ class Interpreter:
             return node.value
         if isinstance(node, A.Name):
             cell = ctx.scope.lookup(node.ident)
-            self._mem_access(ctx, cell, is_write=False, callsite=node.nid)
+            self._mem_access(ctx, cell, is_write=False, site=node)
             return cell.value
         if isinstance(node, A.Index):
             arr, cell = yield from self._eval_array(node.base, ctx)
             index = yield from self._eval(node.index, ctx)
             idx = as_int(index, "array index")
             if cell is not None:
-                self._mem_access(ctx, cell, is_write=False, callsite=node.nid, index=idx)
+                self._mem_access(ctx, cell, is_write=False, site=node, index=idx)
             return arr.get(idx)
         if isinstance(node, A.Unary):
             operand = yield from self._eval(node.operand, ctx)

@@ -168,7 +168,10 @@ def _count_reads(log):
 def test_replay_reads_only_sync_events():
     home = Home()
     to_run, static = home.prepare(build_racy_npb())
-    log = run_program(to_run, home.run_config(2, 2, 7, static=static)).log
+    # every access site monitored: a dense stream, where reading only
+    # the sync events matters most
+    config = home.run_config(2, 2, 7, static=static, memory_sites=None)
+    log = run_program(to_run, config).log
     counters = _count_reads(log)
     for proc in log.processes():
         sync = [e for e in log if e.proc == proc and type(e) in SYNC_TYPES]

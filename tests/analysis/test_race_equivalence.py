@@ -200,7 +200,7 @@ def home_run(log_id):
     to_run, static = tool.prepare(parse((CORPUS / f"{rest}.mini").read_text()))
     config = tool.run_config(
         2, 2, 0, static=static, max_steps=200_000, capture_partial=True,
-        monitor_memory=True, monitored_vars=None,
+        monitor_memory=True, memory_sites=None,
     )
     return None, run_program(to_run, config)
 

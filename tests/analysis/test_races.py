@@ -480,6 +480,7 @@ func main() {
         assert data["monitored_vars"] == ["x"]
         (cand,) = [c for c in data["candidates"] if c["var"] == "x"]
         assert cand["a"]["loc"] and cand["b"]["loc"]
+        assert data["monitored_locs"] == sorted({cand["a"]["loc"], cand["b"]["loc"]})
         assert set(data["pruned"]) >= set(RACE_PRUNE_KINDS)
 
     def test_static_report_integration(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.minilang import ast_nodes as A
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig, run_program
 from repro.workloads.npb.bt_mz import BT_SPEC, bt_mz_source
@@ -19,6 +20,25 @@ def run_src(source: str, nprocs: int = 1, threads: int = 2, seed: int = 0, **kw)
     validate(program)
     config = RunConfig(nprocs=nprocs, num_threads=threads, seed=seed, **kw)
     return run_program(program, config)
+
+
+def access_locs(program, names):
+    """The "line:col" memory sites of the variables *names* in
+    *program*: each of their variable and element accesses, and each
+    construct whose ``reduction`` clause names one (its folds' site)."""
+    locs = set()
+    for node in program.table.nodes:
+        if isinstance(node, A.Index) and isinstance(node.base, A.Name):
+            hit = node.base.ident in names
+        elif isinstance(node, A.Name):
+            hit = node.ident in names
+        elif isinstance(node, (A.OmpParallel, A.OmpFor)):
+            hit = any(name in names for _op, name in node.reductions)
+        else:
+            continue
+        if hit:
+            locs.add(f"{node.loc.line}:{node.loc.col}")
+    return frozenset(locs)
 
 
 def outputs_of(result):

@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import wrap_main
+from helpers import access_locs, wrap_main
 
 from repro.errors import WorkerKillFault
 from repro.events import MemAccess
@@ -149,9 +149,9 @@ class TestMonitoringNarrowing:
             nprocs=2,
             num_threads=2,
             monitor_memory=True,
-            monitored_vars=frozenset({"field"}),
+            memory_sites=access_locs(BENCHMARKS["lu"](), {"field"}),
         )
-        assert any(type(e).__name__ == "MemAccess" for e in result.log)
+        assert {e.var for e in result.log if type(e) is MemAccess} == {"field"}
 
     def test_collective_monitoring(self):
         assert_equivalent(
@@ -174,10 +174,11 @@ class TestMonitoringNarrowing:
         one Program object run under a sequence of specs must hit the
         right compilation each time, including the first spec again."""
         program = build_racy_npb()
+        field, tmp = (access_locs(program, {name}) for name in ("field", "tmp"))
         specs = [
             {},
-            {"monitor_memory": True, "monitored_vars": frozenset({"field"})},
-            {"monitor_memory": True, "monitored_vars": frozenset({"tmp"})},
+            {"monitor_memory": True, "memory_sites": field},
+            {"monitor_memory": True, "memory_sites": tmp},
             {"monitor_memory": True},
             {},
         ]
@@ -203,11 +204,11 @@ class TestMonitoringNarrowing:
         expected = {}
         for cls in (Interpreter, BytecodeInterpreter):
             config = RunConfig(
-                nprocs=2, num_threads=2, seed=1,
-                monitor_memory=True, monitored_vars=frozenset({"field"}),
+                nprocs=2, num_threads=2, seed=1, monitor_memory=True,
+                memory_sites=access_locs(program, {"field"}),
             )
             interp = cls(program, config)
-            config.monitored_vars = frozenset({"tmp"})
+            config.memory_sites = access_locs(program, {"tmp"})
             result = interp.run()
             buf = io.StringIO()
             dump_log(result.log, buf)

@@ -678,10 +678,7 @@ class TestCampaignCommand:
         assert main(["campaign"]) == 2
 
 
-class TestMessageRaceFlag:
-    def test_msg_races_reported(self, tmp_path, capsys):
-        src = tmp_path / "wild.hmp"
-        src.write_text("""
+WILDCARD_RECVS = """
 program wild;
 var buf[1];
 func main() {
@@ -695,7 +692,13 @@ func main() {
     }
     mpi_finalize();
 }
-""")
+"""
+
+
+class TestMessageRaceFlag:
+    def test_msg_races_reported(self, tmp_path, capsys):
+        src = tmp_path / "wild.hmp"
+        src.write_text(WILDCARD_RECVS)
         main(["check", str(src), "--procs", "3", "--msg-races"])
         out = capsys.readouterr().out
         assert "MessageRace" in out
@@ -703,6 +706,48 @@ func main() {
     def test_no_msg_races_on_clean(self, clean_file, capsys):
         main(["check", clean_file, "--msg-races"])
         assert "no nondeterministic message matches" in capsys.readouterr().out
+
+
+class TestJsonOutputFlags:
+    """``check --format json`` honours --msg-races, --html and
+    --save-trace, and its stdout stays one JSON document."""
+
+    def test_msg_races_join_the_document(self, tmp_path, capsys):
+        import json
+
+        src = tmp_path / "wild.hmp"
+        src.write_text(WILDCARD_RECVS)
+        main(["check", str(src), "--procs", "3", "--msg-races",
+              "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        races = data["message_races"]
+        assert races
+        assert {race["rank"] for race in races} == {0}
+        assert all(race["alternatives"] for race in races)
+
+    def test_msg_races_absent_without_the_flag(self, clean_file, capsys):
+        import json
+
+        main(["check", clean_file, "--format", "json"])
+        assert "message_races" not in json.loads(capsys.readouterr().out)
+        main(["check", clean_file, "--format", "json", "--msg-races"])
+        assert json.loads(capsys.readouterr().out)["message_races"] == []
+
+    def test_html_and_trace_are_written(self, racy_file, tmp_path, capsys):
+        import json
+
+        html, trace = tmp_path / "r.html", tmp_path / "t.jsonl"
+        code = main(["check", racy_file, "--format", "json",
+                     "--html", str(html), "--save-trace", str(trace)])
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert code == 1
+        assert data["classes"] == ["ConcurrentRecvViolation"]
+        assert "<html" in html.read_text().lower()
+        assert f"HTML report written to {html}" in captured.err
+        assert f"trace written to {trace}" in captured.err
+        assert main(["analyze", str(trace)]) == 1
+        assert "ConcurrentRecvViolation" in capsys.readouterr().out
 
 
 OMP_DIVERGENT = """

@@ -283,14 +283,14 @@ GOLDEN_TRACES = {
     ("ft", "ITC", 1): "2073dec229cca26fa9a7c936e785e8d73a9135c0b180296196d6640b9cdb2bfc",
     ("ft", "MARMOT", 0): "3ae4ebb486bf2d044603ff3cfb29cde1296f7b255865b10734ec8153d32d1d44",
     ("ft", "MARMOT", 1): "a34c1183bb0a133e6ef361c3221a53e67ddd8b0f792f240f60c254c9a9d9906e",
-    ("racy-lu", "HOME", 0): "c97076fc09265d5be7b77b1ab5ad901ebc7c453f86ab2fc3ac01c075fb0d7707",
-    ("racy-lu", "HOME", 1): "c30f54a0de89457f2ab085d39e55fdae777f742995ce948d1212db7fd8c29f42",
+    ("racy-lu", "HOME", 0): "3a3300d1e85eb7861e623d2c57d739c4acebb830bcdfb6ec4cbdb2dad237ef92",
+    ("racy-lu", "HOME", 1): "aa9970ea19b49ffdc24eb09f6ba9f36d3592fb2cebb424b0a78c3838012a3153",
     ("racy-lu", "ITC", 0): "20ebf7c92547fb74610edef389689c4bd99ebef45e5de877e3dcb749756a4579",
     ("racy-lu", "ITC", 1): "98ae128cccce4b1510663cda676c5bd8da57e495f6c825b1035a2c50bd8ae2ab",
     ("racy-lu", "MARMOT", 0): "b0aa0ebf28f3815e4e5f90c1845dade8b2844268a7d266f7786c6e41a485f3b1",
     ("racy-lu", "MARMOT", 1): "21c50044506d50067abc441edb7debd17bf054e596822c1f460d21ce0785a983",
-    ("div", "HOME", 0): "c323db6adbab5ff82e0fc2c0e0cd24b277a078808c491aa199f15f8149720d49",
-    ("div", "HOME", 1): "e920d89de8244d2c84a84d22f3675c0dc38d879ad5b73b259c7bc1287b158884",
+    ("div", "HOME", 0): "7d67006c0c20beb7d77684a501c0ad4483e025d3b1eb0363e6a1c24e0b8a3ef1",
+    ("div", "HOME", 1): "f56017238fbb2a71aed903b918a0197fce8b15f54604662aec40c35ff15de51a",
     ("div", "ITC", 0): "47d38972d5de931fb4028e78d947681094d59a33c445a9acaaa40ee6c357ba3e",
     ("div", "ITC", 1): "d43e10411903d1916e114ac6f92618e34bd2a286b32b9c84c1b2db5621da39a3",
     ("div", "MARMOT", 0): "33e8ff794b5ec7f0a78c59eaad0e86a888f7eecd1461876c29e223293b443387",

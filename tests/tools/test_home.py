@@ -1,9 +1,15 @@
 """HOME pipeline tests."""
 
+import gc
+
 import pytest
 
+from helpers import npb_sources
+
+from repro.analysis.static_.report import clear_static_analysis_cache
 from repro.home import Home, HomeOptions, check_program
-from repro.minilang import parse
+from repro.minilang import parse, validate
+from repro.runtime.bytecode.compiler import clear_compile_cache
 from repro.violations import (
     COLLECTIVE,
     CONCURRENT_RECV,
@@ -134,3 +140,28 @@ class TestAllSixClasses:
             INITIALIZATION, FINALIZATION, CONCURRENT_RECV,
             CONCURRENT_REQUEST, PROBE, COLLECTIVE,
         }
+
+
+class TestCyclicCollector:
+    """A checked program is freed by reference counting alone: parsing,
+    validation and a whole HOME check leave no reference cycle."""
+
+    @pytest.mark.parametrize("name", sorted(npb_sources()))
+    def test_a_check_leaves_no_cyclic_garbage(self, name):
+        source = npb_sources()[name]
+        clear_static_analysis_cache()
+        clear_compile_cache()
+        gc.collect()
+        gc.disable()
+        try:
+            program = parse(source)
+            validate(program)
+            report = Home().check(program)
+            assert report.execution.completed
+            del program, report
+            # the caches hold the program's report and compiled code
+            clear_static_analysis_cache()
+            clear_compile_cache()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
