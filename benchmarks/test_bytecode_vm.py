@@ -15,6 +15,7 @@ Three claims backed by numbers:
   ``stepping_rate`` (which ``test_campaign_parallel.py`` owns).
 """
 
+import sys
 import time
 
 from repro.minilang import parse, validate
@@ -181,3 +182,71 @@ class TestEndToEndNPB:
         bench_campaign_stats["stepping_rate_bytecode"] = round(vm_rate, 1)
         bench_campaign_stats["vm_speedup"] = round(speedup, 2)
         assert speedup >= _MIN_E2E_SPEEDUP
+
+
+#: Deterministic hot-path bounds on one racy-LU HOME campaign cell
+#: (seed 31337, no faults), about 5% above what the VM measures: 8.83
+#: Python frames entered per scheduler step (generator resumes
+#: included) and 626 ``Scope`` constructions.  Before loop-iteration
+#: scopes were reused and ``compute``/call statements lost their
+#: wrapper generators the cell measured 10.25 frames per step and 4,316
+#: Scopes.  Unlike a wall-clock rate these counts do not depend on the
+#: machine, so a per-step regression fails here on any runner.
+_MAX_FRAMES_PER_STEP = 9.2
+_MAX_SCOPES_PER_CELL = 650
+
+
+class TestHotPathAllocations:
+    @staticmethod
+    def _cell():
+        from repro.campaign import CampaignConfig, CampaignRunner
+        from repro.faults import builtin_plans
+        from repro.workloads.npb import build_racy_npb
+
+        plan = builtin_plans(2)["none"]
+        runner = CampaignRunner(
+            build_racy_npb(), CampaignConfig(seeds=(), plans={"none": plan}, jobs=1)
+        )
+        runner.run_cell(999, "none", plan)  # compiles the instrumented program
+        return lambda: runner.run_cell(31337, "none", plan)
+
+    def test_frames_per_scheduler_step(self, monkeypatch):
+        from repro.runtime.scheduler import Scheduler
+
+        run_cell = self._cell()
+        counts = {"frames": 0, "steps": 0}
+        product_run = Scheduler.run
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counts["frames"] += 1
+
+        def counted_run(sched):
+            sys.setprofile(profile)
+            try:
+                product_run(sched)
+            finally:
+                sys.setprofile(None)
+                counts["steps"] += sched.total_steps
+
+        monkeypatch.setattr(Scheduler, "run", counted_run)
+        assert run_cell().status == "ok"
+        per_step = counts["frames"] / counts["steps"]
+        print(f"\nracy-LU cell: {per_step:.2f} frames per step ({counts['steps']} steps)")
+        assert per_step <= _MAX_FRAMES_PER_STEP
+
+    def test_scope_constructions_per_cell(self, monkeypatch):
+        from repro.runtime.values import Scope
+
+        run_cell = self._cell()
+        built = [0]
+        product_init = Scope.__init__
+
+        def counted_init(scope, *args, **kwargs):
+            built[0] += 1
+            product_init(scope, *args, **kwargs)
+
+        monkeypatch.setattr(Scope, "__init__", counted_init)
+        assert run_cell().status == "ok"
+        print(f"\nracy-LU cell: {built[0]} Scope constructions")
+        assert built[0] <= _MAX_SCOPES_PER_CELL

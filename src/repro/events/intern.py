@@ -38,8 +38,3 @@ def intern_loc(loc) -> str:
         cached = sys.intern(f"{loc.line}:{loc.col}")
         _LOC_STRINGS[loc] = cached
     return cached
-
-
-def intern_table_size() -> int:
-    """Current table size (tests)."""
-    return len(_LOC_STRINGS)

@@ -15,20 +15,15 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Tuple, Type, TypeVar
 
 from .event import (
     Event,
     MemAccess,
-    MonitoredWrite,
     MPICall,
 )
 
 E = TypeVar("E", bound=Event)
-
-_THREAD = attrgetter("thread")
-
 
 class _ProcessIndex:
     """One process's events, split by type on first use.
@@ -172,11 +167,6 @@ class EventLog:
         """All events of exactly the given type, in emission order."""
         return [e for e in self._events if type(e) is etype]
 
-    def for_process(self, proc: int) -> List[Event]:
-        """*proc*'s events in emission order: the index's own list,
-        shared with every caller, so it must not be modified."""
-        return self._indexed().process(proc).events
-
     def of_process_type(self, proc: int, etype: Type[E]) -> List[E]:
         """Events of *proc* of exactly *etype*, in emission order."""
         return list(self._indexed().process(proc).typed(etype))
@@ -190,18 +180,12 @@ class EventLog:
     def processes(self) -> List[int]:
         return list(self._indexed().procs)
 
-    def threads_of(self, proc: int) -> List[int]:
-        return sorted(set(map(_THREAD, self._indexed().process(proc).events)))
-
     def by_thread(self, proc: int) -> Dict[int, List[Event]]:
         """Per-thread event streams of one process, each in program order."""
         streams: Dict[int, List[Event]] = defaultdict(list)
         for e in self._indexed().process(proc).events:
             streams[e.thread].append(e)
         return dict(streams)
-
-    def monitored_writes(self, proc: int) -> List[MonitoredWrite]:
-        return self.of_process_type(proc, MonitoredWrite)
 
     def mpi_calls(self, proc: int | None = None, phase: str = "begin") -> List[MPICall]:
         calls = (

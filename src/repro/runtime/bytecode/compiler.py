@@ -140,6 +140,14 @@ def _monitor_lines(is_write: bool, index: str):
 # into a shared driver generator: each level of `yield from` delegation
 # is a frame every later resume must traverse, so a shared driver would
 # tax every statement under it on every scheduler step.
+#
+# A loop body that declares variables (and an ``omp for``'s iteration
+# scope) gets one Scope per execution of the loop, emptied with
+# ``cells.clear()`` at each later iteration, instead of one per
+# iteration: a scope is reachable only through ``ctx.scope`` chains,
+# every team forked inside an iteration joins before the iteration
+# ends, and ``thread_spawn`` threads root at the process globals.  An
+# abort leaves the loop, so threads it orphans keep their scopes.
 
 
 def _worker_task(vm, body_code: Code, ret_msg: str, wctx: ThreadCtx,
@@ -866,18 +874,22 @@ class _Compiler:
             # compute(N) is the workloads' virtual-work knob and by far
             # the most common yielding statement: charge the cost from
             # this closure, reusing one Step object per distinct cost.
-            steps: Dict[float, Step] = {}
+            # compute(<literal>) builds no generator: it hands the
+            # statement driver's ``yield from`` a cached one-Step tuple,
+            # keyed by cost since the cost model is the run's.
             units = self._literal_units(node.args)
             if units is not None:
+                charges: Dict[float, Tuple[Step]] = {}
+
                 def fn(vm, ctx):
                     cost = units * vm.cm.compute_unit
-                    s = steps.get(cost)
-                    if s is None:
-                        s = steps[cost] = Step(cost)
-                    yield s
-                    return None
+                    charge = charges.get(cost)
+                    if charge is None:
+                        charge = charges[cost] = (Step(cost),)
+                    return charge
 
                 return (GEN, fn)
+            steps: Dict[float, Step] = {}
 
             def fn(vm, ctx):
                 args = (yield from af(vm, ctx)) if ag else af(vm, ctx)
@@ -899,8 +911,16 @@ class _Compiler:
             return (GEN, fn)
         user_fn = self.functions.get(name)
         if user_fn is not None:
+            if not ag:
+                # no wrapper generator: the call's own generator is the
+                # statement's, one ``yield from`` level shallower
+                def fn(vm, ctx):
+                    return vm._call_user(user_fn, af(vm, ctx), ctx, True)
+
+                return (GEN, fn)
+
             def fn(vm, ctx):
-                args = (yield from af(vm, ctx)) if ag else af(vm, ctx)
+                args = yield from af(vm, ctx)
                 yield from vm._call_user(user_fn, args, ctx)
                 return None
 
@@ -987,12 +1007,14 @@ class _Compiler:
         if not cg:
             def fn(vm, ctx):
                 step = vm._step_stmt
+                body = Scope(parent=ctx.scope) if body_push else None
                 while True:
                     if not truthy(cf(vm, ctx)):
                         return None
                     if body_push:
                         saved = ctx.scope
-                        ctx.scope = Scope(parent=saved)
+                        body.cells.clear()
+                        ctx.scope = body
                     try:
                         for s_gen, s_fn in body_stmts:
                             yield step
@@ -1011,13 +1033,15 @@ class _Compiler:
 
         def fn(vm, ctx):
             step = vm._step_stmt
+            body = Scope(parent=ctx.scope) if body_push else None
             while True:
                 cond = yield from cf(vm, ctx)
                 if not truthy(cond):
                     return None
                 if body_push:
                     saved = ctx.scope
-                    ctx.scope = Scope(parent=saved)
+                    body.cells.clear()
+                    ctx.scope = body
                 try:
                     for s_gen, s_fn in body_stmts:
                         yield step
@@ -1064,6 +1088,7 @@ class _Compiler:
             if push:
                 saved = ctx.scope
                 ctx.scope = Scope(parent=saved)
+            body = Scope(parent=ctx.scope) if body_push else None
             try:
                 if ifn is not None:
                     if init_is_decl:
@@ -1083,7 +1108,8 @@ class _Compiler:
                             return None
                     if body_push:
                         b_saved = ctx.scope
-                        ctx.scope = Scope(parent=b_saved)
+                        body.cells.clear()
+                        ctx.scope = body
                     try:
                         for s_gen, s_fn in body_stmts:
                             yield step_yield
@@ -1421,9 +1447,13 @@ class _Compiler:
                     loop_scope.declare(nm, ident)
                 ctx.scope = loop_scope
             # Iterations are inlined rather than delegated to a helper
-            # generator: one fresh scope binding the loop variable, then
-            # the body's statement loop, all in this frame.
+            # generator, all in this frame: bind the loop variable in the
+            # iteration scope, then run the body's statement loop.
             step = vm._step_stmt
+            saved = ctx.scope
+            iscope = Scope(parent=saved)
+            icells, ids = iscope.cells, iscope.cell_ids
+            body = Scope(parent=iscope) if body_push else iscope
             try:
                 if team is None or team.size == 1 or is_static:
                     if team is None or team.size == 1:
@@ -1434,12 +1464,10 @@ class _Compiler:
                             iterations, team.size, ctx.team_index, chunk
                         )
                     for i in plan:
-                        saved = ctx.scope
-                        iscope = Scope(parent=saved)
-                        iscope.declare(var, i)
-                        ctx.scope = (
-                            Scope(parent=iscope) if body_push else iscope
-                        )
+                        icells[var] = Cell(next(ids), var, i)
+                        if body_push:
+                            body.cells.clear()
+                        ctx.scope = body
                         try:
                             for s_gen, s_fn in body_stmts:
                                 yield step
@@ -1462,12 +1490,10 @@ class _Compiler:
                         if not batch:
                             break
                         for i in batch:
-                            saved = ctx.scope
-                            iscope = Scope(parent=saved)
-                            iscope.declare(var, i)
-                            ctx.scope = (
-                                Scope(parent=iscope) if body_push else iscope
-                            )
+                            icells[var] = Cell(next(ids), var, i)
+                            if body_push:
+                                body.cells.clear()
+                            ctx.scope = body
                             try:
                                 for s_gen, s_fn in body_stmts:
                                     yield step
@@ -1907,8 +1933,7 @@ class _Compiler:
         if user_fn is not None:
             if not ag:
                 def fn(vm, ctx):
-                    args = af(vm, ctx)
-                    return (yield from vm._call_user(user_fn, args, ctx))
+                    return vm._call_user(user_fn, af(vm, ctx), ctx)
 
                 return (GEN, fn)
 

@@ -24,7 +24,7 @@ from ...errors import SimAbort
 from ...minilang import ast_nodes as A
 from ..interpreter import Interpreter, ThreadCtx
 from ..scheduler import Step
-from ..values import Scope
+from ..values import Cell, Scope
 from .compiler import compile_program, monitor_spec
 
 _RETURN = "return"
@@ -49,12 +49,17 @@ class BytecodeInterpreter(Interpreter):
         )
         return super().run()
 
-    def _call_user(self, fn: A.FuncDef, args: List[Any], ctx: ThreadCtx):
+    def _call_user(self, fn: A.FuncDef, args: List[Any], ctx: ThreadCtx,
+                   stmt: bool = False):
+        """Run a call of *fn*; its value, or None for a call statement
+        (*stmt*), whose generator the compiled statement returns as its
+        own."""
         entry = self._codes.get(fn.name)
         if entry is None or entry.fn is not fn:
             # Defensive: a FuncDef not from self.program (or shadowed by
             # a later duplicate) falls back to the tree-walk.
-            return (yield from Interpreter._call_user(self, fn, args, ctx))
+            value = yield from Interpreter._call_user(self, fn, args, ctx)
+            return None if stmt else value
         params = fn.params
         if len(args) != len(params):
             raise SimAbort(
@@ -66,10 +71,11 @@ class BytecodeInterpreter(Interpreter):
             raise SimAbort(f"call depth exceeded in {fn.name}()")
         saved = ctx.scope
         if entry.needs_frame:
+            # parameters bound in place, as compiled declarations bind
             scope = Scope(parent=ctx.proc.globals)
-            declare = scope.declare
+            cells, ids = scope.cells, scope.cell_ids
             for pname, pval in zip(params, args):
-                declare(pname, pval)
+                cells[pname] = Cell(next(ids), pname, pval)
             ctx.scope = scope
         else:
             # Frame elided (no params, no top-level declarations):
@@ -93,6 +99,8 @@ class BytecodeInterpreter(Interpreter):
         finally:
             ctx.scope = saved
             ctx.call_depth -= 1
+        if stmt:
+            return None
         if flow is not None and flow[0] == _RETURN:
             return flow[1]
         return 0

@@ -93,10 +93,6 @@ class InstrumentationCharge:
     #: Charged once per thread at team fork (per-thread analysis state).
     per_thread_setup: float = 0.0
 
-    @property
-    def monitors_memory(self) -> bool:
-        return self.mem_event_cost > 0.0
-
 
 #: Tool presets calibrated so the reproduced overhead bands match the
 #: paper: HOME 16-45%, Marmot 15-56%, ITC up to ~200%.

@@ -168,9 +168,11 @@ class Scheduler:
 
         Each step makes one RNG draw over the runnable tasks in spawn
         order (blocked tasks re-evaluated in place); a StopIteration is
-        not counted as a step.  A blocked-task counter lets the common
-        all-ready iteration pick straight from the live list without
-        rebuilding it.
+        not counted as a step.  While no task is blocked, an inner loop
+        draws straight from the live list with no blocked-count, length
+        or state checks per step; it hands back to the outer loop on a
+        Block, a finished task, or a spawn (seen as the live list
+        growing), the three events that change the runnable set.
         """
         if self.max_wall_seconds > 0:
             self._deadline = _time.monotonic() + self.max_wall_seconds
@@ -184,23 +186,51 @@ class Scheduler:
         # one compare per step covers both budgets: the step limit and
         # the wall clock, which is read every _WALL_CHECK_INTERVAL steps
         check_at = self._next_check(total)
-        n = k = 0
         try:
             while True:
                 if not nblocked:
-                    if not live:
+                    n = len(live)
+                    if not n:
                         return
-                    runnable = live
-                else:
-                    runnable = [
-                        t for t in live
-                        if t.state == _READY or t.block.is_ready()
-                    ]
-                    if not runnable:
-                        runnable = self._stalled(live)
-                if len(runnable) != n:
-                    n = len(runnable)
                     k = n.bit_length()
+                    while True:
+                        r = getrandbits(k)
+                        while r >= n:
+                            r = getrandbits(k)
+                        task = live[r]
+                        try:
+                            yielded = next(task.gen)
+                        except StopIteration:
+                            task.state = _DONE
+                            live.remove(task)
+                            break
+                        task.steps += 1
+                        total += 1
+                        if total >= check_at:
+                            self._check_budgets(total)
+                            check_at = self._next_check(total)
+                        if type(yielded) is Step:
+                            task.clock += yielded.cost
+                            if len(live) != n:
+                                break
+                        elif type(yielded) is Block:
+                            task.state = _BLOCKED
+                            task.block = yielded
+                            nblocked = 1
+                            break
+                        else:
+                            raise SchedulerError(
+                                f"task {task.name} yielded {yielded!r}"
+                            )
+                    continue
+                runnable = [
+                    t for t in live
+                    if t.state == _READY or t.block.is_ready()
+                ]
+                if not runnable:
+                    runnable = self._stalled(live)
+                n = len(runnable)
+                k = n.bit_length()
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)

@@ -175,12 +175,6 @@ class Scope:
             scope = scope.parent
         raise SimAbort(f"undefined variable {name!r}")
 
-    def try_lookup(self, name: str) -> Optional[Cell]:
-        try:
-            return self.lookup(name)
-        except SimAbort:
-            return None
-
     def visible_cells(self) -> Iterator[Cell]:
         """All cells visible from this scope (inner shadowing outer)."""
         seen: set = set()

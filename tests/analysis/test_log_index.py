@@ -78,9 +78,9 @@ class TestIndex:
         append(LockAcquire(0, 1, log.next_seq(), 0.0, lock="L"))
         assert log.processes() == [0, 1]
         assert [e.thread for e in log.memory_locations(0)[1, -1]] == [0, 1]
-        assert len(log.for_process(0)) == 3
+        assert sum(len(events) for events in log.by_thread(0).values()) == 3
         assert len(log.of_process_type(0, LockAcquire)) == 1
-        assert log.threads_of(0) == [0, 1]
+        assert sorted(log.by_thread(0)) == [0, 1]
 
     def test_typed_queries_hand_out_copies(self):
         log = EventLog()

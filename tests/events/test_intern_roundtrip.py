@@ -19,7 +19,8 @@ from helpers import run_src
 
 from repro.errors import AnalysisError
 from repro.events import dump_log, load_log
-from repro.events.intern import intern_loc, intern_table_size
+from repro.events import intern
+from repro.events.intern import intern_loc
 from repro.minilang.ast_nodes import SourceLoc
 
 
@@ -51,10 +52,12 @@ class TestInternLoc:
     def test_distinct_sites_distinct_strings(self):
         assert intern_loc(SourceLoc(1, 2)) != intern_loc(SourceLoc(2, 1))
 
-    def test_table_is_bounded_bookkeeping(self):
-        before = intern_table_size()
-        intern_loc(SourceLoc(line=888, col=before + 1))
-        assert intern_table_size() >= before
+    def test_table_is_bounded_bookkeeping(self, monkeypatch):
+        monkeypatch.setattr(intern, "_MAX_ENTRIES", 2)
+        monkeypatch.setattr(intern, "_LOC_STRINGS", {})
+        for col in range(1, 6):
+            assert intern_loc(SourceLoc(line=888, col=col)) == f"888:{col}"
+            assert len(intern._LOC_STRINGS) <= 2
 
 
 class TestInternedTraceRoundTrip:

@@ -54,10 +54,11 @@ class TestQueries:
         assert make_log().processes() == [0, 1]
 
     def test_threads_of(self):
-        assert make_log().threads_of(0) == [0, 1]
+        assert sorted(make_log().by_thread(0)) == [0, 1]
 
     def test_for_process(self):
-        assert len(make_log().for_process(1)) == 1
+        streams = make_log().by_thread(1)
+        assert sum(len(events) for events in streams.values()) == 1
 
     def test_by_thread_streams(self):
         streams = make_log().by_thread(0)
@@ -84,9 +85,9 @@ class TestQueries:
 
     def test_monitored_writes(self):
         log = make_log()
-        writes = log.monitored_writes(0)
+        writes = log.of_process_type(0, MonitoredWrite)
         assert len(writes) == 1 and writes[0].kind is MonitoredKind.TAG
-        assert log.monitored_writes(1) == []
+        assert log.of_process_type(1, MonitoredWrite) == []
 
     def test_counts(self):
         counts = make_log().counts()

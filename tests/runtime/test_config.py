@@ -40,12 +40,12 @@ class TestChargePresets:
     def test_no_instrumentation_is_free(self):
         c = NO_INSTRUMENTATION
         assert c.wrapper_cost == c.mem_event_cost == c.manager_rtt == 0.0
-        assert not c.monitors_memory
 
     def test_itc_monitors_memory(self):
-        assert ITC_CHARGE.monitors_memory
-        assert not HOME_CHARGE.monitors_memory
-        assert not MARMOT_CHARGE.monitors_memory
+        # a memory event is charged only under the ITC model
+        assert ITC_CHARGE.mem_event_cost > 0.0
+        assert HOME_CHARGE.mem_event_cost == 0.0
+        assert MARMOT_CHARGE.mem_event_cost == 0.0
 
     def test_marmot_serializes(self):
         assert MARMOT_CHARGE.manager_serializes

@@ -193,8 +193,11 @@ class TestScope:
         with pytest.raises(SimAbort, match="undefined variable"):
             Scope().lookup("ghost")
 
-    def test_try_lookup_returns_none(self):
-        assert Scope().try_lookup("ghost") is None
+    def test_lookup_miss_walks_every_parent(self):
+        outer = Scope()
+        outer.declare("x", 1)
+        with pytest.raises(SimAbort, match="undefined variable 'ghost'"):
+            Scope(parent=Scope(parent=outer)).lookup("ghost")
 
     def test_visible_cells_shadowing(self):
         outer = Scope()
