@@ -17,6 +17,7 @@ Three claims backed by numbers:
 
 import sys
 import time
+from inspect import CO_GENERATOR
 
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig
@@ -185,14 +186,18 @@ class TestEndToEndNPB:
 
 
 #: Deterministic hot-path bounds on one racy-LU HOME campaign cell
-#: (seed 31337, no faults), about 5% above what the VM measures: 8.83
-#: Python frames entered per scheduler step (generator resumes
-#: included) and 626 ``Scope`` constructions.  Before loop-iteration
+#: (seed 31337, no faults), a few percent above what the VM measures:
+#: 4.61 Python frames entered per scheduler step (generator resumes
+#: included), 1.14 generator resumes per step and 626 ``Scope``
+#: constructions.  While statements delegated to nested statements
+#: with ``yield from`` (before tasks got call stacks) the cell measured
+#: 8.83 frames and 5.43 resumes per step, and before loop-iteration
 #: scopes were reused and ``compute``/call statements lost their
-#: wrapper generators the cell measured 10.25 frames per step and 4,316
-#: Scopes.  Unlike a wall-clock rate these counts do not depend on the
-#: machine, so a per-step regression fails here on any runner.
-_MAX_FRAMES_PER_STEP = 9.2
+#: wrapper generators, 10.25 frames per step and 4,316 Scopes.  Unlike
+#: a wall-clock rate these counts do not depend on the machine, so a
+#: per-step regression fails here on any runner.
+_MAX_FRAMES_PER_STEP = 5.0
+_MAX_RESUMES_PER_STEP = 1.3
 _MAX_SCOPES_PER_CELL = 650
 
 
@@ -211,15 +216,25 @@ class TestHotPathAllocations:
         return lambda: runner.run_cell(31337, "none", plan)
 
     def test_frames_per_scheduler_step(self, monkeypatch):
+        """Frames entered and generator resumes per scheduler step.
+
+        A resume is a profiler ``call`` event on a generator's frame;
+        the first entry of a new generator counts as one.  (On CPython
+        3.11 ``f_lasti > 0`` does not tell resumes apart: a closure's
+        call event already reports the offset past its free-variable
+        copy.)
+        """
         from repro.runtime.scheduler import Scheduler
 
         run_cell = self._cell()
-        counts = {"frames": 0, "steps": 0}
+        counts = {"frames": 0, "resumes": 0, "steps": 0}
         product_run = Scheduler.run
 
         def profile(frame, event, arg):
             if event == "call":
                 counts["frames"] += 1
+                if frame.f_code.co_flags & CO_GENERATOR:
+                    counts["resumes"] += 1
 
         def counted_run(sched):
             sys.setprofile(profile)
@@ -231,9 +246,12 @@ class TestHotPathAllocations:
 
         monkeypatch.setattr(Scheduler, "run", counted_run)
         assert run_cell().status == "ok"
-        per_step = counts["frames"] / counts["steps"]
-        print(f"\nracy-LU cell: {per_step:.2f} frames per step ({counts['steps']} steps)")
-        assert per_step <= _MAX_FRAMES_PER_STEP
+        frames = counts["frames"] / counts["steps"]
+        resumes = counts["resumes"] / counts["steps"]
+        print(f"\nracy-LU cell: {frames:.2f} frames and {resumes:.2f} generator "
+              f"resumes per step ({counts['steps']} steps)")
+        assert frames <= _MAX_FRAMES_PER_STEP
+        assert resumes <= _MAX_RESUMES_PER_STEP
 
     def test_scope_constructions_per_cell(self, monkeypatch):
         from repro.runtime.values import Scope

@@ -17,7 +17,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..errors import AnalysisError
 from ..minilang import ast_nodes as A
 from ..minilang.nodetable import NodeTable, function_table, subtree
-from .graphs import reachable
 
 # Marker kinds for structured constructs.
 ENTRY = "entry"
@@ -51,16 +50,6 @@ class CFGNode:
             and isinstance(self.ast.expr, A.CallExpr)
             and self.ast.expr.name.startswith(("mpi_", "hmpi_"))
         )
-
-    @property
-    def call_name(self) -> str:
-        if (
-            self.ast is not None
-            and isinstance(self.ast, A.ExprStmt)
-            and isinstance(self.ast.expr, A.CallExpr)
-        ):
-            return self.ast.expr.name
-        return ""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CFGNode {self.cfg_id} {self.kind} {self.label}>"
@@ -119,12 +108,6 @@ class CFG:
 
     def predecessors(self, node: CFGNode) -> List[CFGNode]:
         return [self.nodes[n] for n in self.pred[node.cfg_id]]
-
-    def reachable_from_entry(self) -> set:
-        return reachable(self.succ, (self.entry.cfg_id,))
-
-    def mpi_nodes(self) -> List[CFGNode]:
-        return [n for n in self.linearize() if n.is_mpi_call]
 
 
 #: CFG node kinds whose AST bracket a statement's transfer: end markers

@@ -64,9 +64,6 @@ class DataflowResult(Generic[F]):
     def fact_before(self, node: CFGNode) -> Optional[F]:
         return self.in_facts.get(node.cfg_id)
 
-    def fact_after(self, node: CFGNode) -> Optional[F]:
-        return self.out_facts.get(node.cfg_id)
-
 
 def solve(cfg: CFG, analysis: ForwardAnalysis[F], max_iterations: int = 100_000) -> DataflowResult[F]:
     """Run *analysis* over *cfg* to a fixpoint (forward direction)."""

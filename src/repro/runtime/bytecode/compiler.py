@@ -11,6 +11,12 @@ body **once per program** into flat tuples of compiled closures
   closure when the statement cannot reach a scheduling point and a
   generator closure otherwise, so the dispatch loop only builds
   generator frames where a yield can actually occur;
+* a statement's generator is not delegated to with ``yield from``: its
+  driver yields it to the scheduler as a call, which pushes it on the
+  task's call stack (see :mod:`repro.runtime.scheduler`), so a
+  scheduler step resumes only the innermost statement's frame however
+  deeply calls and constructs nest.  ``compute(<literal>)`` returns its
+  cached :class:`Step`, which the driver yields directly;
 * expression operands, constants and operator dispatch are resolved at
   compile time (literal folding, specialized binary ops, fused
   load/store sequences for the common assignment shapes);
@@ -84,7 +90,8 @@ from ..values import (
 
 #: statement/expression instruction modes
 PURE = False  # plain closure, cannot reach a scheduling point
-GEN = True  # generator closure, driven with ``yield from``
+GEN = True  # generator closure: a statement's is yielded as a call,
+# an operand's driven with ``yield from``
 
 #: a compiled body: (tuple of (is_gen, fn) statement entries, push-scope flag)
 Code = Tuple[Tuple[Tuple[bool, Callable], ...], bool]
@@ -135,11 +142,20 @@ def _monitor_lines(is_write: bool, index: str):
 
 # The statement-driving loop — one scheduler Step yield per statement
 # (the tree-walk's `_exec_stmt` preamble), then the statement closure,
-# stopping at the first control-flow signal (("return", v)) — is
-# deliberately INLINED at every execution site below rather than hoisted
-# into a shared driver generator: each level of `yield from` delegation
-# is a frame every later resume must traverse, so a shared driver would
-# tax every statement under it on every scheduler step.
+# stopping at the first control-flow signal (("return", v)) — runs a
+# generator statement as a call:
+#
+#     flow = (yield s_fn(vm, ctx)) if s_gen else s_fn(vm, ctx)
+#
+# The scheduler pushes the yielded generator on the task's stack, runs
+# it in the same step, and sends its flow back when it returns (or
+# throws its exception in), so a resume enters only the innermost
+# generator, not every level of nesting.  The loop is still INLINED at
+# every execution site below rather than hoisted into a shared driver
+# generator: a shared driver would be one more generator built, pushed
+# and popped per body execution.  Operands inside expressions keep
+# ``yield from``; a call yielded beneath one passes through it to the
+# scheduler, and its value comes back through it by ``send``.
 #
 # A loop body that declares variables (and an ``omp for``'s iteration
 # scope) gets one Scope per execution of the loop, emptied with
@@ -154,9 +170,8 @@ def _worker_task(vm, body_code: Code, ret_msg: str, wctx: ThreadCtx,
                  reduction_outers, construct: A.OmpParallel):
     """Compiled analogue of ``Interpreter._worker_body``.
 
-    The region body's statement loop is inlined so a worker's yield
-    chain for straight-line region statements is a single generator
-    frame deep.
+    The region body's statement loop is inlined, so a region body
+    builds no driver generator of its own.
     """
     team = wctx.team
     vm.emit(ThreadBegin, wctx, team=team.team_id, parent=team.master_tid)
@@ -169,7 +184,7 @@ def _worker_task(vm, body_code: Code, ret_msg: str, wctx: ThreadCtx,
         try:
             for is_gen, fn in stmts:
                 yield step
-                flow = (yield from fn(vm, wctx)) if is_gen else fn(vm, wctx)
+                flow = (yield fn(vm, wctx)) if is_gen else fn(vm, wctx)
                 if flow is not None:
                     raise SimAbort(ret_msg)
         finally:
@@ -682,7 +697,7 @@ class _Compiler:
                     for s_gen, s_fn in stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -874,18 +889,19 @@ class _Compiler:
             # compute(N) is the workloads' virtual-work knob and by far
             # the most common yielding statement: charge the cost from
             # this closure, reusing one Step object per distinct cost.
-            # compute(<literal>) builds no generator: it hands the
-            # statement driver's ``yield from`` a cached one-Step tuple,
-            # keyed by cost since the cost model is the run's.
+            # compute(<literal>) builds no generator: it returns its
+            # cached Step, which the statement driver yields straight to
+            # the scheduler, keyed by cost since the cost model is the
+            # run's.
             units = self._literal_units(node.args)
             if units is not None:
-                charges: Dict[float, Tuple[Step]] = {}
+                charges: Dict[float, Step] = {}
 
                 def fn(vm, ctx):
                     cost = units * vm.cm.compute_unit
                     charge = charges.get(cost)
                     if charge is None:
-                        charge = charges[cost] = (Step(cost),)
+                        charge = charges[cost] = Step(cost)
                     return charge
 
                 return (GEN, fn)
@@ -913,7 +929,7 @@ class _Compiler:
         if user_fn is not None:
             if not ag:
                 # no wrapper generator: the call's own generator is the
-                # statement's, one ``yield from`` level shallower
+                # statement's, which the driver yields as its call
                 def fn(vm, ctx):
                     return vm._call_user(user_fn, af(vm, ctx), ctx, True)
 
@@ -921,7 +937,7 @@ class _Compiler:
 
             def fn(vm, ctx):
                 args = yield from af(vm, ctx)
-                yield from vm._call_user(user_fn, args, ctx)
+                yield vm._call_user(user_fn, args, ctx)
                 return None
 
             return (GEN, fn)
@@ -963,7 +979,7 @@ class _Compiler:
                     for s_gen, s_fn in stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -989,7 +1005,7 @@ class _Compiler:
                 for s_gen, s_fn in stmts:
                     yield step
                     flow = (
-                        (yield from s_fn(vm, ctx))
+                        (yield s_fn(vm, ctx))
                         if s_gen else s_fn(vm, ctx)
                     )
                     if flow is not None:
@@ -1019,7 +1035,7 @@ class _Compiler:
                         for s_gen, s_fn in body_stmts:
                             yield step
                             flow = (
-                                (yield from s_fn(vm, ctx))
+                                (yield s_fn(vm, ctx))
                                 if s_gen else s_fn(vm, ctx)
                             )
                             if flow is not None:
@@ -1046,7 +1062,7 @@ class _Compiler:
                     for s_gen, s_fn in body_stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -1093,12 +1109,12 @@ class _Compiler:
                 if ifn is not None:
                     if init_is_decl:
                         if ig:
-                            yield from ifn(vm, ctx)
+                            yield ifn(vm, ctx)
                         else:
                             ifn(vm, ctx)
                     else:
                         yield step_yield
-                        flow = (yield from ifn(vm, ctx)) if ig else ifn(vm, ctx)
+                        flow = (yield ifn(vm, ctx)) if ig else ifn(vm, ctx)
                         if flow is not None:
                             return flow
                 while True:
@@ -1114,7 +1130,7 @@ class _Compiler:
                         for s_gen, s_fn in body_stmts:
                             yield step_yield
                             flow = (
-                                (yield from s_fn(vm, ctx))
+                                (yield s_fn(vm, ctx))
                                 if s_gen else s_fn(vm, ctx)
                             )
                             if flow is not None:
@@ -1124,7 +1140,7 @@ class _Compiler:
                             ctx.scope = b_saved
                     yield step_yield
                     if sf is not None:
-                        flow = (yield from sf(vm, ctx)) if sg else sf(vm, ctx)
+                        flow = (yield sf(vm, ctx)) if sg else sf(vm, ctx)
                         if flow is not None:
                             return flow
             finally:
@@ -1290,7 +1306,7 @@ class _Compiler:
                     for s_gen, s_fn in stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -1472,7 +1488,7 @@ class _Compiler:
                             for s_gen, s_fn in body_stmts:
                                 yield step
                                 flow = (
-                                    (yield from s_fn(vm, ctx))
+                                    (yield s_fn(vm, ctx))
                                     if s_gen else s_fn(vm, ctx)
                                 )
                                 if flow is not None:
@@ -1498,7 +1514,7 @@ class _Compiler:
                                 for s_gen, s_fn in body_stmts:
                                     yield step
                                     flow = (
-                                        (yield from s_fn(vm, ctx))
+                                        (yield s_fn(vm, ctx))
                                         if s_gen else s_fn(vm, ctx)
                                     )
                                     if flow is not None:
@@ -1535,7 +1551,7 @@ class _Compiler:
                         for s_gen, s_fn in stmts:
                             yield step
                             flow = (
-                                (yield from s_fn(vm, ctx))
+                                (yield s_fn(vm, ctx))
                                 if s_gen else s_fn(vm, ctx)
                             )
                             if flow is not None:
@@ -1558,7 +1574,7 @@ class _Compiler:
                     for s_gen, s_fn in stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -1590,7 +1606,7 @@ class _Compiler:
                     for s_gen, s_fn in body_stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -1611,7 +1627,7 @@ class _Compiler:
                         for s_gen, s_fn in body_stmts:
                             yield step
                             flow = (
-                                (yield from s_fn(vm, ctx))
+                                (yield s_fn(vm, ctx))
                                 if s_gen else s_fn(vm, ctx)
                             )
                             if flow is not None:
@@ -1645,7 +1661,7 @@ class _Compiler:
                     for s_gen, s_fn in body_stmts:
                         yield step
                         flow = (
-                            (yield from s_fn(vm, ctx))
+                            (yield s_fn(vm, ctx))
                             if s_gen else s_fn(vm, ctx)
                         )
                         if flow is not None:
@@ -1674,7 +1690,7 @@ class _Compiler:
                         for s_gen, s_fn in body_stmts:
                             yield step
                             flow = (
-                                (yield from s_fn(vm, ctx))
+                                (yield s_fn(vm, ctx))
                                 if s_gen else s_fn(vm, ctx)
                             )
                             if flow is not None:
@@ -1696,7 +1712,7 @@ class _Compiler:
             yield from vm._acquire(lock, ctx, "omp atomic")
             try:
                 if ag:
-                    yield from af(vm, ctx)
+                    yield af(vm, ctx)
                 else:
                     af(vm, ctx)
             finally:
@@ -1939,7 +1955,7 @@ class _Compiler:
 
             def fn(vm, ctx):
                 args = yield from af(vm, ctx)
-                return (yield from vm._call_user(user_fn, args, ctx))
+                return (yield vm._call_user(user_fn, args, ctx))
 
             return (GEN, fn)
         # Unknown functions abort before evaluating arguments, like the

@@ -85,14 +85,14 @@ class BytecodeInterpreter(Interpreter):
         try:
             # Inlined _exec_code: function bodies never carry their own
             # push flag (_compile_body manages scope here), and keeping
-            # the statement loop in this frame keeps the call's yield
-            # chain one level shallower for every statement executed.
+            # the statement loop in this frame saves a driver generator
+            # per call.
             step = self._step_stmt
             flow = None
             for is_gen, sfn in entry.code[0]:
                 yield step
                 flow = (
-                    (yield from sfn(self, ctx)) if is_gen else sfn(self, ctx)
+                    (yield sfn(self, ctx)) if is_gen else sfn(self, ctx)
                 )
                 if flow is not None:
                     break

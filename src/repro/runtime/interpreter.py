@@ -333,12 +333,15 @@ class Interpreter:
         self.log, self.notes = EventLog(), []
         self._log_append = self.log.raw_append()
         for task in self.scheduler.tasks:
-            try:
-                task.gen.close()
-            except Exception:  # noqa: BLE001 - the run is over; an error
-                # unwinding a thread that never finished is not part of
-                # it (the garbage collector ignored these too)
-                pass
+            # innermost first, the order closing a ``yield from`` chain
+            # unwinds its frames in
+            for gen in (task.gen, *reversed(task.stack)):
+                try:
+                    gen.close()
+                except Exception:  # noqa: BLE001 - the run is over; an
+                    # error unwinding a thread that never finished is not
+                    # part of it (the garbage collector ignored these too)
+                    pass
         self.log, self.notes = log, notes
         self._log_append = log.raw_append()
 
@@ -351,7 +354,7 @@ class Interpreter:
             main = self._functions.get("main")
             if main is None:
                 raise SimAbort(f"program {self.program.name!r} has no main()")
-            yield from self._call_user(main, [], ctx)
+            yield self._call_user(main, [], ctx)
         except SimAbort as err:
             self.note(abort_note(f"rank {ctx.proc.rank}", err))
 
@@ -1049,7 +1052,7 @@ class Interpreter:
                       state: dict, team_id: int) -> Gen:
         self.emit(ThreadBegin, tctx, team=team_id, parent=0)
         try:
-            result = yield from self._call_user(fn, [arg], tctx)
+            result = yield self._call_user(fn, [arg], tctx)
             state["result"] = result
         except SimAbort as err:
             self.note(abort_note(f"rank {tctx.proc.rank} thread {tctx.tid}", err))

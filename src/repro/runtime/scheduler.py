@@ -6,11 +6,24 @@ member) is a Python generator that yields scheduling points:
 * :class:`Step` — "I did work costing *cost* virtual time units".
 * :class:`Block` — "park me until *is_ready()* returns True".
 
+Call protocol: a task may also yield a generator; that is a call.
+Each task keeps an explicit call stack, so a resume enters only its
+innermost generator instead of every level of a ``yield from`` chain.
+The scheduler pushes the yielded generator and runs it within the same
+step.  When a generator returns, its value is ``send``-ed to its
+caller; when it raises, the exception is ``throw``-n into its caller:
+what ``yield from`` would deliver.  ``yield from`` still works inside a
+task, since a call yielded beneath it passes through it both ways.
+Only a Step or a Block ends a step, so step counts, RNG draws and
+clocks do not depend on how a task splits its work into calls.  These
+rare paths live in :meth:`Scheduler._transfer`; a resume that yields a
+Step straight away never reaches it.
+
 The scheduler repeatedly picks one runnable task, uniformly at random
-from a seeded RNG, and advances it by one yield.  Runnability of blocked
-tasks is re-evaluated every iteration, so a task whose wake condition
-was consumed by a competitor (e.g. two receives racing for one message)
-simply stays blocked.
+from a seeded RNG, and advances it to its next Step or Block.
+Runnability of blocked tasks is re-evaluated every iteration, so a task
+whose wake condition was consumed by a competitor (e.g. two receives
+racing for one message) simply stays blocked.
 
 Deadlock detection: when no task is runnable and at least one is
 blocked, the scheduler raises :class:`DeadlockError` carrying the
@@ -24,6 +37,7 @@ from __future__ import annotations
 import random
 import time as _time
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Callable, Generator, List, Optional, Union
 
 from ..errors import (
@@ -65,17 +79,27 @@ _READY = "ready"
 _BLOCKED = "blocked"
 _DONE = "done"
 
+#: what :meth:`Scheduler._transfer` returns when the task's root
+#: generator returned (any yielded value, None included, is a step)
+_FINISHED = object()
+
 
 class Task:
-    """One schedulable thread of control."""
+    """One schedulable thread of control.
 
-    __slots__ = ("name", "proc", "thread", "gen", "state", "clock", "block", "steps")
+    ``gen`` is the innermost generator of the task's call stack, the
+    one a resume enters; ``stack`` holds its callers, root first.
+    """
+
+    __slots__ = ("name", "proc", "thread", "gen", "stack", "state", "clock",
+                 "block", "steps")
 
     def __init__(self, name: str, proc: int, thread: int, gen: TaskGen) -> None:
         self.name = name
         self.proc = proc
         self.thread = thread
         self.gen = gen
+        self.stack: List[TaskGen] = []
         self.state = _READY
         self.clock = 0.0
         self.block: Optional[Block] = None
@@ -167,12 +191,15 @@ class Scheduler:
         """Run all tasks to completion; raises DeadlockError on deadlock.
 
         Each step makes one RNG draw over the runnable tasks in spawn
-        order (blocked tasks re-evaluated in place); a StopIteration is
-        not counted as a step.  While no task is blocked, an inner loop
-        draws straight from the live list with no blocked-count, length
-        or state checks per step; it hands back to the outer loop on a
-        Block, a finished task, or a spawn (seen as the live list
-        growing), the three events that change the runnable set.
+        order (blocked tasks re-evaluated in place) and resumes the
+        picked task until it yields a Step or a Block; calls, returns
+        and exceptions on the way go through :meth:`_transfer`, and a
+        task whose root returns has taken no step.  While no task is
+        blocked, an inner loop draws straight from the live list with
+        no blocked-count, length or state checks per step; it hands
+        back to the outer loop on a Block, a finished task, or a spawn
+        (seen as the live list growing), the three events that change
+        the runnable set.
         """
         if self.max_wall_seconds > 0:
             self._deadline = _time.monotonic() + self.max_wall_seconds
@@ -186,6 +213,8 @@ class Scheduler:
         # one compare per step covers both budgets: the step limit and
         # the wall clock, which is read every _WALL_CHECK_INTERVAL steps
         check_at = self._next_check(total)
+        transfer = self._transfer
+        gentype, finished = GeneratorType, _FINISHED
         try:
             while True:
                 if not nblocked:
@@ -200,10 +229,15 @@ class Scheduler:
                         task = live[r]
                         try:
                             yielded = next(task.gen)
-                        except StopIteration:
-                            task.state = _DONE
-                            live.remove(task)
-                            break
+                        except BaseException as exc:
+                            yielded = transfer(task, None, exc)
+                            if yielded is finished:
+                                break
+                        else:
+                            if type(yielded) is gentype:
+                                yielded = transfer(task, yielded, None)
+                                if yielded is finished:
+                                    break
                         task.steps += 1
                         total += 1
                         if total >= check_at:
@@ -241,10 +275,15 @@ class Scheduler:
                     task.block = None
                 try:
                     yielded = next(task.gen)
-                except StopIteration:
-                    task.state = _DONE
-                    live.remove(task)
-                    continue
+                except BaseException as exc:
+                    yielded = transfer(task, None, exc)
+                    if yielded is finished:
+                        continue
+                else:
+                    if type(yielded) is gentype:
+                        yielded = transfer(task, yielded, None)
+                        if yielded is finished:
+                            continue
                 task.steps += 1
                 total += 1
                 if total >= check_at:
@@ -265,6 +304,51 @@ class Scheduler:
             # keep the public counter accurate however the loop exits
             # (done, limit raise, a fault propagating out of a task)
             self.total_steps = total
+
+    def _transfer(self, task: Task, yielded, exc: Optional[BaseException]):
+        """The rare paths of resuming *task*: a call (*yielded* is a
+        generator), or the innermost generator's return (*exc* is its
+        StopIteration) or exception (*exc*).
+
+        A call is pushed and entered; a return value is sent to the
+        caller and an exception thrown into it, popping the stack.  This
+        repeats until the task yields something other than a call, which
+        is returned: a Step or a Block, or anything else for the loop to
+        reject as it rejects a bad yield at the root.  Returns
+        ``_FINISHED`` when the root returns (the task is then done and
+        off the live list), and re-raises what the root lets out.
+        """
+        stack = task.stack
+        try:
+            while True:
+                if exc is None:
+                    if type(yielded) is not GeneratorType:
+                        return yielded
+                    stack.append(task.gen)
+                    task.gen = gen = yielded
+                elif stack:
+                    task.gen = gen = stack.pop()
+                elif type(exc) is StopIteration:
+                    task.state = _DONE
+                    self._live.remove(task)
+                    return _FINISHED
+                else:
+                    raise exc
+                try:
+                    if exc is None:
+                        yielded = next(gen)
+                    elif type(exc) is StopIteration:
+                        yielded = gen.send(exc.value)
+                        exc = None
+                    else:
+                        yielded = gen.throw(exc)
+                        exc = None
+                except BaseException as err:
+                    exc = err
+        finally:
+            # the exception's traceback holds this frame: keeping it in
+            # a local would make a reference cycle per thrown exception
+            exc = None
 
     def _next_check(self, total: int) -> int:
         """The first step count after *total* at which a budget must be

@@ -9,13 +9,17 @@ from repro.analysis.cfg import (
     build_cfg,
     build_program_cfgs,
 )
-from repro.analysis.graphs import strongly_connected_components
+from repro.analysis.graphs import reachable, strongly_connected_components
 from repro.minilang import parse
 
 
 def cfg_of(body: str, name="main"):
     prog = parse(f"program p;\nfunc main() {{\n{body}\n}}")
     return build_cfg(prog.function(name))
+
+
+def mpi_nodes(cfg):
+    return [n for n in cfg.linearize() if n.is_mpi_call]
 
 
 class TestStructure:
@@ -66,8 +70,7 @@ class TestStructure:
             "while (b) { b = b - 1; }\n"
             "omp parallel { compute(1); }"
         )
-        reachable = cfg.reachable_from_entry()
-        assert set(cfg.nodes) == reachable
+        assert set(cfg.nodes) == reachable(cfg.succ, (cfg.entry.cfg_id,))
 
     def test_acyclic_without_loops(self):
         cfg = cfg_of("var x = 1;\nif (x) { x = 2; }")
@@ -90,11 +93,11 @@ class TestOmpMarkers:
 
     def test_mpi_nodes_found(self):
         cfg = cfg_of("mpi_init();\nomp parallel { mpi_barrier(MPI_COMM_WORLD); }")
-        assert len(cfg.mpi_nodes()) == 2
+        assert len(mpi_nodes(cfg)) == 2
 
     def test_hmpi_calls_count_as_mpi(self):
         cfg = cfg_of("hmpi_recv(a, 1, 0, 0, MPI_COMM_WORLD);")
-        assert len(cfg.mpi_nodes()) == 1
+        assert len(mpi_nodes(cfg)) == 1
 
     def test_critical_markers(self):
         cfg = cfg_of("omp critical (c) { x = 1; }")
@@ -113,11 +116,6 @@ class TestOmpMarkers:
         prog = parse("program p;\nfunc helper() { }\nfunc main() { helper(); }")
         cfgs = build_program_cfgs(prog)
         assert set(cfgs) == {"helper", "main"}
-
-    def test_call_name_accessor(self):
-        cfg = cfg_of("mpi_finalize();")
-        node = cfg.mpi_nodes()[0]
-        assert node.call_name == "mpi_finalize"
 
 
 class TestLinearizeNesting:

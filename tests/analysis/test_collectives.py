@@ -47,7 +47,7 @@ func main() {
 }""")
         fn = prog.function("main")
         result = solve_thread_dependence(fn, build_cfg(fn))
-        exit_fact = result.fact_after(result.cfg.exit)
+        exit_fact = result.out_facts[result.cfg.exit.cfg_id]
         assert "tid" in exit_fact and "twice" in exit_fact
         assert "clean" not in exit_fact
 
@@ -61,7 +61,7 @@ func main() {
 }""")
         fn = prog.function("main")
         result = solve_thread_dependence(fn, build_cfg(fn))
-        assert "tid" not in result.fact_after(result.cfg.exit)
+        assert "tid" not in result.out_facts[result.cfg.exit.cfg_id]
 
     def test_branch_taints_keyed_by_branch_nid(self):
         prog = parse(PROG + """

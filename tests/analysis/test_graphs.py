@@ -90,7 +90,7 @@ class TestAgainstNetworkx:
                 graph.predecessors(node.cfg_id)
             )
         entry = cfg.entry.cfg_id
-        assert cfg.reachable_from_entry() == nx.descendants(graph, entry) | {entry}
+        assert reachable(cfg.succ, (entry,)) == nx.descendants(graph, entry) | {entry}
 
     @settings(max_examples=200, deadline=None)
     @given(digraphs())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import GeneratorType
+
 from repro.minilang import ast_nodes as A
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig, run_program
@@ -83,3 +85,23 @@ def npb_sources():
     out["ip"] = interproc_npb_source()
     out["ip-fixed"] = interproc_npb_source(fixed=True)
     return out
+
+
+def drive(gen):
+    """Run the task generator *gen* to its end by the scheduler's call
+    protocol, without a scheduler: a yielded generator is a call whose
+    return value is sent back to its caller and whose exception is
+    thrown into it; Steps and Blocks are passed over.  Returns what
+    *gen* returns and raises what it lets out."""
+    resume, arg = gen.send, None
+    while True:
+        try:
+            yielded = resume(arg)
+        except StopIteration as stop:
+            return stop.value
+        resume, arg = gen.send, None
+        if type(yielded) is GeneratorType:
+            try:
+                arg = drive(yielded)
+            except Exception as err:  # noqa: BLE001 - delivered to the caller
+                resume, arg = gen.throw, err

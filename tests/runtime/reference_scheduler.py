@@ -7,7 +7,9 @@ It is kept as the oracle the product loop is compared against
 the same tasks in the same order, leave the same per-task steps and
 clocks and the same ``total_steps``, and raise the same limit or
 deadlock error at the same step.  Only the loop is copied; spawning,
-budgets, stall handling and results are the product's own.
+budgets, stall handling and results are the product's own.  It also
+predates the product's call protocol (a yielded generator is a call),
+so a task run under it makes its calls with ``yield from``.
 """
 
 import time as _time

@@ -19,9 +19,11 @@ import weakref
 
 import pytest
 
+from repro.events import LockAcquire, LockRelease, ThreadBegin, ThreadEnd
 from repro.events.serialize import dump_log
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig, make_interpreter
+from repro.runtime.interpreter import Interpreter
 from repro.workloads.npb import build_racy_npb
 
 #: both ranks receive inside a critical section and nobody sends: one
@@ -55,6 +57,30 @@ func main() {
         mpi_recv(buf, 1, 1, 0, MPI_COMM_WORLD);
     }
     mpi_finalize();
+}
+"""
+
+#: the master aborts its rank while the worker is stopped in a call
+#: made inside ``omp critical (outer)``, blocked in its own critical
+ORPHAN = """
+program orphan;
+var buf[1];
+var a[1];
+func inner() {
+    omp critical (inner) {
+        mpi_recv(buf, 1, 0, 7, MPI_COMM_WORLD);
+    }
+}
+func main() {
+    var provided = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    omp parallel num_threads(2) {
+        if (omp_get_thread_num() == 1) {
+            omp critical (outer) { inner(); }
+        } else {
+            compute(50);
+            a[3] = 1;
+        }
+    }
 }
 """
 
@@ -132,3 +158,33 @@ def test_engine_oracle_clean_on_seed_run_first_in_fresh_process():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("engine", ["ast", "bytecode"])
+def test_orphaned_worker_closes_innermost_first(engine, monkeypatch):
+    """Closing a worker orphaned inside a nested call unwinds the
+    callee before its caller: the call's critical section is released
+    before the one the call was made in, and neither release, nor the
+    worker's ``ThreadEnd``, reaches the result log."""
+    program = parse(ORPHAN)
+    validate(program)
+    config = RunConfig(nprocs=1, num_threads=2, seed=0, engine=engine)
+    interp = make_interpreter(program, config)
+    released = []
+    product_release = Interpreter._release
+
+    def recording_release(self, lock, ctx):
+        released.append((lock.name, ctx.tid))
+        product_release(self, lock, ctx)
+
+    monkeypatch.setattr(Interpreter, "_release", recording_release)
+    result = interp.run()
+    assert result.aborts == [
+        "rank 0: aborted: array index 3 out of bounds for array of size 1"
+    ]
+    (worker,) = [e.thread for e in result.log.of_type(ThreadBegin)]
+    assert released == [("critical:inner", worker), ("critical:outer", worker)]
+    acquired = [e.lock for e in result.log.of_type(LockAcquire)]
+    assert acquired == ["critical:outer", "critical:inner"]
+    assert not list(result.log.of_type(LockRelease))
+    assert not list(result.log.of_type(ThreadEnd))

@@ -1,5 +1,7 @@
 """Cooperative scheduler unit tests."""
 
+import gc
+
 import pytest
 
 from repro.errors import (
@@ -180,6 +182,73 @@ class TestBlocking:
         sched.spawn("c", 1, 0, make_counter_task([], "c", 1, cost=2.0))
         sched.run()
         assert sched.clocks_by_process() == {0: 7.0, 1: 2.0}
+
+
+class Boom(Exception):
+    pass
+
+
+def raising_callee():
+    yield Step(1.0)
+    raise Boom("callee")
+
+
+def catching_caller(log, then_step):
+    try:
+        yield raising_callee()
+    except Boom as err:
+        log.append(str(err))
+    if then_step:
+        yield Step(1.0)
+
+
+class TestCallProtocol:
+    def test_bad_yield_inside_a_call(self):
+        def bad():
+            yield 42
+
+        def caller():
+            yield bad()
+
+        sched = Scheduler(seed=0)
+        sched.spawn("bad", 0, 0, caller())
+        with pytest.raises(SchedulerError, match="yielded 42"):
+            sched.run()
+
+    @pytest.mark.parametrize("then_step", [True, False])
+    def test_caught_exception_leaves_no_cyclic_garbage(self, then_step):
+        """Neither the exception thrown into a caller nor the
+        StopIteration of a root returning right after it may keep the
+        scheduler frame that handled it: exception -> traceback ->
+        frame -> exception would be a cycle only the collector frees."""
+        log = []
+        sched = Scheduler(seed=0)
+        for i in range(3):
+            sched.spawn(f"t{i}", 0, i, catching_caller(log, then_step))
+        gc.collect()
+        gc.disable()
+        try:
+            sched.run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert log == ["callee"] * 3
+        assert sched.total_steps == (6 if then_step else 3)
+
+    def test_exception_out_of_a_call_leaves_no_cyclic_garbage(self):
+        def caller():
+            yield raising_callee()
+
+        sched = Scheduler(seed=0)
+        sched.spawn("t", 0, 0, caller())
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(Boom):
+                sched.run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBudgetDiagnostics:

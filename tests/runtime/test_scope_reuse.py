@@ -2,8 +2,8 @@
 
 The bytecode VM builds one body scope per execution of a loop and
 empties it at each later iteration, where the tree-walk builds a fresh
-scope per iteration; ``compute(<literal>)`` hands the scheduler a
-cached one-Step tuple instead of a generator.  None of that may be
+scope per iteration; ``compute(<literal>)`` hands the scheduler its
+cached Step instead of a generator.  None of that may be
 visible: a read before the body's own declaration still sees the outer
 binding, every iteration's cells are new (fresh cids), a team forked
 in an iteration sees that iteration's cells, a return or abort
@@ -17,7 +17,7 @@ import types
 
 import pytest
 
-from helpers import run_main, wrap_main
+from helpers import drive, run_main, wrap_main
 
 from repro.errors import SimAbort
 from repro.events import MemAccess
@@ -134,12 +134,7 @@ def _drive(stmt, scope):
     ctx = types.SimpleNamespace(scope=scope)
     is_gen, fn = stmt
     assert is_gen
-    gen = fn(vm, ctx)
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value, ctx.scope
+    return drive(fn(vm, ctx)), ctx.scope
 
 
 LOOP_FUNCS = {
@@ -171,10 +166,8 @@ def test_abort_mid_iteration_restores_scope(kind):
     root.declare("a", ArrayValue(2))
     vm = types.SimpleNamespace(_step_stmt=Step(1.0))
     ctx = types.SimpleNamespace(scope=root)
-    gen = stmt[1](vm, ctx)
     with pytest.raises(SimAbort, match="out of bounds"):
-        while True:
-            next(gen)
+        drive(stmt[1](vm, ctx))
     assert ctx.scope is root
 
 
@@ -207,6 +200,6 @@ def test_literal_compute_builds_no_generator():
     _is_gen, fn = compile_program(program).codes["main"].code[0][0]
     vm = types.SimpleNamespace(cm=CostModel(compute_unit=4.0))
     charge = fn(vm, None)
-    assert type(charge) is tuple
-    assert charge == (Step(12.0),)
+    assert type(charge) is Step
+    assert charge == Step(12.0)
     assert fn(vm, None) is charge
