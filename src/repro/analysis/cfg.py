@@ -42,15 +42,6 @@ class CFGNode:
     ast: Optional[A.Node] = None
     label: str = ""
 
-    @property
-    def is_mpi_call(self) -> bool:
-        return (
-            self.kind == STMT
-            and isinstance(self.ast, A.ExprStmt)
-            and isinstance(self.ast.expr, A.CallExpr)
-            and self.ast.expr.name.startswith(("mpi_", "hmpi_"))
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CFGNode {self.cfg_id} {self.kind} {self.label}>"
 

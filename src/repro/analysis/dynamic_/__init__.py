@@ -1,5 +1,6 @@
-"""Runtime (dynamic) analysis phase: vector clocks, happens-before,
-lockset, and the hybrid concurrency detector."""
+"""Runtime (dynamic) analysis phase: vector clocks, the happens-before
+replay (which also keeps each event's lockset), and the one concurrency
+pair builder behind HOME's hybrid detector and the baselines."""
 
 from .happensbefore import (  # noqa: F401
     HBResult,
@@ -14,12 +15,7 @@ from .hybrid import (  # noqa: F401
     analyze,
     analyze_process,
     collect_call_records,
-)
-from .lockset import (  # noqa: F401
-    AccessRecord,
-    EraserState,
-    LocationState,
-    LocksetAnalysis,
+    concurrency_report,
 )
 from .memraces import MemRace, find_memory_races  # noqa: F401
 from .msgrace import (  # noqa: F401
@@ -34,10 +30,6 @@ __all__ = [
     "HBResult",
     "compute_happens_before",
     "compute_cross_process_happens_before",
-    "LocksetAnalysis",
-    "LocationState",
-    "AccessRecord",
-    "EraserState",
     "DetectorConfig",
     "ConcurrencyReport",
     "MPICallRecord",
@@ -45,6 +37,7 @@ __all__ = [
     "analyze",
     "analyze_process",
     "collect_call_records",
+    "concurrency_report",
     "MemRace",
     "find_memory_races",
     "MessageRace",

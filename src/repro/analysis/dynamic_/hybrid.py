@@ -1,29 +1,35 @@
-"""Hybrid (lockset + happens-before) concurrency detection on monitored
-variables — the dynamic half of HOME.
+"""Concurrency detection over MPI call records — the dynamic half of
+HOME, and the one pair builder its baselines share.
 
 The monitored variables written by the HMPI wrappers turn "two MPI calls
 may execute concurrently on two threads" into an ordinary data-race
 question: the wrapper writes are racy iff the calls are concurrent.
-This module answers that question with the combination the paper uses —
-a pair of accesses is *racy* when it is simultaneously
+HOME answers that question with the combination the paper uses — a pair
+of writes is *racy* when it is simultaneously
 
 * a potential lockset race (different threads, disjoint locksets,
   ``IsPotentialLockSetRace``), and
-* a potential happens-before race (neither access ordered before the
-  other, ``IsPotentialHappenBeforeRace``).
+* a potential happens-before race (neither write ordered before the
+  other, ``IsPotentialHappenBeforeRace``),
 
-Either half can be disabled for the ablation study.
+both read from the happens-before replay (:class:`HBResult` keeps each
+event's lockset).  Either half can be disabled for the ablation study.
+
+The three checkers the paper compares differ only in that predicate.
+:func:`concurrency_report` pairs a process's call records once for all
+of them; HOME and ITC supply the happens-before/lockset predicate of
+:func:`analyze_process` (ITC with its blind spots in the config), and
+Marmot an interval-overlap predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...events import EventLog, MonitoredWrite
 from ...events.event import MonitoredKind
 from .happensbefore import HBResult, compute_happens_before
-from .lockset import LocksetAnalysis
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,6 @@ class ConcurrencyReport:
     pairs: List[RacingPair] = field(default_factory=list)
     concurrent_kinds: Set[MonitoredKind] = field(default_factory=set)
     hb: Optional[HBResult] = None
-    lockset: Optional[LocksetAnalysis] = None
 
     def concurrent(self, kind: MonitoredKind) -> bool:
         """The paper's ``Concurrent(var)`` predicate for this process."""
@@ -140,65 +145,82 @@ def collect_call_records(log: EventLog, proc: int) -> Dict[int, MPICallRecord]:
     return records
 
 
+#: ``(a, b, common kinds) -> the kinds on which a and b ran concurrently``;
+#: *common* holds the kinds both calls wrote, in ``a.writes`` order
+Predicate = Callable[
+    [MPICallRecord, MPICallRecord, Sequence[MonitoredKind]], Sequence[MonitoredKind]
+]
+
+
+def concurrency_report(
+    proc: int, records: Dict[int, MPICallRecord], concurrent: Predicate
+) -> ConcurrencyReport:
+    """Pair *proc*'s call records under one concurrency predicate.
+
+    Each unordered pair of calls on different threads that wrote a
+    common kind is offered to *concurrent* once, in ``call_id`` order;
+    the kinds it accepts make a :class:`RacingPair`.
+    """
+    report = ConcurrencyReport(proc, records)
+    recs = sorted(records.values(), key=lambda r: r.call_id)
+    # most pairs wrote the same kinds in the same order: compare those
+    # whole instead of intersecting them
+    written = [tuple(r.writes) for r in recs]
+    for i, a in enumerate(recs):
+        wa = written[i]
+        for b, wb in zip(recs[i + 1:], written[i + 1:]):
+            if a.thread == b.thread:
+                continue
+            common = wa if wa == wb else [k for k in wa if k in b.writes]
+            if not common:
+                continue
+            kinds = concurrent(a, b, common)
+            if kinds:
+                report.pairs.append(RacingPair(a, b, tuple(kinds)))
+                report.concurrent_kinds.update(kinds)
+    return report
+
+
 def analyze_process(
     log: EventLog,
     proc: int,
     config: DetectorConfig = DetectorConfig(),
     hb: Optional[HBResult] = None,
+    records: Optional[Dict[int, MPICallRecord]] = None,
 ) -> ConcurrencyReport:
-    """Run the hybrid detector over one process's monitored writes.
+    """Run the hybrid detector over one process's call records.
 
-    *hb*, when given, must be the replay of *proc* under the config's
-    ``lock_edges``/``ignored_locks``; without it the log is replayed
-    here (only when the process made monitored calls).
+    *records* defaults to the process's monitored writes
+    (:func:`collect_call_records`).  *hb*, when given, must be the
+    replay of *proc* under the config's ``lock_edges``/``ignored_locks``;
+    without it the log is replayed here (only when there are records).
     """
-    report = ConcurrencyReport(proc)
-    report.records = collect_call_records(log, proc)
-    if not report.records:
-        return report
-
+    if records is None:
+        records = collect_call_records(log, proc)
+    if not records:
+        return ConcurrencyReport(proc, records)
     if hb is None:
         hb = compute_happens_before(
             log, proc, lock_edges=config.lock_edges,
             ignored_locks=config.ignored_locks,
         )
-    report.hb = hb
+    ordered, disjoint_locks = hb.ordered, hb.disjoint_locks
+    use_hb, use_lockset = config.use_hb, config.use_lockset
 
-    lockset = LocksetAnalysis()
-    for rec in report.records.values():
-        for kind, seq in rec.writes.items():
-            lockset.access(
-                key=(proc, kind),
-                seq=seq,
-                thread=rec.thread,
-                locks=hb.locks((rec.thread, seq)),
-                is_write=True,
-            )
-    report.lockset = lockset
-
-    def racy(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-        """Whether the two ``(thread, seq)`` writes race."""
-        if config.use_hb and hb.ordered(a, b):
-            return False
-        if config.use_lockset and not hb.disjoint_locks(a, b):
-            return False
-        return True
-
-    recs = sorted(report.records.values(), key=lambda r: r.call_id)
-    for i in range(len(recs)):
-        a = recs[i]
-        for j in range(i + 1, len(recs)):
-            b = recs[j]
-            if a.thread == b.thread:
+    def racy(a: MPICallRecord, b: MPICallRecord, common) -> List[MonitoredKind]:
+        """The common kinds whose two writes race."""
+        kinds = []
+        for k in common:
+            wa, wb = (a.thread, a.writes[k]), (b.thread, b.writes[k])
+            if use_hb and ordered(wa, wb):
                 continue
-            common = [k for k in a.writes if k in b.writes]
-            kinds = tuple(
-                k for k in common
-                if racy((a.thread, a.writes[k]), (b.thread, b.writes[k]))
-            )
-            if kinds:
-                report.pairs.append(RacingPair(a, b, kinds))
-                report.concurrent_kinds.update(kinds)
+            if use_lockset and not disjoint_locks(wa, wb):
+                continue
+            kinds.append(k)
+        return kinds
+
+    report = concurrency_report(proc, records, racy)
+    report.hb = hb
     return report
 
 

@@ -26,10 +26,7 @@ as generic ``DataRace`` findings (the BT false positive is one).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..analysis.dynamic_.happensbefore import compute_happens_before
-from ..analysis.dynamic_.hybrid import ConcurrencyReport, RacingPair
+from ..analysis.dynamic_.hybrid import ConcurrencyReport, DetectorConfig, analyze_process
 from ..analysis.dynamic_.memraces import find_memory_races
 from ..events import EventLog
 from ..runtime import ExecutionResult
@@ -47,39 +44,15 @@ def itc_ignores_lock(name: str) -> bool:
     return name.startswith("critical:") and name != "critical:<anonymous>"
 
 
+#: HOME's happens-before/lockset predicate, blind to named criticals
+_ITC_CONFIG = DetectorConfig(ignored_locks=itc_ignores_lock)
+
+
 def itc_concurrency(log: EventLog, proc: int) -> ConcurrencyReport:
-    """Concurrency oracle: happens-before with ITC's blind spots."""
-    report = ConcurrencyReport(proc)
-    report.records = call_records_from_events(
-        log, proc, exclude_ops=_INVISIBLE_OPS
-    )
-    if not report.records:
-        return report
-    hb = compute_happens_before(
-        log, proc, lock_edges=True, ignored_locks=itc_ignores_lock
-    )
-    report.hb = hb
-    recs = sorted(report.records.values(), key=lambda r: r.call_id)
-    # ITC keys races off the begin events of intercepted calls.
-    for i in range(len(recs)):
-        a = recs[i]
-        for j in range(i + 1, len(recs)):
-            b = recs[j]
-            if a.thread == b.thread:
-                continue
-            common = [k for k in a.writes if k in b.writes]
-            kinds = []
-            for k in common:
-                sa, sb = (a.thread, a.writes[k]), (b.thread, b.writes[k])
-                if hb.ordered(sa, sb):
-                    continue
-                if not hb.disjoint_locks(sa, sb):
-                    continue
-                kinds.append(k)
-            if kinds:
-                report.pairs.append(RacingPair(a, b, tuple(kinds)))
-                report.concurrent_kinds.update(kinds)
-    return report
+    """Concurrency oracle: happens-before with ITC's blind spots, keyed
+    off the begin events of intercepted calls."""
+    records = call_records_from_events(log, proc, exclude_ops=_INVISIBLE_OPS)
+    return analyze_process(log, proc, _ITC_CONFIG, records=records)
 
 
 class IntelThreadChecker(CheckingTool):
@@ -97,8 +70,8 @@ class IntelThreadChecker(CheckingTool):
         # over the replay itc_concurrency already made with that config.
         for proc in log.processes():
             for race in find_memory_races(
-                log, proc, lock_edges=True, ignored_locks=itc_ignores_lock,
-                hb=reports[proc].hb,
+                log, proc, lock_edges=_ITC_CONFIG.lock_edges,
+                ignored_locks=_ITC_CONFIG.ignored_locks, hb=reports[proc].hb,
             ):
                 violations.add(
                     Violation(

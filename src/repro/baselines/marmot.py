@@ -15,10 +15,10 @@ overlapped; a potential race whose racy interleaving did not manifest
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord, RacingPair
-from ..events import EventLog, MPICall
+from ..analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord, concurrency_report
+from ..events import EventLog
 from ..runtime import ExecutionResult
 from ..runtime.costmodel import MARMOT_CHARGE
 from ..violations import ViolationReport, match_violations
@@ -40,29 +40,16 @@ def observed_intervals(log: EventLog, proc: int) -> Dict[int, Tuple[float, float
 
 def observed_concurrency(log: EventLog, proc: int) -> ConcurrencyReport:
     """Concurrency oracle from actually-overlapping call intervals."""
-    report = ConcurrencyReport(proc)
-    report.records = call_records_from_events(log, proc)
     intervals = observed_intervals(log, proc)
-    recs = sorted(report.records.values(), key=lambda r: r.call_id)
-    for i in range(len(recs)):
-        a = recs[i]
-        ia = intervals.get(a.call_id)
-        if ia is None:
-            continue
-        for j in range(i + 1, len(recs)):
-            b = recs[j]
-            if a.thread == b.thread:
-                continue
-            ib = intervals.get(b.call_id)
-            if ib is None:
-                continue
-            # Strict interval overlap: both calls were in flight at once.
-            if ia[0] < ib[1] and ib[0] < ia[1]:
-                common = tuple(k for k in a.writes if k in b.writes)
-                if common:
-                    report.pairs.append(RacingPair(a, b, common))
-                    report.concurrent_kinds.update(common)
-    return report
+
+    def overlapped(a: MPICallRecord, b: MPICallRecord, common):
+        ia, ib = intervals.get(a.call_id), intervals.get(b.call_id)
+        if ia is None or ib is None:
+            return ()
+        # Strict interval overlap: both calls were in flight at once.
+        return common if ia[0] < ib[1] and ib[0] < ia[1] else ()
+
+    return concurrency_report(proc, call_records_from_events(log, proc), overlapped)
 
 
 class Marmot(CheckingTool):

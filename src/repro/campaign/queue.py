@@ -37,7 +37,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import AnalysisError
 from ..faults import FaultPlan
@@ -271,15 +271,6 @@ class DurableWorkQueue:
             self._quarantine(index)
             return True
         return False
-
-    def reclaim_expired(self, now: float) -> List[Tuple[Lease, bool]]:
-        """Reclaim every expired lease; returns ``(lease, quarantined)``
-        pairs, in canonical cell order."""
-        expired = sorted(
-            (lease for lease in self._leases.values() if lease.expires_at <= now),
-            key=lambda lease: lease.task.index,
-        )
-        return [(lease, self.record_crash(lease.task.index)) for lease in expired]
 
     # -- internals -----------------------------------------------------------
 

@@ -82,9 +82,3 @@ class TableData:
             if i == 0:
                 lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
         return "\n".join(lines)
-
-    def row_for(self, key: object) -> List[object]:
-        for row in self.rows:
-            if row and row[0] == key:
-                return row
-        raise KeyError(f"no row keyed {key!r} in {self.title!r}")

@@ -32,9 +32,6 @@ class DeadlockDiagnosis:
     def nblocked(self) -> int:
         return len(self.blocked)
 
-    def involves_mpi(self) -> bool:
-        return any("mpi" in info.reason.lower() for info in self.blocked)
-
     def ranks(self) -> List[int]:
         return sorted({info.proc for info in self.blocked})
 

@@ -58,12 +58,6 @@ class ViolationReport:
     def classes(self) -> List[str]:
         return sorted({v.vclass for v in self.violations})
 
-    def by_class(self) -> Dict[str, List[Violation]]:
-        out: Dict[str, List[Violation]] = {}
-        for v in self.violations:
-            out.setdefault(v.vclass, []).append(v)
-        return out
-
     def count(self, vclass: Optional[str] = None) -> int:
         if vclass is None:
             return len(self.violations)

@@ -238,13 +238,3 @@ def inject_violations(
     A.renumber_nids(new_program)
     return result
 
-
-def inject_all(program: Program, skew: int = 0) -> InjectedProgram:
-    """Graft one violation of every class (the paper's 6-per-benchmark
-    methodology) into *program*."""
-    return inject_violations(
-        program,
-        [CONCURRENT_RECV, CONCURRENT_REQUEST, PROBE, COLLECTIVE,
-         FINALIZATION, INITIALIZATION],
-        skew=skew,
-    )

@@ -6,10 +6,12 @@ from repro.analysis.cfg import (
     OMP_CRITICAL_BEGIN,
     OMP_PARALLEL_BEGIN,
     OMP_PARALLEL_END,
+    STMT,
     build_cfg,
     build_program_cfgs,
 )
 from repro.analysis.graphs import reachable, strongly_connected_components
+from repro.minilang import ast_nodes as A
 from repro.minilang import parse
 
 
@@ -18,8 +20,17 @@ def cfg_of(body: str, name="main"):
     return build_cfg(prog.function(name))
 
 
+def is_mpi_call(node):
+    return (
+        node.kind == STMT
+        and isinstance(node.ast, A.ExprStmt)
+        and isinstance(node.ast.expr, A.CallExpr)
+        and node.ast.expr.name.startswith(("mpi_", "hmpi_"))
+    )
+
+
 def mpi_nodes(cfg):
-    return [n for n in cfg.linearize() if n.is_mpi_call]
+    return [n for n in cfg.linearize() if is_mpi_call(n)]
 
 
 class TestStructure:
@@ -87,7 +98,7 @@ class TestOmpMarkers:
         assert begin < end
         # the MPI call node sits between the markers (Algorithm 1's scan)
         stmt_idx = next(
-            i for i, n in enumerate(cfg.linearize()) if n.is_mpi_call
+            i for i, n in enumerate(cfg.linearize()) if is_mpi_call(n)
         )
         assert begin < stmt_idx < end
 

@@ -555,7 +555,7 @@ class TestSoundnessAgainstDynamicPhase:
         """Acceptance: dataflow pruning (on by default) must not hide
         any of the six seeded violation classes from the full HOME
         pipeline."""
-        from repro.workloads.injection import inject_all
+        from helpers import inject_all
         from tests.workloads.test_injection import clean_program
 
         injected = inject_all(clean_program())

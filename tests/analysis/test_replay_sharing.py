@@ -19,7 +19,6 @@ from repro.workloads.npb import SPECS, build_racy_npb
 CALLERS = (
     "repro.analysis.dynamic_.hybrid",
     "repro.analysis.dynamic_.memraces",
-    "repro.baselines.itc",
     "repro.home.pipeline",
 )
 

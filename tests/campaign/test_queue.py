@@ -49,18 +49,20 @@ class TestLeasing:
 
     def test_heartbeat_extends_lease(self):
         q = DurableWorkQueue(make_cells(1), lease_seconds=10.0)
-        q.acquire("w0", 0.0)
+        lease = q.acquire("w0", 0.0)
         q.heartbeat(0, 8.0)
-        assert q.reclaim_expired(15.0) == []  # 8 + 10 > 15
-        reclaimed = q.reclaim_expired(19.0)
-        assert len(reclaimed) == 1
+        # the supervisor reclaims a slot's lease once expires_at <= now
+        assert not lease.expires_at <= 15.0  # 8 + 10 > 15
+        assert lease.expires_at <= 19.0
+        assert q.record_crash(0) is False
+        assert q.crashes[0] == 1
 
     def test_expired_lease_reclaimed_exactly_once(self):
         q = DurableWorkQueue(make_cells(1), lease_seconds=1.0)
-        q.acquire("w0", 0.0)
-        assert len(q.reclaim_expired(5.0)) == 1
+        lease = q.acquire("w0", 0.0)
+        assert lease.expires_at <= 5.0
+        assert q.record_crash(0) is False
         # the same death must not be double-counted
-        assert q.reclaim_expired(5.0) == []
         assert q.record_crash(0) is False
         assert q.crashes[0] == 1
 

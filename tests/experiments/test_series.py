@@ -56,10 +56,3 @@ class TestTableData:
     def test_render_aligned(self):
         text = self._table().render()
         assert "Tbl" in text and "alpha" in text and "22" in text
-
-    def test_row_for(self):
-        assert self._table().row_for("beta") == ["beta", 22]
-
-    def test_row_for_missing(self):
-        with pytest.raises(KeyError):
-            self._table().row_for("gamma")

@@ -13,6 +13,7 @@ from repro.workloads.npb.ft_mz import ft_mz_source
 from repro.workloads.npb.interproc import interproc_npb_source
 from repro.workloads.npb.lu_mz import LU_SPEC, lu_mz_source
 from repro.workloads.npb.races import racy_npb_source
+from repro.workloads.injection import INJECTABLE_CLASSES, inject_violations
 from repro.workloads.npb.sp_mz import SP_SPEC, sp_mz_source
 
 
@@ -67,6 +68,12 @@ MPI_PAIR_HEADER = """
     var rank = mpi_comm_rank(MPI_COMM_WORLD);
     var size = mpi_comm_size(MPI_COMM_WORLD);
 """
+
+
+def inject_all(program, skew: int = 0):
+    """Graft one violation of every injectable class (the paper's
+    6-per-benchmark methodology) into *program*."""
+    return inject_violations(program, INJECTABLE_CLASSES, skew=skew)
 
 
 def npb_sources():

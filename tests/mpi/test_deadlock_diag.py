@@ -22,10 +22,6 @@ class TestDiagnosisStructure:
         kinds = set(diag.kinds.values())
         assert kinds == {"thread", "resource"}
 
-    def test_involves_mpi(self):
-        assert diagnose([self._info(reason="mpi_recv ...")]).involves_mpi()
-        assert not diagnose([self._info(reason="omp barrier")]).involves_mpi()
-
     def test_summary_lists_every_thread(self):
         diag = diagnose([self._info(proc=0), self._info(proc=3, thread=2)])
         text = diag.summary()
@@ -47,7 +43,7 @@ class TestEndToEndDeadlocks:
                          sync_sends=True)
         assert result.deadlocked
         assert result.deadlock.nblocked == 2
-        assert result.deadlock.involves_mpi()
+        assert all("mpi" in info.reason for info in result.deadlock.blocked)
 
     def test_same_program_buffered_is_fine(self):
         body = """

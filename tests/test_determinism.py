@@ -11,10 +11,11 @@ from itertools import zip_longest
 
 import pytest
 
-from helpers import MPI_PAIR_HEADER, npb_sources, wrap_main
+from helpers import MPI_PAIR_HEADER, inject_all, npb_sources, wrap_main
 
+from repro.analysis.dynamic_ import analyze
 from repro.analysis.static_ import collect_sites, instrument_program, run_static_analysis
-from repro.baselines import IntelThreadChecker, Marmot
+from repro.baselines import IntelThreadChecker, Marmot, itc_concurrency, observed_concurrency
 from repro.events.serialize import dump_log
 from repro.home import Home, check_program
 from repro.minilang import builder as B
@@ -22,8 +23,8 @@ from repro.minilang import parse, validate
 from repro.minilang.ast_nodes import OmpParallel as A_OmpParallel
 from repro.runtime import RunConfig, run_program
 from repro.violations.fixes import apply_serializing_fix
+from repro.violations.render import report_to_dict
 from repro.workloads.case_studies import case_study_2
-from repro.workloads.injection import inject_all
 from repro.workloads.npb import build_lu_mz, build_racy_npb, lu_mz_source
 
 
@@ -310,10 +311,243 @@ GOLDEN_TRACES = {
 }
 GOLDEN_TOOLS = {"HOME": Home, "ITC": IntelThreadChecker, "MARMOT": Marmot}
 
+#: (source, tool, seed) -> sha256 of the tool's ``check --format json``
+#: violation report and of its per-process concurrency reports, for the
+#: same runs as :data:`GOLDEN_TRACES`; recorded at commit 7c6c189 and
+#: identical under both engines.
+GOLDEN_REPORTS = {
+    ("lu", "HOME", 0): (
+        "68a583e97cd5e6892219328e5b1e064fc9248f09a5409a1927537071c79de7e1",
+        "c77d96c6e30c57567ee2cf1fd5ceb6ab8c6e9811c6a6e24ac034977440106b00",
+    ),
+    ("lu", "HOME", 1): (
+        "68a583e97cd5e6892219328e5b1e064fc9248f09a5409a1927537071c79de7e1",
+        "ab9df0fdbf3916fbc32f3a5bcea7f624a2daa62cbeedbbf72e1479f12699129e",
+    ),
+    ("lu", "ITC", 0): (
+        "2323f2c76d3f668a50c4417f4902edf163d86bf6db55df433a6d0bb888bcf09c",
+        "4195826100aa70ecf5c0081bd0effa9b1f59cef6b7c601f106ad317fbacbc994",
+    ),
+    ("lu", "ITC", 1): (
+        "2323f2c76d3f668a50c4417f4902edf163d86bf6db55df433a6d0bb888bcf09c",
+        "a226401e5cad56872782130cc7ad5ac28bfb41826cf0399b82d3eba3b33f76b9",
+    ),
+    ("lu", "MARMOT", 0): (
+        "30c7b60bfbc594e4f8711ef09444722adc727affc722926d2025267160d5e607",
+        "6bb41cbb2d49b5730ed1d8f204e990acb3554cb85e40b2151199363c3c2200eb",
+    ),
+    ("lu", "MARMOT", 1): (
+        "30c7b60bfbc594e4f8711ef09444722adc727affc722926d2025267160d5e607",
+        "f09d98b86854d78da15964d7c89bbb52dac08141002f859a67634557bd1ee402",
+    ),
+    ("bt", "HOME", 0): (
+        "ecf75598950ffea9681dc8c61c283f7b6ce18b34e8bbe2589243c4fbeddf06f4",
+        "5e97986b10177b4aeb20c990c7b8639f4874359fd6892c8c5b62298e215c3375",
+    ),
+    ("bt", "HOME", 1): (
+        "ecf75598950ffea9681dc8c61c283f7b6ce18b34e8bbe2589243c4fbeddf06f4",
+        "b65e85d26760354b3a10c13a5dd0c9b77b40e670c93693ab648b172a3aa2b52e",
+    ),
+    ("bt", "ITC", 0): (
+        "1d214826d283c6962af02d8240c8dd2321392d2b297e6ef2cb44a018dec1d5ff",
+        "93cd4026b21079efcca89662c54760194189fbc485ea5b7529852d70add787a7",
+    ),
+    ("bt", "ITC", 1): (
+        "4703fb0adf7302500e8c8a2066ee6fdb119cb694656560171e2cc68555143467",
+        "16bb7c62a7ed450f66fd1cb5f7ab6140a5dbb0a5442933b35e1d9a8a5bafcac8",
+    ),
+    ("bt", "MARMOT", 0): (
+        "d7e2de0770ef2a90233a2d783b7a436d6a2f7978c34ac25a95d1e67f90d4744c",
+        "5ab0f2fc05a44df0f6afd1ba293b97d4d3e69a167c660203feb34425ce1e2d55",
+    ),
+    ("bt", "MARMOT", 1): (
+        "a2dca2be79a052a5528e78ca9941863e61250e3a828150ce1546e6af92526068",
+        "4142e3c4e412dfd88d3bea8a755b77a4e33aecdd7cabe224ad5f06fd38a45be3",
+    ),
+    ("sp", "HOME", 0): (
+        "4897dd53651a954f779aa9786ab11fcef0c922ef61e0a4449eedadfc282b1a03",
+        "a189237b8e4dfe0e22a612448e75f8df6b2b681fd84bbc74c19ef328365879d0",
+    ),
+    ("sp", "HOME", 1): (
+        "4897dd53651a954f779aa9786ab11fcef0c922ef61e0a4449eedadfc282b1a03",
+        "a2e1d3bba6f4fff8061efde105e6e923e40d8987586c7404366a2706fba6b3d0",
+    ),
+    ("sp", "ITC", 0): (
+        "f0cdef497d25469c02d04ae16bfbb47df302166f42a3c1e264a6da1606a30949",
+        "f3746bf3974e0bdc531049fdb18be0b75a80fada7db1fc7897854ab5c723a91f",
+    ),
+    ("sp", "ITC", 1): (
+        "f0cdef497d25469c02d04ae16bfbb47df302166f42a3c1e264a6da1606a30949",
+        "52d100582452c7e148099fa6f4b6b4598517210a2f7d2897ebb5f7f99f47b518",
+    ),
+    ("sp", "MARMOT", 0): (
+        "1bdf6ed116b47c6d09bb462451ffe77a7712d15b8d5ad25aced9ce6dab2dbad0",
+        "245de95b76b75c94f26dcf3849b7d38f5ea6d694f4c11feaa776989981eb744d",
+    ),
+    ("sp", "MARMOT", 1): (
+        "3c43e4c3d8828c7b9542404d77934a2f3efc5754224b1132796a1078f11cb540",
+        "d66e2021226b18c13ac855f1cb04ced0ed9cf824e232e04a9bf3503efa77db3d",
+    ),
+    ("ft", "HOME", 0): (
+        "9e65ea09c0bf239832c172d1c59392cebfe4a531107f4cd5075e7a3fa824096c",
+        "1dbf354717dcafc0c6bd6340483b0415ddb1a823603409106eceaa84f139b3ef",
+    ),
+    ("ft", "HOME", 1): (
+        "9e65ea09c0bf239832c172d1c59392cebfe4a531107f4cd5075e7a3fa824096c",
+        "a7b600e65cd5e37e6f2b5929216126367492dca5d061a94c28512f691d845459",
+    ),
+    ("ft", "ITC", 0): (
+        "092d5919f1e949d3b2deb34a214260dc455c15bc65cc144706494562199fec6a",
+        "a264d22dd47a4e7c83d50e323e9f65408f10e62bc94458f6a6362ac849bd1ee6",
+    ),
+    ("ft", "ITC", 1): (
+        "092d5919f1e949d3b2deb34a214260dc455c15bc65cc144706494562199fec6a",
+        "d97f341d36579abd2c30fe61640dfcb22c967db7356da70c6b0453c7b79e7a9c",
+    ),
+    ("ft", "MARMOT", 0): (
+        "092d5919f1e949d3b2deb34a214260dc455c15bc65cc144706494562199fec6a",
+        "a264d22dd47a4e7c83d50e323e9f65408f10e62bc94458f6a6362ac849bd1ee6",
+    ),
+    ("ft", "MARMOT", 1): (
+        "092d5919f1e949d3b2deb34a214260dc455c15bc65cc144706494562199fec6a",
+        "d97f341d36579abd2c30fe61640dfcb22c967db7356da70c6b0453c7b79e7a9c",
+    ),
+    ("racy-lu", "HOME", 0): (
+        "7a88741e863ec66f921b37401b667c69d296e980159bf3a7bc52ce529debb33e",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("racy-lu", "HOME", 1): (
+        "1352f02a4d38d65320dfa21a808bb5f4a16b6884e1dcc1fc29860f0de688197d",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("racy-lu", "ITC", 0): (
+        "2b4d1c7d2cbcb7197463bfc33a979e2e95eb542f6125a6009cc4c330f6f3438e",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("racy-lu", "ITC", 1): (
+        "23fff322edef87a12509b200d15dd22d7ad064a76c230006d764bddb29a4dd73",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("racy-lu", "MARMOT", 0): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("racy-lu", "MARMOT", 1): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("div", "HOME", 0): (
+        "2a795a81963db673ace76746c73415eb791c1f62d048ab0d8bddc82cd0df78ad",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("div", "HOME", 1): (
+        "bca566171525b4b82e4775ad7e4e275d7e3235bfd06fccfc5c140178a1907437",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("div", "ITC", 0): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("div", "ITC", 1): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("div", "MARMOT", 0): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("div", "MARMOT", 1): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("ip", "HOME", 0): (
+        "18a006fe49a37f1130f592a017300b9b76ccc7b1da41fab07726a1679a78bfb9",
+        "ab7ad9a80491d659c807e0fdfe13d9c489206aba7f8e43bd5dd21915c3ad46ee",
+    ),
+    ("ip", "HOME", 1): (
+        "3bc3a5b024bc82687750facb9ca6a11574cd49c9c5402ea12aa82d852c1c863e",
+        "66da413a711d78e3029a321616d66d7b9add90fd75a9a97aeba71428a5298d1c",
+    ),
+    ("ip", "ITC", 0): (
+        "b4be57a261ca23b1a9099e7badc80ad48ada5e5bd054e9fd9127dade785fca4f",
+        "d13a41bc93e3609f97649744e3715b12c24085540a9f1d0fef00d8efbc469ce5",
+    ),
+    ("ip", "ITC", 1): (
+        "67ec45a673bdb59b582eab19a98f789f49acfb3e8c4e206b39effe4d333a1e62",
+        "3c691783ef2a3c4853f24749057d0bf3182b0dc4f34bfb83f18daeab602bf6fa",
+    ),
+    ("ip", "MARMOT", 0): (
+        "f8e5f7663e8f8cb1a5f4c0470d73381562a39380863838ceca64fd3bff7790f3",
+        "c565a27b90f6e1a8b963d64b0d3215f8df049d0f57206a9c4d77b042a1457731",
+    ),
+    ("ip", "MARMOT", 1): (
+        "f8e5f7663e8f8cb1a5f4c0470d73381562a39380863838ceca64fd3bff7790f3",
+        "102b8eb2667607be7eb17ff6dceb64f178b07617e789f6dec3480ea0aba7b3f6",
+    ),
+    ("lu-fixed", "HOME", 0): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("lu-fixed", "HOME", 1): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("lu-fixed", "ITC", 0): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("lu-fixed", "ITC", 1): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("lu-fixed", "MARMOT", 0): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+    ("lu-fixed", "MARMOT", 1): (
+        "140e5ccf0a0a248cf86f021b5c100b6869d3ae409afd7693fb5fcf594ff379a9",
+        "6514029f9e22c445a25d246cf00e88fec56c2ded4821e53bd8658c50a6ff377c",
+    ),
+}
+
+#: each tool's concurrency oracle over a finished run's log
+GOLDEN_CONCURRENCY = {
+    "HOME": analyze,
+    "ITC": lambda log: {p: itc_concurrency(log, p) for p in log.processes()},
+    "MARMOT": lambda log: {p: observed_concurrency(log, p) for p in log.processes()},
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_digests(tool, report):
+    """(violations digest, concurrency digest) for one tool run: the
+    report as ``check --format json`` prints it, and every process's
+    racing pairs as ``(a.call_id, b.call_id, kinds)`` in order plus its
+    sorted ``concurrent_kinds``."""
+    violations = json.dumps(report_to_dict(report.violations), indent=2)
+    concurrency = [
+        [
+            proc,
+            [
+                [pair.a.call_id, pair.b.call_id, [k.value for k in pair.kinds]]
+                for pair in conc.pairs
+            ],
+            sorted(k.value for k in conc.concurrent_kinds),
+        ]
+        for proc, conc in sorted(
+            GOLDEN_CONCURRENCY[tool](report.execution.log).items()
+        )
+    ]
+    return _sha256(violations), _sha256(json.dumps(concurrency))
+
 
 class TestGoldenTraces:
-    """Trace bytes are pinned: any drift in a yield, an RNG draw, an
-    event, a cell id or a message fails here, on both engines."""
+    """Trace bytes, violation reports and racing-pair lists are pinned:
+    any drift in a yield, an RNG draw, an event, a cell id, a message or
+    a tool's concurrency verdicts fails here, on both engines."""
 
     @pytest.mark.parametrize("engine", ["ast", "bytecode"])
     @pytest.mark.parametrize(
@@ -330,6 +564,9 @@ class TestGoldenTraces:
             dump_log(report.execution.log, buf)
             got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
             assert got == digest, (name, tool, seed)
+            assert report_digests(tool, report) == GOLDEN_REPORTS[
+                (name, tool, seed)
+            ], (name, tool, seed)
 
 
 class TestToolDeterminism:

@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.dynamic_.lockset import LocksetAnalysis
+from repro.analysis.dynamic_.hybrid import MPICallRecord, concurrency_report
 from repro.analysis.dynamic_.vectorclock import VectorClock
+from repro.events.event import MonitoredKind
 from repro.minilang import ast_equal, parse, print_program
 from repro.mpi.constants import MPI_ANY_SOURCE, MPI_ANY_TAG
 from repro.mpi.message import Mailbox, Message
@@ -74,62 +75,62 @@ class TestVectorClockLaws:
 
 
 # ---------------------------------------------------------------------------
-# Lockset analysis
+# Concurrency pair builder
 # ---------------------------------------------------------------------------
 
-lock_names = st.sets(st.sampled_from(["A", "B", "C", "D"]), max_size=3).map(frozenset)
-accesses = st.lists(
+KINDS = list(MonitoredKind)
+call_records = st.lists(
     st.tuples(
-        st.integers(min_value=1, max_value=4),  # thread
-        lock_names,
-        st.booleans(),                          # is_write
+        st.integers(min_value=0, max_value=3),              # thread
+        st.one_of(st.just(KINDS), st.permutations(KINDS)),  # write order
+        st.integers(min_value=0, max_value=len(KINDS)),     # kinds written
     ),
-    min_size=1,
-    max_size=25,
+    max_size=12,
 )
 
 
-class TestLocksetLaws:
-    @given(accesses)
-    def test_candidate_is_intersection_of_all_locksets(self, seq):
-        ls = LocksetAnalysis()
-        for i, (thread, locks, is_write) in enumerate(seq):
-            ls.access("v", i, thread, locks, is_write)
-        loc = ls.locations["v"]
-        expected = seq[0][1]
-        for _, locks, _ in seq[1:]:
-            expected &= locks
-        assert loc.candidate == expected
+def _accepts(a, b, kind):
+    """A stub predicate's verdict, fixed per (pair, kind)."""
+    return (a.call_id * 7 + b.call_id * 3 + KINDS.index(kind)) % 3 != 0
 
-    @given(accesses)
-    def test_candidate_monotonically_shrinks(self, seq):
-        ls = LocksetAnalysis()
-        previous = None
-        for i, (thread, locks, is_write) in enumerate(seq):
-            loc = ls.access("v", i, thread, locks, is_write)
-            if previous is not None:
-                assert loc.candidate <= previous
-            previous = loc.candidate
 
-    @given(accesses)
-    def test_racy_pairs_symmetric_in_threads(self, seq):
-        ls = LocksetAnalysis()
-        for i, (thread, locks, is_write) in enumerate(seq):
-            ls.access("v", i, thread, locks, is_write)
-        for a, b in ls.racy_pairs("v"):
-            assert a.thread != b.thread
-            assert a.is_write or b.is_write
-            assert not (a.locks & b.locks)
+class TestPairBuilder:
+    @given(call_records, st.randoms(use_true_random=False))
+    def test_offers_every_cross_thread_pair_once_in_call_order(self, spec, rng):
+        ids = rng.sample(range(100), len(spec))
+        records = {}
+        for seq, (call_id, (thread, order, n)) in enumerate(zip(ids, spec)):
+            records[call_id] = MPICallRecord(
+                call_id=call_id, proc=0, thread=thread, op="mpi_recv",
+                callsite=call_id, loc=f"{call_id}:1", time=0.0,
+                writes={k: seq for k in order[:n]},
+            )
+        offers = []
 
-    @given(accesses)
-    def test_race_candidate_implies_multiple_threads_and_writer(self, seq):
-        ls = LocksetAnalysis()
-        for i, (thread, locks, is_write) in enumerate(seq):
-            ls.access("v", i, thread, locks, is_write)
-        loc = ls.locations["v"]
-        if loc.is_race_candidate:
-            assert len(loc.threads) >= 2
-            assert loc.writers
+        def concurrent(a, b, common):
+            offers.append((a.call_id, b.call_id, tuple(common)))
+            return [k for k in common if _accepts(a, b, k)]
+
+        report = concurrency_report(0, records, concurrent)
+
+        expected = []
+        by_id = sorted(records)
+        for i, x in enumerate(by_id):
+            for y in by_id[i + 1:]:
+                a, b = records[x], records[y]
+                common = tuple(k for k in a.writes if k in b.writes)
+                if a.thread != b.thread and common:
+                    expected.append((x, y, common))
+        assert offers == expected
+        assert all(records[x].thread != records[y].thread for x, y, _ in offers)
+        accepted = [
+            (x, y, tuple(k for k in common if _accepts(records[x], records[y], k)))
+            for x, y, common in expected
+        ]
+        accepted = [entry for entry in accepted if entry[2]]
+        assert [(p.a.call_id, p.b.call_id, p.kinds) for p in report.pairs] == accepted
+        assert report.concurrent_kinds == {k for _, _, ks in accepted for k in ks}
+        assert report.records is records and report.hb is None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.violations.fixes import (
     suggest_fixes,
 )
 from repro.workloads.case_studies import case_study_2
-from repro.workloads.injection import inject_all, inject_violations
+from repro.workloads.injection import inject_violations
 
 
 class TestSuggestions:

@@ -46,12 +46,6 @@ class TestViolationReport:
         report.add(v(callsites=(1, 2)))
         assert len(report) == 1
 
-    def test_by_class(self):
-        report = ViolationReport()
-        report.add(v())
-        report.add(v(vclass="Other", callsites=(9,)))
-        assert set(report.by_class()) == {CONCURRENT_RECV, "Other"}
-
     def test_summary_mentions_ranks(self):
         report = ViolationReport()
         report.add(v(proc=0))

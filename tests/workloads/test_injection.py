@@ -3,6 +3,8 @@ program and confirm HOME detects exactly it."""
 
 import pytest
 
+from helpers import inject_all
+
 from repro.errors import ToolError
 from repro.home import check_program
 from repro.minilang import ast_equal, parse, print_program, validate
@@ -14,11 +16,7 @@ from repro.violations import (
     INITIALIZATION,
     PROBE,
 )
-from repro.workloads.injection import (
-    INJECTABLE_CLASSES,
-    inject_all,
-    inject_violations,
-)
+from repro.workloads.injection import INJECTABLE_CLASSES, inject_violations
 
 CLEAN = """
 program victim;
