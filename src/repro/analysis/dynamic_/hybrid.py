@@ -163,15 +163,11 @@ def concurrency_report(
     """
     report = ConcurrencyReport(proc, records)
     recs = sorted(records.values(), key=lambda r: r.call_id)
-    # most pairs wrote the same kinds in the same order: compare those
-    # whole instead of intersecting them
-    written = [tuple(r.writes) for r in recs]
     for i, a in enumerate(recs):
-        wa = written[i]
-        for b, wb in zip(recs[i + 1:], written[i + 1:]):
+        for b in recs[i + 1:]:
             if a.thread == b.thread:
                 continue
-            common = wa if wa == wb else [k for k in wa if k in b.writes]
+            common = [k for k in a.writes if k in b.writes]
             if not common:
                 continue
             kinds = concurrent(a, b, common)

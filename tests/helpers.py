@@ -7,13 +7,13 @@ from types import GeneratorType
 from repro.minilang import ast_nodes as A
 from repro.minilang import parse, validate
 from repro.runtime import RunConfig, run_program
+from repro.workloads.injection import INJECTABLE_CLASSES, inject_violations
 from repro.workloads.npb.bt_mz import BT_SPEC, bt_mz_source
 from repro.workloads.npb.divergence import divergent_npb_source
 from repro.workloads.npb.ft_mz import ft_mz_source
 from repro.workloads.npb.interproc import interproc_npb_source
 from repro.workloads.npb.lu_mz import LU_SPEC, lu_mz_source
 from repro.workloads.npb.races import racy_npb_source
-from repro.workloads.injection import INJECTABLE_CLASSES, inject_violations
 from repro.workloads.npb.sp_mz import SP_SPEC, sp_mz_source
 
 
