@@ -11,8 +11,8 @@ algorithm iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..errors import AnalysisError
 from ..minilang import ast_nodes as A

@@ -55,10 +55,9 @@ class CallSite:
     master_only: bool
     criticals: Tuple[str, ...]      # enclosing critical-section names
     guards: FrozenSet[str]          # critical/atomic guard tokens
-    #: enclosing ``omp for`` nid, its index variable and encounter
-    #: serialization (same convention as :class:`..races.AccessSite`)
+    #: enclosing ``omp for`` nid and encounter serialization (same
+    #: convention as :class:`..races.AccessSite`)
     omp_for: Optional[int] = None
-    loop_var: Optional[str] = None
     omp_for_serial: bool = True
     #: (omp single nid, encounters-serial) of the innermost single
     single: Optional[Tuple[int, bool]] = None
@@ -143,7 +142,6 @@ def _call_sites(
                 criticals=tuple(name or "<anonymous>" for name in ctx.criticals),
                 guards=guard_tokens(ctx),
                 omp_for=omp_for or None,
-                loop_var=table.loop_index(omp_for) if omp_for else None,
                 omp_for_serial=table.encounters_serial(omp_for),
                 single=(single, table.encounters_serial(single)) if single else None,
                 spawned=spawned,

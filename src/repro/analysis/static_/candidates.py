@@ -33,7 +33,7 @@ Each prune is counted on the facts object for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ...mpi.constants import MPI_ANY_SOURCE, MPI_ANY_TAG

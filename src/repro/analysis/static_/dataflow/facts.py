@@ -25,7 +25,7 @@ from ..mpi_sites import MPISite, functions_called_from_parallel
 from .engine import solve
 from .intervals import (
     EnvelopeAnalysis,
-    _assigned_names,
+    assigned_decls,
     eval_expr,
     program_globals_env,
 )
@@ -167,18 +167,19 @@ def compute_dataflow(
     # Global scalars the program ever assigns: killed at user calls
     # (sequential callee effects); the subset assigned by concurrently
     # runnable functions is never trackable at all.
-    global_scalars = {d.name for d in program.globals if not d.is_array}
-    assigned = {fn.name: _assigned_names(fn.body, table) for fn in program.functions}
-    mutated_globals = frozenset(
-        name
+    global_scalars = {(d.nid, d.name) for d in program.globals if not d.is_array}
+    assigned = {
+        fn.name: assigned_decls(fn.body, table) & global_scalars
         for fn in program.functions
-        for name in assigned[fn.name] & global_scalars
+    }
+    mutated_globals = frozenset(
+        name for fn in program.functions for _, name in assigned[fn.name]
     )
     concurrent_globals = frozenset(
         name
         for fn in program.functions
         if fn.name in facts.unsafe_funcs
-        for name in assigned[fn.name] & global_scalars
+        for _, name in assigned[fn.name]
     )
 
     sites_by_func: Dict[str, List[MPISite]] = {}
@@ -192,11 +193,13 @@ def compute_dataflow(
         # A function that can itself run on several threads at once races
         # with every global mutation, including its own.
         volatile = mutated_globals if fname in facts.unsafe_funcs else concurrent_globals
+        # a parameter hides the global of its name
+        params = program.function(fname).params
         env_result = solve(
             cfg,
             EnvelopeAnalysis(
                 cfg,
-                globals_env,
+                {k: v for k, v in globals_env.items() if k not in params},
                 volatile=volatile,
                 call_kill=mutated_globals,
                 user_functions=user_funcs,

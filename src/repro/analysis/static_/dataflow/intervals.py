@@ -16,6 +16,10 @@ OpenMP-awareness (all conservative, i.e. may only widen):
   ``firstprivate`` keeps the incoming value;
 * none of the per-thread copies (``private``/``firstprivate``/
   ``reduction``) survive past the region end;
+* a declaration that shadows a visible one of the same name (node
+  table ``shadows``), and every assignment to it, leaves the name
+  unknown: the environment is keyed by name, and the shadowed
+  variable's value outlives the inner block;
 * ``mpi_comm_rank`` / ``mpi_comm_size`` results become *symbols* —
   process-constant unknowns that support exact difference reasoning —
   while ``omp_get_thread_num()`` is only an interval (``>= 0``),
@@ -26,7 +30,9 @@ are immune): a call to a user-defined function kills every global the
 program ever assigns (the callee may assign it sequentially), and
 globals that *concurrently running* code may assign — from functions
 reachable from a parallel region or ``thread_spawn`` — are never
-tracked at all (``volatile``).
+tracked at all (``volatile``).  A function's parameters hide the
+globals of their names, so :func:`.facts.compute_dataflow` leaves those
+out of the function's entry environment.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from ....minilang import ast_nodes as A
-from ....minilang.nodetable import NodeTable, subtree
+from ....minilang.nodetable import DeclKey, NodeTable, subtree
 from ... import cfg as C
 from ..mpi_sites import fold_static_value
 from .engine import ForwardAnalysis
@@ -102,12 +108,21 @@ def _without(env: Env, names: Iterable[str]) -> Env:
     return {k: v for k, v in env.items() if k not in names}
 
 
-def _assigned_names(root: A.Node, table: Optional[NodeTable] = None) -> Set[str]:
-    return {
-        node.target.ident
-        for node in subtree(root, table)
-        if isinstance(node, A.Assign) and isinstance(node.target, A.Name)
-    }
+def assigned_decls(root: A.Node, table: NodeTable) -> Set[DeclKey]:
+    """The declarations written or declared under *root*: each
+    ``VarDecl``, and the one each assignment's target name, or the array
+    it indexes, binds to."""
+    out: Set[DeclKey] = set()
+    for node in table.subtree(root):
+        if isinstance(node, A.VarDecl):
+            out.add((node.nid, node.name))
+        elif isinstance(node, A.Assign):
+            target = node.target
+            if isinstance(target, A.Index):
+                target = target.base
+            if isinstance(target, A.Name):
+                out.add(table.decl_key(target))
+    return out
 
 
 def _region_poison(region: A.OmpParallel, table: Optional[NodeTable]) -> FrozenSet[str]:
@@ -149,6 +164,8 @@ class EnvelopeAnalysis(ForwardAnalysis[Env]):
         self.call_kill = frozenset(call_kill)
         self.user_functions = frozenset(user_functions)
         self.table = cfg.table
+        #: declarations hiding a same-named one: their values stay unknown
+        self.shadows = cfg.table.shadows if cfg.table is not None else frozenset()
         self._poison = self._compute_poison(cfg)
 
     @staticmethod
@@ -225,21 +242,25 @@ class EnvelopeAnalysis(ForwardAnalysis[Env]):
             return env
         stmt = ast.stmt if isinstance(ast, A.OmpAtomic) else ast
         if isinstance(stmt, A.VarDecl) and not stmt.is_array:
-            value = eval_expr(stmt.init, env) if stmt.init is not None else TOP
+            known = stmt.init is not None and stmt.nid not in self.shadows
+            value = eval_expr(stmt.init, env) if known else TOP
             return self._set(env, node, stmt.name, value)
         if isinstance(stmt, A.Assign) and isinstance(stmt.target, A.Name):
-            return self._set(env, node, stmt.target.ident, eval_expr(stmt.value, env))
+            target = stmt.target
+            decl = self.table.binding.get(target.nid) if self.table is not None else None
+            value = TOP if decl in self.shadows else eval_expr(stmt.value, env)
+            return self._set(env, node, target.ident, value)
         return env
 
 
 def program_globals_env(program: A.Program) -> Env:
     """Initial environment from never-reassigned scalar globals."""
-    mutated: Set[str] = set()
+    mutated: Set[DeclKey] = set()
     for fn in program.functions:
-        mutated |= _assigned_names(fn.body, program.table)
+        mutated |= assigned_decls(fn.body, program.table)
     env: Dict[str, SymInterval] = {}
     for decl in program.globals:
-        if decl.is_array or decl.init is None or decl.name in mutated:
+        if decl.is_array or decl.init is None or (decl.nid, decl.name) in mutated:
             continue
         value = eval_expr(decl.init, {})
         if not value.is_top:

@@ -25,7 +25,7 @@ release anything, so held user locks survive calls to them.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Optional, Set
+from typing import FrozenSet, Iterator, Optional, Set
 
 from ....minilang import ast_nodes as A
 from ....minilang.nodetable import NodeTable, OmpContext, subtree

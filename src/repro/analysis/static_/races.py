@@ -29,13 +29,19 @@ This pass closes the gap at compile time, in four steps:
    dynamic phase watches, instead of every shared access (the ITC
    model's monitor-everything behaviour).
 
-Known imprecision, both conservative in opposite directions: array
-aliasing through call arguments is ignored (arrays are only tracked by
-name), and array accesses with non-constant subscripts in functions
-reached from parallel regions are *delegated* to the dynamic phase
-(reported as unresolved, never paired) — the caller's distribution
-context is invisible, so pairing them would flood the report with
-false positives.
+Names resolve through the node table's bindings, so block scope and
+shadowing are exact; subscripts are read as linear forms by the one
+evaluator, :func:`.summaries.eval_form`.
+
+Known imprecision: array aliasing through call arguments is ignored
+(an array is tracked by the variable it is named by), and pairing keys
+are ``(function, name)``, so two same-named declarations of one
+function pair as one variable (a false positive at worst).  An array
+access with a non-constant subscript in a function reached from a
+parallel region is paired at each parallel call site through the
+callee's summary; where its form could not be computed or instantiated
+on every parallel path it stays *delegated* to the dynamic phase
+(reported as unresolved, never paired).
 """
 
 from __future__ import annotations
@@ -44,19 +50,27 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .callgraph import CallSite, ParallelContext
-    from .summaries import LinForm, SummaryTable
+    from .callgraph import ParallelContext
 
 from ...minilang import ast_nodes as A
-from ...minilang.nodetable import NodeTable
+from ...minilang.nodetable import DeclKey, NodeTable
 from ...mpi.constants import LANGUAGE_CONSTANTS
 from .. import cfg as C
 from .dataflow.engine import solve
 from .dataflow.lockstate import LockStateAnalysis, guard_tokens
 from .dataflow.mhp import MHPInfo, MHPSolution, may_happen_in_parallel
-from .mpi_sites import fold_static_value, functions_called_from_parallel
+from .mpi_sites import functions_called_from_parallel
 from .prunes import count_prune as _count_prune
 from .prunes import make_prune_dict, total_pruned as _total_pruned
+from .summaries import (
+    LOOP_BASE,
+    TID_BASE,
+    LinForm,
+    SummaryTable,
+    compute_summaries,
+    eval_form,
+    rebase,
+)
 
 #: sharing classes (per parallel/worksharing region)
 SHARED = "shared"
@@ -99,12 +113,11 @@ class AccessSite:
     #: interprocedurally (function called from a parallel region)
     region: Optional[int]
     is_array: bool = False
-    #: raw subscript expression for element accesses (None: scalar or
-    #: whole-array use, e.g. an array passed as a call argument)
-    subscript: Optional[A.Expr] = None
-    #: enclosing ``omp for`` construct nid and its index variable
+    #: an element access (False: scalar or whole-array use, e.g. an
+    #: array passed as a call argument)
+    element: bool = False
+    #: enclosing ``omp for`` construct nid
     omp_for: Optional[int] = None
-    loop_var: Optional[str] = None
     #: encounters of that omp for cannot overlap (implicit barrier, or
     #: single encounter outside sequential loops)
     omp_for_serial: bool = True
@@ -113,24 +126,16 @@ class AccessSite:
     in_master: bool = False
     #: (omp single nid, encounters-serial) of the innermost single
     single: Optional[Tuple[int, bool]] = None
-    #: interval linear form ``(sym, coeff, lo, hi)`` of the subscript —
-    #: set on summary-instantiated sites, where ``subscript`` is None
-    lin: Optional[Tuple[Optional[str], int, int, int]] = None
+    #: the element's subscript as a linear form over the enclosing
+    #: ``omp for``'s index (:data:`LOOP_BASE`) or the thread id (None:
+    #: not an element access, or not linear)
+    lin: Optional[LinForm] = None
     #: callee the access was instantiated from (None: lexical access)
     via: Optional[str] = None
 
     @property
     def kind(self) -> str:
         return "write" if self.is_write else "read"
-
-    def describe(self) -> str:
-        sub = "[...]" if self.is_array and (
-            self.subscript is not None or self.lin is not None
-        ) else ""
-        where = f"{self.func}:{self.loc}"
-        if self.via:
-            where = f"{self.via}:{self.loc} (called from {self.func})"
-        return f"{self.kind} of {self.var}{sub} at {where}"
 
 
 @dataclass
@@ -289,35 +294,26 @@ class StaticRaceReport:
 class _FunctionWalker:
     """Collects shared-variable accesses of one function.
 
-    Sharing resolution: scan declaration frames innermost-first.  A name
-    declared at or above the innermost region's frame keeps its declared
-    class (clause class or ``private`` for in-region declarations); a
-    name declared below it was visible at region entry, hence shared;
-    an undeclared name is a program global, shared whenever executed in
+    Sharing resolution reads the declaration each name binds to (the
+    node table's bindings).  Inside a parallel region, the enclosing
+    ``omp for``'s index is a loop index; a declaration inside the
+    innermost region keeps its class (the clause class when the region
+    or a worksharing construct in it declares the name, else
+    ``private``); a declaration outside it was visible at region entry,
+    hence shared.  A program global is shared whenever executed in
     parallel context (lexically, or because the whole function is
-    reachable from a parallel region).
+    reachable from a parallel region); an undeclared name is skipped.
     """
 
-    def __init__(
-        self,
-        func: A.FuncDef,
-        globals_: Dict[str, bool],
-        unsafe: bool,
-        table: NodeTable,
-    ) -> None:
+    def __init__(self, func: A.FuncDef, unsafe: bool, table: NodeTable) -> None:
         self.func = func
-        self.globals = globals_
         self.unsafe = unsafe
-        #: the program's node table: the OpenMP context of each access
+        #: the program's node table: bindings and OpenMP context
         self.table = table
-        #: declaration frames: name -> (class, is_array)
-        self.frames: List[Dict[str, Tuple[str, bool]]] = [
-            {p: (_LOCAL, False) for p in func.params}
-        ]
-        #: (RegionInfo, index of the frame pushed for the region)
-        self.region_stack: List[Tuple[RegionInfo, int]] = []
-        #: innermost omp-for RegionInfo (classification sink)
-        self.ws_stack: List[RegionInfo] = []
+        #: enclosing ``omp parallel`` regions, innermost last
+        self.region_stack: List[RegionInfo] = []
+        #: enclosing ``omp for`` regions with their index declarations
+        self.ws_stack: List[Tuple[RegionInfo, Optional[DeclKey]]] = []
         self.accesses: List[AccessSite] = []
         self.unresolved: List[AccessSite] = []
         self.regions: List[RegionInfo] = []
@@ -325,42 +321,49 @@ class _FunctionWalker:
     def run(self) -> None:
         self._walk_block(self.func.body)
 
-    # -- scope machinery ----------------------------------------------------
+    # -- sharing resolution -------------------------------------------------
 
-    def _declare(self, name: str, cls: str, is_array: bool) -> None:
-        self.frames[-1][name] = (cls, is_array)
-
-    def _resolve(self, name: str) -> Optional[Tuple[str, bool, bool]]:
+    def _resolve(self, name: A.Name) -> Optional[Tuple[str, bool, bool]]:
         """-> (sharing class, is_array, is_global), or None to skip."""
-        if name in LANGUAGE_CONSTANTS:
+        if name.ident in LANGUAGE_CONSTANTS:
             return None
-        region_frame = self.region_stack[-1][1] if self.region_stack else None
-        for idx in range(len(self.frames) - 1, -1, -1):
-            if name in self.frames[idx]:
-                cls, is_array = self.frames[idx][name]
-                if region_frame is None:
-                    return (_LOCAL, is_array, False)
-                if idx >= region_frame:
-                    return (cls, is_array, False)
-                # declared outside the innermost region: visible at
-                # entry, therefore shared within the region
-                return (SHARED, is_array, False)
-        if name in self.globals:
-            return (SHARED, self.globals[name], True)
-        return None  # unknown identifier (builtin value, etc.)
+        table = self.table
+        decl = table.binding.get(name.nid)
+        if decl is None:
+            return None  # unknown identifier (builtin value, etc.)
+        node = table.nodes[decl]
+        is_array = isinstance(node, A.VarDecl) and node.is_array
+        if table.func[decl] is None:
+            return (SHARED, is_array, True)
+        if not self.region_stack:
+            return (_LOCAL, is_array, False)
+        region = self.region_stack[-1].nid
+        key = (decl, name.ident)
+        for ws, index in reversed(self.ws_stack):
+            if ws.nid < region:
+                break  # outside the innermost region
+            if key == index:
+                return (LOOP_INDEX, False, False)
+        if not table.contains(region, decl):
+            # declared outside the innermost region: visible at entry,
+            # therefore shared within the region
+            return (SHARED, is_array, False)
+        if isinstance(node, (A.OmpParallel, A.OmpFor)):
+            return (_clause_class(node, name.ident), False, False)
+        return (PRIVATE, is_array, False)
 
     def _classify_into_regions(self, name: str, cls: str) -> None:
         if self.region_stack:
-            self.region_stack[-1][0].sharing.setdefault(name, cls)
+            self.region_stack[-1].sharing.setdefault(name, cls)
         if self.ws_stack:
-            self.ws_stack[-1].sharing.setdefault(name, cls)
+            self.ws_stack[-1][0].sharing.setdefault(name, cls)
 
     # -- access recording ---------------------------------------------------
 
     def _access(
         self,
         node: A.Expr,
-        name: str,
+        name: A.Name,
         is_write: bool,
         subscript: Optional[A.Expr] = None,
     ) -> None:
@@ -368,7 +371,8 @@ class _FunctionWalker:
         if resolved is None:
             return
         cls, is_array, is_global = resolved
-        self._classify_into_regions(name, cls if cls != _LOCAL else SHARED)
+        var = name.ident
+        self._classify_into_regions(var, cls if cls != _LOCAL else SHARED)
         if cls != SHARED:
             return
         in_region = bool(self.region_stack)
@@ -380,27 +384,30 @@ class _FunctionWalker:
         clause = ctx.clause
         omp_for = clause if isinstance(table.nodes[clause], A.OmpFor) else ctx.omp_for
         single = table.innermost(node.nid, A.OmpSingle)
+        lin = None
+        if subscript is not None:
+            lin = eval_form(subscript, _loop_env(table, omp_for), table)
         site = AccessSite(
             nid=node.nid,
-            var=name,
-            key=(GLOBAL_SCOPE if is_global else self.func.name, name),
+            var=var,
+            key=(GLOBAL_SCOPE if is_global else self.func.name, var),
             is_write=is_write,
             func=self.func.name,
             loc=f"{node.loc.line}:{node.loc.col}",
-            region=self.region_stack[-1][0].nid if in_region else None,
+            region=self.region_stack[-1].nid if in_region else None,
             is_array=is_array,
-            subscript=subscript,
+            element=subscript is not None,
             omp_for=omp_for or None,
-            loop_var=table.loop_index(omp_for) if omp_for else None,
             omp_for_serial=table.encounters_serial(omp_for),
             guards=guard_tokens(ctx),
             in_master=table.innermost(node.nid, A.OmpMaster) != 0,
             single=(single, table.encounters_serial(single)) if single else None,
+            lin=lin,
         )
         if (
             site.region is None
             and is_array
-            and not isinstance(fold_static_value(subscript) if subscript else None, int)
+            and not (lin is not None and lin.base is None and lin.lo == lin.hi)
         ):
             # interprocedural array access with unknown element: the
             # caller's distribution is invisible — delegate to dynamic
@@ -412,10 +419,10 @@ class _FunctionWalker:
         if expr is None:
             return
         if isinstance(expr, A.Name):
-            self._access(expr, expr.ident, is_write=False)
+            self._access(expr, expr, is_write=False)
             return
         if isinstance(expr, A.Index) and isinstance(expr.base, A.Name):
-            self._access(expr, expr.base.ident, is_write=False, subscript=expr.index)
+            self._access(expr, expr.base, is_write=False, subscript=expr.index)
             self._reads(expr.index)
             return
         for child in expr.children():
@@ -434,21 +441,16 @@ class _FunctionWalker:
         elif isinstance(stmt, A.VarDecl):
             self._reads(stmt.init)
             self._reads(stmt.size)
-            cls = PRIVATE if self.region_stack else _LOCAL
-            self._declare(stmt.name, cls, stmt.is_array)
             if self.region_stack:
                 self._classify_into_regions(stmt.name, PRIVATE)
         elif isinstance(stmt, A.Assign):
             self._reads(stmt.value)
             target = stmt.target
             if isinstance(target, A.Name):
-                self._access(target, target.ident, is_write=True)
+                self._access(target, target, is_write=True)
             elif isinstance(target, A.Index) and isinstance(target.base, A.Name):
                 self._reads(target.index)
-                self._access(
-                    target, target.base.ident, is_write=True,
-                    subscript=target.index,
-                )
+                self._access(target, target.base, is_write=True, subscript=target.index)
         elif isinstance(stmt, A.If):
             self._reads(stmt.cond)
             self._walk_stmt(stmt.then)
@@ -458,14 +460,12 @@ class _FunctionWalker:
             self._reads(stmt.cond)
             self._walk_block(stmt.body)
         elif isinstance(stmt, A.For):
-            self.frames.append({})
             if stmt.init is not None:
                 self._walk_stmt(stmt.init)
             self._reads(stmt.cond)
             if stmt.step is not None:
                 self._walk_stmt(stmt.step)
             self._walk_block(stmt.body)
-            self.frames.pop()
         elif isinstance(stmt, A.OmpParallel):
             self._walk_parallel(stmt)
         elif isinstance(stmt, A.OmpFor):
@@ -486,57 +486,40 @@ class _FunctionWalker:
                 if isinstance(child, A.Expr):
                     self._reads(child)
 
-    def _walk_parallel(self, stmt: A.OmpParallel) -> None:
-        self._reads(stmt.num_threads)
+    def _region_info(self, stmt: A.Stmt, kind: str) -> RegionInfo:
         info = RegionInfo(
             nid=stmt.nid,
             func=self.func.name,
             loc=f"{stmt.loc.line}:{stmt.loc.col}",
-            kind="parallel",
+            kind=kind,
         )
-        frame: Dict[str, Tuple[str, bool]] = {}
         for name in stmt.private:
-            frame[name] = (PRIVATE, False)
             info.sharing[name] = PRIVATE
-        for name in stmt.firstprivate:
-            frame[name] = (FIRSTPRIVATE, False)
+        for name in getattr(stmt, "firstprivate", ()):
             info.sharing[name] = FIRSTPRIVATE
         for _op, name in stmt.reductions:
-            frame[name] = (REDUCTION, False)
             info.sharing[name] = REDUCTION
+        self.regions.append(info)
+        return info
+
+    def _walk_parallel(self, stmt: A.OmpParallel) -> None:
+        self._reads(stmt.num_threads)
+        info = self._region_info(stmt, "parallel")
         for name in stmt.shared:
             info.sharing[name] = SHARED
-        self.regions.append(info)
-        self.region_stack.append((info, len(self.frames)))
-        self.frames.append(frame)
+        self.region_stack.append(info)
         self._walk_block(stmt.body)
-        self.frames.pop()
         self.region_stack.pop()
 
     def _walk_omp_for(self, stmt: A.OmpFor) -> None:
         loop = stmt.loop
-        loop_var = self.table.loop_index(stmt.nid)
-        info = RegionInfo(
-            nid=stmt.nid,
-            func=self.func.name,
-            loc=f"{stmt.loc.line}:{stmt.loc.col}",
-            kind="for",
-        )
-        frame: Dict[str, Tuple[str, bool]] = {}
-        for name in stmt.private:
-            frame[name] = (PRIVATE, False)
-            info.sharing[name] = PRIVATE
-        for _op, name in stmt.reductions:
-            frame[name] = (REDUCTION, False)
-            info.sharing[name] = REDUCTION
-        if loop_var is not None:
+        info = self._region_info(stmt, "for")
+        index = self.table.loop_index_key(loop)
+        if index is not None:
             # the runtime re-declares the index per iteration, so it is
             # private even when a pre-existing variable is reused
-            frame[loop_var] = (LOOP_INDEX, False)
-            info.sharing[loop_var] = LOOP_INDEX
-        self.regions.append(info)
-        self.frames.append(frame)
-        self.ws_stack.append(info)
+            info.sharing[index[1]] = LOOP_INDEX
+        self.ws_stack.append((info, index))
         self._reads(stmt.chunk)
         if isinstance(loop.init, A.VarDecl):
             self._reads(loop.init.init)
@@ -547,78 +530,29 @@ class _FunctionWalker:
             self._walk_stmt(loop.step)
         self._walk_block(loop.body)
         self.ws_stack.pop()
-        self.frames.pop()
+
+
+def _loop_env(table: NodeTable, omp_for: Optional[int]) -> Dict[DeclKey, LinForm]:
+    """The form environment of code in the ``omp for`` at *omp_for*
+    (0/None: none): its index is :data:`LOOP_BASE`."""
+    if not omp_for:
+        return {}
+    index = table.loop_index_key(table.nodes[omp_for].loop)
+    return {index: LinForm(LOOP_BASE, 1, 0, 0)} if index else {}
+
+
+def _clause_class(construct: A.Stmt, name: str) -> str:
+    """The class a construct's clauses give *name*, which they declare."""
+    if any(name == reduced for _op, reduced in construct.reductions):
+        return REDUCTION
+    if name in getattr(construct, "firstprivate", ()):
+        return FIRSTPRIVATE
+    return PRIVATE
 
 
 # ---------------------------------------------------------------------------
 # Subscript disjointness (ZIV / SIV)
 # ---------------------------------------------------------------------------
-
-_SYM_LOOP = "loop"
-_SYM_TID = "tid"
-
-
-def _linear_form(
-    expr: Optional[A.Expr], loop_var: Optional[str]
-) -> Optional[Tuple[Optional[str], int, int]]:
-    """``expr`` as ``coeff * sym + offset`` over one distribution symbol.
-
-    ``sym`` is None for constants, ``"loop"`` for the enclosing omp-for
-    index, ``"tid"`` for ``omp_get_thread_num()``.  Returns None when
-    the expression is not linear in a single such symbol.
-    """
-    if expr is None:
-        return None
-    folded = fold_static_value(expr)
-    if isinstance(folded, int) and not isinstance(folded, bool):
-        return (None, 0, folded)
-    if isinstance(expr, A.Name):
-        if loop_var is not None and expr.ident == loop_var:
-            return (_SYM_LOOP, 1, 0)
-        return None
-    if isinstance(expr, A.CallExpr):
-        if expr.name == "omp_get_thread_num" and not expr.args:
-            return (_SYM_TID, 1, 0)
-        return None
-    if isinstance(expr, A.Unary) and expr.op == "-":
-        form = _linear_form(expr.operand, loop_var)
-        if form is None:
-            return None
-        return (form[0], -form[1], -form[2])
-    if isinstance(expr, A.Binary) and expr.op in ("+", "-", "*"):
-        left = _linear_form(expr.left, loop_var)
-        right = _linear_form(expr.right, loop_var)
-        if left is None or right is None:
-            return None
-        (ls, lc, lo), (rs, rc, ro) = left, right
-        if expr.op == "*":
-            if ls is None:
-                return (rs, lo * rc, lo * ro)
-            if rs is None:
-                return (ls, lc * ro, lo * ro)
-            return None  # sym * sym: not linear
-        sign = 1 if expr.op == "+" else -1
-        if ls is None:
-            return (rs, sign * rc, lo + sign * ro)
-        if rs is None or rs == ls:
-            return (ls, lc + sign * rc, lo + sign * ro)
-        return None  # two distinct symbols
-    return None
-
-
-def _interval_form(
-    site: AccessSite,
-) -> Optional[Tuple[Optional[str], int, int, int]]:
-    """``(sym, coeff, lo, hi)``: the subscript is ``coeff*sym + d`` with
-    ``d`` in ``[lo, hi]``.  Lexical sites derive a point interval from
-    their raw subscript; summary-instantiated sites carry ``lin``."""
-    if site.lin is not None:
-        return site.lin
-    form = _linear_form(site.subscript, site.loop_var)
-    if form is None:
-        return None
-    sym, coeff, offset = form
-    return (sym, coeff, offset, offset)
 
 
 def _nonzero_multiple_in(coeff: int, lo: int, hi: int) -> bool:
@@ -643,16 +577,16 @@ def _subscripts_disjoint(
     (the zero multiple is the same iteration/thread — program-ordered).
     Point forms reduce to the historical ZIV/SIV tests.
     """
-    fa = _interval_form(a)
-    fb = _interval_form(b)
+    fa, fb = a.lin, b.lin
     if fa is None or fb is None:
         return False
-    (sa, ca, la, ha), (sb, cb, lb, hb) = fa, fb
+    sa, ca, la, ha = fa.base, fa.coeff, fa.lo, fa.hi
+    sb, cb, lb, hb = fb.base, fb.coeff, fb.lo, fb.hi
     if sa is None and sb is None:
         return ha < lb or hb < la  # ZIV: disjoint constant ranges
     if overlap_unsafe:
         return False  # overlapping region instances repeat the symbols
-    if sa == _SYM_LOOP and sb == _SYM_LOOP:
+    if sa == LOOP_BASE and sb == LOOP_BASE:
         # SIV within one omp for: iteration i only touches c*i+[lo,hi],
         # and only cross-iteration overlap races (same iteration = same
         # thread = program order).
@@ -665,7 +599,7 @@ def _subscripts_disjoint(
             and ca != 0
             and not _nonzero_multiple_in(ca, lb - ha, hb - la)
         )
-    if sa == _SYM_TID and sb == _SYM_TID:
+    if sa == TID_BASE and sb == TID_BASE:
         # each thread of one team owns its c*tid+[lo,hi] slice
         return (
             mhp_a is not None
@@ -710,10 +644,7 @@ def _serialized_by_construct(
 def _pair_reason(a: AccessSite, b: AccessSite) -> str:
     kinds = f"{a.kind}/{b.kind}"
     if a.is_array or b.is_array:
-        def has_element(s: AccessSite) -> bool:
-            return s.subscript is not None or s.lin is not None
-
-        if has_element(a) and has_element(b):
+        if a.element and b.element:
             detail = "subscripts not provably disjoint"
         else:
             detail = "whole-array use overlaps element accesses"
@@ -732,7 +663,7 @@ def find_races(
     program: A.Program,
     cfgs: Optional[Dict[str, C.CFG]] = None,
     unsafe_funcs: Optional[Set[str]] = None,
-    summaries: Optional["SummaryTable"] = None,
+    summaries: Optional[SummaryTable] = None,
     interprocedural: bool = True,
     mhp: Optional[MHPSolution] = None,
 ) -> StaticRaceReport:
@@ -762,18 +693,15 @@ def find_races(
     )
     solution = mhp if mhp is not None else MHPSolution(program)
     mhp = solution.infos(record_all=True, implicit_ws_barriers=True)
-    globals_ = {decl.name: decl.is_array for decl in program.globals}
 
     if summaries is None and interprocedural:
-        from .summaries import compute_summaries
-
         summaries = compute_summaries(program)
 
     report = StaticRaceReport()
     user_funcs = frozenset(fn.name for fn in program.functions)
     walked = summaries.race_walks if summaries is not None else {}
     for fn in program.functions:
-        walker = _walk(fn, globals_, fn.name in unsafe, program.table, walked)
+        walker = _walk(fn, fn.name in unsafe, program.table, walked)
         report.accesses.extend(walker.accesses)
         report.unresolved.extend(walker.unresolved)
         report.regions.extend(walker.regions)
@@ -788,7 +716,7 @@ def find_races(
         from .callgraph import resolve_parallel_contexts
 
         contexts = resolve_parallel_contexts(summaries.callgraph, mhp)
-        _instantiate_summaries(report, summaries, cfgs, user_funcs)
+        _instantiate_summaries(report, summaries, cfgs, user_funcs, program.table)
 
     by_key: Dict[Tuple[str, str], List[AccessSite]] = {}
     for site in report.accesses:
@@ -808,7 +736,6 @@ def find_races(
 
 def _walk(
     func: A.FuncDef,
-    globals_: Dict[str, bool],
     unsafe: bool,
     table: NodeTable,
     walked: Dict[str, _FunctionWalker],
@@ -820,16 +747,17 @@ def _walk(
     *walked* once it has taken what it reuses."""
     walker = walked.get(func.name)
     if walker is None or walker.func is not func or walker.unsafe != unsafe:
-        walker = _FunctionWalker(func, globals_, unsafe, table)
+        walker = _FunctionWalker(func, unsafe, table)
         walker.run()
     return walker
 
 
 def _instantiate_summaries(
     report: StaticRaceReport,
-    table: "SummaryTable",
+    table: SummaryTable,
     cfgs: Optional[Dict[str, C.CFG]],
     user_funcs: FrozenSet[str],
+    nodes: NodeTable,
 ) -> None:
     """Materialize summary accesses at parallel call sites and settle
     which unresolved accesses are now fully covered."""
@@ -842,10 +770,12 @@ def _instantiate_summaries(
         if cs.region is None or cs.spawned:
             continue
         summary = table.summary_for(cs.callee)
-        if summary is None:
+        if summary is None or not summary.accesses:
             continue
+        env = _loop_env(nodes, cs.omp_for)
+        args = tuple(eval_form(arg, env, nodes) for arg in cs.args)
         for acc in summary.accesses:
-            lin = _instantiate_form(acc.form, summary.params, cs)
+            lin = rebase(acc.form, summary.params, args)
             if lin is None:
                 escaped.add(acc.nid)
                 continue
@@ -858,9 +788,8 @@ def _instantiate_summaries(
                 loc=acc.loc,
                 region=cs.region,
                 is_array=True,
-                subscript=None,
+                element=True,
                 omp_for=cs.omp_for,
-                loop_var=cs.loop_var,
                 omp_for_serial=cs.omp_for_serial,
                 guards=acc.guards | cs.guards,
                 in_master=cs.in_master,
@@ -896,34 +825,6 @@ def _instantiate_summaries(
         else:
             still_unresolved.append(site)
     report.unresolved = still_unresolved
-
-
-def _instantiate_form(
-    form: "LinForm",
-    params: Tuple[str, ...],
-    cs: "CallSite",
-) -> Optional[Tuple[Optional[str], int, int, int]]:
-    """Rewrite a callee-parameter form under the call-site context."""
-    from .summaries import TID_BASE
-
-    if form.base is None:
-        return (None, 0, form.lo, form.hi)
-    if form.base == TID_BASE:
-        return (_SYM_TID, form.coeff, form.lo, form.hi)
-    try:
-        position = params.index(form.base)
-    except ValueError:
-        return None
-    if position >= len(cs.args):
-        return None
-    arg = _linear_form(cs.args[position], cs.loop_var)
-    if arg is None:
-        return None
-    sym, arg_coeff, arg_offset = arg
-    shift = form.coeff * arg_offset
-    if sym is None:
-        return (None, 0, shift + form.lo, shift + form.hi)
-    return (sym, form.coeff * arg_coeff, shift + form.lo, shift + form.hi)
 
 
 def _widen_guards(
@@ -964,8 +865,8 @@ def _check_pair(
     if (
         a.is_array
         and b.is_array
-        and (a.subscript is not None or a.lin is not None)
-        and (b.subscript is not None or b.lin is not None)
+        and a.element
+        and b.element
         and _subscripts_disjoint(a, b, mhp_a, mhp_b, overlap_unsafe)
     ):
         report.count_prune(

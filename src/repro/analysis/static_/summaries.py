@@ -41,22 +41,25 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...minilang import ast_nodes as A
-from ...minilang.nodetable import NodeTable
-from ...mpi.constants import LANGUAGE_CONSTANTS
+from ...minilang.nodetable import DeclKey, NodeTable
 from .. import cfg as C
 from ..graphs import reachable
-from .callgraph import CallGraph, CallSite, build_callgraph
+from .callgraph import CallGraph, build_callgraph
 from .dataflow.divergence import (
     expr_thread_dependent,
     omp_for_indices,
     solve_thread_dependence_with,
 )
+from .dataflow.intervals import assigned_decls
+from .mpi_sites import fold_static_value
 
 if TYPE_CHECKING:
     from .races import _FunctionWalker
 
 #: symbolic base standing for ``omp_get_thread_num()`` in a LinForm
 TID_BASE = "<tid>"
+#: symbolic base standing for the enclosing ``omp for``'s index
+LOOP_BASE = "<loop>"
 
 #: maximum composition depth through sequential call chains; deeper
 #: accesses escape to the dynamic phase (recursion bound of the pass)
@@ -68,8 +71,8 @@ class LinForm:
     """``coeff * base + d`` with ``d`` in ``[lo, hi]``.
 
     ``base`` is a formal-parameter name of the summarized function,
-    :data:`TID_BASE`, or ``None`` for a pure constant interval (then
-    ``coeff`` is 0).
+    :data:`TID_BASE`, :data:`LOOP_BASE`, or ``None`` for a pure
+    constant interval (then ``coeff`` is 0).
     """
 
     base: Optional[str]
@@ -154,34 +157,33 @@ class SummaryTable:
 # Linear abstract interpretation over one function body
 # ---------------------------------------------------------------------------
 
-_Env = Dict[str, Optional[LinForm]]
+#: linear forms by the declaration a name binds to (absent: unknown)
+_Env = Dict[DeclKey, Optional[LinForm]]
 
 
 def _const(value: int) -> LinForm:
     return LinForm(None, 0, value, value)
 
 
-def _eval_form(expr: A.Expr, env: _Env) -> Optional[LinForm]:
-    """Best-effort linear form of *expr* under *env* (None = unknown)."""
-    if isinstance(expr, A.IntLit):
-        return _const(expr.value)
+def eval_form(expr: A.Expr, env: _Env, table: NodeTable) -> Optional[LinForm]:
+    """Best-effort linear form of *expr* under *env* (None = unknown):
+    the static phase's one evaluator of index arithmetic.  A constant
+    folds first; a name is its declaration's form in *env*."""
+    folded = fold_static_value(expr)
+    if isinstance(folded, int) and not isinstance(folded, bool):
+        return _const(folded)
     if isinstance(expr, A.Name):
-        if expr.ident in env:
-            return env[expr.ident]
-        constant = LANGUAGE_CONSTANTS.get(expr.ident)
-        if isinstance(constant, int) and not isinstance(constant, bool):
-            return _const(constant)
-        return None
+        return env.get(table.decl_key(expr))
     if isinstance(expr, A.CallExpr):
         if expr.name == "omp_get_thread_num" and not expr.args:
             return LinForm(TID_BASE, 1, 0, 0)
         return None
     if isinstance(expr, A.Unary) and expr.op == "-":
-        inner = _eval_form(expr.operand, env)
+        inner = eval_form(expr.operand, env, table)
         return None if inner is None else inner.scale(-1)
     if isinstance(expr, A.Binary):
-        left = _eval_form(expr.left, env)
-        right = _eval_form(expr.right, env)
+        left = eval_form(expr.left, env, table)
+        right = eval_form(expr.right, env, table)
         if left is None or right is None:
             return None
         if expr.op in ("+", "-"):
@@ -217,69 +219,72 @@ def _eval_form(expr: A.Expr, env: _Env) -> Optional[LinForm]:
     return None
 
 
-def _assigned_names(stmt: A.Stmt, table: NodeTable) -> Set[str]:
-    """Every name assigned (or declared) anywhere under *stmt*."""
-    out: Set[str] = set()
-    for node in table.subtree(stmt):
-        if isinstance(node, A.VarDecl):
-            out.add(node.name)
-        elif isinstance(node, A.Assign):
-            target = node.target
-            if isinstance(target, A.Name):
-                out.add(target.ident)
-            elif isinstance(target, A.Index) and isinstance(target.base, A.Name):
-                out.add(target.base.ident)
-    return out
-
-
-def _counted_loop_range(stmt: A.For, env: _Env) -> Optional[Tuple[str, int, int]]:
-    """``(index, lo, hi)`` of a constant-bound counted loop, else None."""
-    init = stmt.init
-    if isinstance(init, A.VarDecl) and init.init is not None:
-        name, init_expr = init.name, init.init
-    elif isinstance(init, A.Assign) and isinstance(init.target, A.Name):
-        name, init_expr = init.target.ident, init.value
-    else:
+def rebase(
+    form: LinForm,
+    params: Tuple[str, ...],
+    args: Tuple[Optional[LinForm], ...],
+) -> Optional[LinForm]:
+    """*form*, over the callee parameters *params*, in the caller's terms,
+    given the forms of the call's arguments *args* (None = unknown)."""
+    if form.base is None or form.base == TID_BASE:
+        return form
+    try:
+        position = params.index(form.base)
+    except ValueError:
         return None
-    start = _eval_form(init_expr, env)
+    arg = args[position] if position < len(args) else None
+    if arg is None:
+        return None
+    return arg.scale(form.coeff).shift(form.lo, form.hi)
+
+
+def _counted_loop_range(
+    stmt: A.For, env: _Env, table: NodeTable
+) -> Optional[Tuple[DeclKey, int, int]]:
+    """``(index, lo, hi)`` of a constant-bound counted loop, else None."""
+    key = table.loop_index_key(stmt)
+    if key is None:
+        return None
+    init = stmt.init
+    init_expr = init.init if isinstance(init, A.VarDecl) else init.value
+    if init_expr is None:
+        return None
+
+    def is_index(expr: A.Expr) -> bool:
+        return isinstance(expr, A.Name) and table.decl_key(expr) == key
+
+    start = eval_form(init_expr, env, table)
     if start is None or start.base is not None:
         return None
     cond = stmt.cond
     if not (
-        isinstance(cond, A.Binary)
-        and cond.op in ("<", "<=")
-        and isinstance(cond.left, A.Name)
-        and cond.left.ident == name
+        isinstance(cond, A.Binary) and cond.op in ("<", "<=") and is_index(cond.left)
     ):
         return None
-    bound = _eval_form(cond.right, env)
+    bound = eval_form(cond.right, env, table)
     if bound is None or bound.base is not None:
         return None
     step = stmt.step
     if not (
         isinstance(step, A.Assign)
-        and isinstance(step.target, A.Name)
-        and step.target.ident == name
+        and is_index(step.target)
         and isinstance(step.value, A.Binary)
         and step.value.op == "+"
     ):
         return None
-    increment = _eval_form(step.value.right, env)
+    increment = eval_form(step.value.right, env, table)
     if (
         increment is None
         or increment.base is not None
         or increment.lo != increment.hi
         or increment.lo <= 0
-        or not (
-            isinstance(step.value.left, A.Name)
-            and step.value.left.ident == name
-        )
+        or not is_index(step.value.left)
     ):
         return None
     hi = bound.hi if cond.op == "<=" else bound.hi - 1
     if hi < start.lo:
         return None
-    return (name, start.lo, hi)
+    return (key, start.lo, hi)
 
 
 class _FormWalker:
@@ -292,7 +297,7 @@ class _FormWalker:
         self.func = func
         self.user_funcs = user_funcs
         self.table = table
-        self.env: _Env = {p: LinForm(p, 1, 0, 0) for p in func.params}
+        self.env: _Env = {(func.nid, p): LinForm(p, 1, 0, 0) for p in func.params}
         #: Index-expr nid -> subscript form (None = unknown)
         self.index_forms: Dict[int, Optional[LinForm]] = {}
         #: user-call nid -> per-argument forms (None entries = unknown)
@@ -307,20 +312,20 @@ class _FormWalker:
         if expr is None:
             return
         if isinstance(expr, A.Index):
-            self.index_forms[expr.nid] = _eval_form(expr.index, self.env)
+            self.index_forms[expr.nid] = eval_form(expr.index, self.env, self.table)
             self._scan_expr(expr.index)
             return
         if isinstance(expr, A.CallExpr) and expr.name in self.user_funcs:
             self.arg_forms[expr.nid] = tuple(
-                _eval_form(arg, self.env) for arg in expr.args
+                eval_form(arg, self.env, self.table) for arg in expr.args
             )
         for child in expr.children():
             if isinstance(child, A.Expr):
                 self._scan_expr(child)
 
-    def _kill(self, names: Set[str]) -> None:
-        for name in names:
-            self.env[name] = None
+    def _kill(self, keys: Set[DeclKey]) -> None:
+        for key in keys:
+            self.env[key] = None
 
     # -- statement traversal ------------------------------------------------
 
@@ -331,15 +336,18 @@ class _FormWalker:
         elif isinstance(stmt, A.VarDecl):
             self._scan_expr(stmt.init)
             self._scan_expr(stmt.size)
+            key = (stmt.nid, stmt.name)
             if stmt.is_array or stmt.init is None:
-                self.env[stmt.name] = None
+                self.env[key] = None
             else:
-                self.env[stmt.name] = _eval_form(stmt.init, self.env)
+                self.env[key] = eval_form(stmt.init, self.env, self.table)
         elif isinstance(stmt, A.Assign):
             self._scan_expr(stmt.value)
             target = stmt.target
             if isinstance(target, A.Name):
-                self.env[target.ident] = _eval_form(stmt.value, self.env)
+                self.env[self.table.decl_key(target)] = eval_form(
+                    stmt.value, self.env, self.table
+                )
             elif isinstance(target, A.Index):
                 self._scan_expr(target)
         elif isinstance(stmt, A.If):
@@ -351,22 +359,22 @@ class _FormWalker:
             if stmt.els is not None:
                 self._walk_stmt(stmt.els)
             merged: _Env = {}
-            for name in set(after_then) | set(self.env):
-                a, b = after_then.get(name), self.env.get(name)
-                merged[name] = a if a == b else None
+            for key in set(after_then) | set(self.env):
+                a, b = after_then.get(key), self.env.get(key)
+                merged[key] = a if a == b else None
             self.env = merged
         elif isinstance(stmt, A.While):
-            self._kill(_assigned_names(stmt, self.table))
+            self._kill(assigned_decls(stmt, self.table))
             self._scan_expr(stmt.cond)
             self._walk_stmt(stmt.body)
-            self._kill(_assigned_names(stmt, self.table))
+            self._kill(assigned_decls(stmt, self.table))
         elif isinstance(stmt, A.For):
-            counted = _counted_loop_range(stmt, self.env)
-            assigned = _assigned_names(stmt, self.table)
+            counted = _counted_loop_range(stmt, self.env, self.table)
+            assigned = assigned_decls(stmt, self.table)
             self._kill(assigned)
             if counted is not None:
-                name, lo, hi = counted
-                self.env[name] = LinForm(None, 0, lo, hi)
+                key, lo, hi = counted
+                self.env[key] = LinForm(None, 0, lo, hi)
             self._scan_expr(stmt.cond)
             self._walk_stmt(stmt.body)
             self._kill(assigned)
@@ -374,11 +382,11 @@ class _FormWalker:
             # team execution: composed sequential reasoning stops here;
             # accesses inside have a lexical region of their own
             self._scan_expr(stmt.num_threads)
-            self._kill(_assigned_names(stmt, self.table))
+            self._kill(assigned_decls(stmt, self.table))
         elif isinstance(stmt, A.OmpFor):
             # orphaned worksharing: the distribution context is its own
             # (such accesses are never instantiated through calls)
-            self._kill(_assigned_names(stmt, self.table))
+            self._kill(assigned_decls(stmt, self.table))
         elif isinstance(stmt, (A.OmpSingle, A.OmpMaster, A.OmpCritical)):
             self._walk_stmt(stmt.body)
         elif isinstance(stmt, A.OmpAtomic):
@@ -425,33 +433,6 @@ def _own_accesses(
             )
         )
     return out
-
-
-def _rebase(
-    acc: SummaryAccess,
-    cs: CallSite,
-    callee_params: Tuple[str, ...],
-    arg_forms: Tuple[Optional[LinForm], ...],
-) -> Optional[LinForm]:
-    """Rewrite *acc*'s form from callee-parameter terms to caller terms."""
-    form = acc.form
-    if form.base is None or form.base == TID_BASE:
-        return form
-    try:
-        position = callee_params.index(form.base)
-    except ValueError:
-        return None
-    if position >= len(arg_forms):
-        return None
-    arg = arg_forms[position]
-    if arg is None:
-        return None
-    scaled = arg.scale(form.coeff)
-    if scaled.base is None:
-        return LinForm(None, 0, scaled.lo + form.lo, scaled.hi + form.hi)
-    return LinForm(
-        scaled.base, scaled.coeff, scaled.lo + form.lo, scaled.hi + form.hi
-    )
 
 
 def _lock_transparent(cg: CallGraph, program: A.Program) -> FrozenSet[str]:
@@ -549,7 +530,6 @@ def compute_summaries(
 
     cg = callgraph if callgraph is not None else build_callgraph(program)
     table = SummaryTable(callgraph=cg)
-    globals_ = {decl.name: decl.is_array for decl in program.globals}
     funcs = {fn.name: fn for fn in program.functions}
 
     form_walkers: Dict[str, _FormWalker] = {}
@@ -568,7 +548,7 @@ def compute_summaries(
             table.functions[name] = summary
             continue
         forms = form_walkers[name]
-        walker = _FunctionWalker(fn, globals_, True, program.table)
+        walker = _FunctionWalker(fn, True, program.table)
         walker.run()
         table.race_walks[name] = walker
         summary.accesses = _own_accesses(walker, forms, table.escaped)
@@ -586,7 +566,7 @@ def compute_summaries(
                 if acc.depth + 1 > MAX_COMPOSE_DEPTH:
                     table.escaped.add(acc.nid)
                     continue
-                rebased = _rebase(acc, cs, callee.params, arg_forms)
+                rebased = rebase(acc.form, callee.params, arg_forms)
                 if rebased is None:
                     table.escaped.add(acc.nid)
                     continue

@@ -15,7 +15,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord
+from ..analysis.dynamic_.hybrid import MPICallRecord
 from ..events import EventLog
 from ..events.event import COLLECTIVE_OPS, MonitoredKind
 from ..minilang import ast_nodes as A

@@ -11,7 +11,7 @@ cost nearly flat.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..baselines import BaseRunner, CheckingTool, IntelThreadChecker, Marmot
 from ..home import Home

@@ -15,7 +15,7 @@ let the dynamic analysis attribute runtime events to call sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 

@@ -11,7 +11,8 @@ static passes would otherwise re-derive by walking the tree again:
   ``omp for``, ``omp sections`` section and master/single construct,
   the enclosing critical names and ``omp atomic``, and its loop and
   conditional nesting depth;
-* for a :class:`Name`, the declaration it lexically binds to.
+* for a :class:`Name`, the declaration it lexically binds to, and
+  which declarations shadow a visible one of the same name.
 
 The table is derived state.  ``renumber_nids`` rebuilds it whenever it
 renumbers a program, and it is not an AST field: structural equality,
@@ -23,9 +24,14 @@ keeps a dropped program alive until a cyclic collection.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast_nodes as A
+
+#: a declaration as a name resolves to it: the declaring node's nid (0:
+#: undeclared) and the name, since a function's parameters share their
+#: FuncDef and a construct's clause names share the construct
+DeclKey = Tuple[int, str]
 
 
 class OmpContext:
@@ -77,7 +83,8 @@ class NodeTable:
     """Every node of one tree, indexed by nid (index 0 is unused)."""
 
     __slots__ = (
-        "nodes", "parent", "end", "func", "ctx", "binding", "_calls", "_program",
+        "nodes", "parent", "end", "func", "ctx", "binding", "shadows", "_calls",
+        "_program",
     )
 
     def __init__(self, root: A.Node, number: bool = True) -> None:
@@ -99,6 +106,9 @@ class NodeTable:
         #: FuncDef for a parameter, or the construct privatizing it
         #: (absent: undeclared)
         self.binding: Dict[int, int] = {}
+        #: VarDecl nids whose name is already declared in an enclosing
+        #: scope, which the declaration hides until its block ends
+        self.shadows: Set[int] = set()
         #: function nid -> its CallExpr nids in post-order
         self._calls: Dict[int, List[int]] = {}
         #: weak reference to a root :class:`Program`, whose own row in
@@ -162,16 +172,26 @@ class NodeTable:
             return True
         return self.ctx[construct].loops == 0 or not self.nodes[construct].nowait
 
+    def decl_key(self, name: A.Name) -> DeclKey:
+        """The declaration *name* binds to."""
+        return (self.binding.get(name.nid, 0), name.ident)
+
+    def loop_index_key(self, loop: A.For) -> Optional[DeclKey]:
+        """The declaration of *loop*'s index: the loop's own ``var``, or
+        the variable its init assigns."""
+        init = loop.init
+        if isinstance(init, A.VarDecl):
+            return (init.nid, init.name)
+        if isinstance(init, A.Assign) and isinstance(init.target, A.Name):
+            return self.decl_key(init.target)
+        return None
+
     def loop_index(self, omp_for: int) -> Optional[str]:
         """Index variable of the ``omp for`` at *omp_for*."""
         node = self.nodes[omp_for]
         assert isinstance(node, A.OmpFor)
-        init = node.loop.init
-        if isinstance(init, A.VarDecl):
-            return init.name
-        if isinstance(init, A.Assign) and isinstance(init.target, A.Name):
-            return init.target.ident
-        return None
+        key = self.loop_index_key(node.loop)
+        return key[1] if key is not None else None
 
 
 def subtree(node: A.Node, table: Optional[NodeTable]) -> List[A.Node]:
@@ -194,6 +214,7 @@ _LEAVES = frozenset({A.IntLit, A.FloatLit, A.BoolLit, A.StrLit, A.OmpBarrier})
 def _build(table: NodeTable, root: A.Node, number: bool) -> None:
     """The numbering walk: assigns nids (with *number*) and fills *table*."""
     nodes, end, binding, calls = table.nodes, table.end, table.binding, table._calls
+    shadows = table.shadows
     add_node, add_parent, add_end = nodes.append, table.parent.append, end.append
     add_func, add_ctx = table.func.append, table.ctx.append
 
@@ -237,7 +258,10 @@ def _build(table: NodeTable, root: A.Node, number: bool) -> None:
         elif cls is A.VarDecl:
             for child in node.children():
                 visit(child, nid, func, ctx, scopes)
-            scopes[-1][node.name] = nid
+            name = node.name
+            if any(name in scope for scope in scopes[:-1]):
+                shadows.add(nid)
+            scopes[-1][name] = nid
         elif cls is A.Block:
             inner = scopes + [{}]
             for stmt in node.stmts:

@@ -8,8 +8,8 @@ the same request is a violation class (isConcurrentRequestViolation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 from ..errors import MPIUsageError
 

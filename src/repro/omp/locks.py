@@ -9,7 +9,7 @@ to ``critical:<name>`` locks (anonymous criticals share
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import SimAbort

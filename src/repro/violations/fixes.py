@@ -16,7 +16,7 @@ running HOME again (see :func:`repair_and_verify`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ToolError
 from ..minilang import Program, ast_nodes as A

@@ -11,14 +11,13 @@ pairs they believe are concurrent* and what they charge for finding out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dynamic_.hybrid import ConcurrencyReport
 from ..events import (
     CollectiveArrive,
     ErrorHandlerEvent,
     EventLog,
-    MPICall,
     ThreadEnd,
     ThreadFork,
     ThreadJoin,

@@ -17,7 +17,7 @@ direct transcriptions of the paper's predicates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.dynamic_.hybrid import ConcurrencyReport, MPICallRecord, RacingPair
 from ..events.event import COLLECTIVE_OPS, MonitoredKind

@@ -16,10 +16,10 @@ with ``rank XOR 1``, so any even process count works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ToolError
-from ..minilang import Program, ast_nodes as A, parse, print_program
+from ..minilang import Program, ast_nodes as A, parse
 from ..minilang.builder import clone
 from ..violations.spec import (
     COLLECTIVE,

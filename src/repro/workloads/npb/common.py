@@ -29,9 +29,8 @@ differentiates the tools' detection counts in Table 1:
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Literal, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Literal
 
 from ...minilang import Program, ast_nodes as A, parse
 from ...violations.spec import (

@@ -163,7 +163,7 @@ func main() {
 
 class TestContextFields:
     def test_lexical_context_captured(self):
-        cg = cg_for(PROG + """
+        prog = parse(PROG + """
 func helper(i) {
     return i;
 }
@@ -177,9 +177,10 @@ func main() {
         }
     }
 }""")
-        (site,) = cg.sites_by_callee["helper"]
+        (site,) = build_callgraph(prog).sites_by_callee["helper"]
         assert site.region is not None and site.parallel_depth == 1
-        assert site.omp_for is not None and site.loop_var == "i"
+        assert site.omp_for is not None
+        assert prog.table.loop_index(site.omp_for) == "i"
         assert site.criticals == ("tally",)
         assert site.guards  # critical token present
 

@@ -338,6 +338,31 @@ func main() {
         recv = site(sites, "mpi_recv")
         assert facts.envelope(recv).tag.constant == 42
 
+    def test_parameter_hides_a_constant_global(self):
+        facts, sites = facts_for("""
+program df;
+var buf[4];
+var tag = 7;
+func helper(tag) {
+    omp parallel num_threads(2) {
+        if (omp_get_thread_num() == 0) {
+            mpi_recv(buf, 1, 1, tag, MPI_COMM_WORLD);
+        } else {
+            mpi_recv(buf, 1, 1, 0, MPI_COMM_WORLD);
+        }
+    }
+    return 0;
+}
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    helper(0);
+    mpi_finalize();
+}
+""")
+        a, b = site(sites, "mpi_recv", 0), site(sites, "mpi_recv", 1)
+        assert facts.envelope(a).tag is None
+        assert not facts.envelopes_disjoint(a, b)
+
 
 class TestLockState:
     def test_set_unset_lock_serializes_pair(self):
@@ -542,6 +567,37 @@ class TestCandidateReduction:
         facts = with_df.dataflow_facts
         assert facts.pruned[PRUNE_ENVELOPE] >= 1
         assert with_df.summary()  # prune line renders
+
+    SHADOWED_TAG = ENVELOPE_HEAD + """
+    var tag = 0;
+    {
+        var tag = 7;
+    }
+    omp parallel num_threads(2) {
+        if (omp_get_thread_num() == 0) {
+            mpi_recv(buf, 1, 1, tag, MPI_COMM_WORLD);
+        } else {
+            mpi_recv(buf, 1, 1, 0, MPI_COMM_WORLD);
+        }
+    }
+    mpi_finalize();
+}
+"""
+
+    def test_shadowing_declaration_does_not_leak_its_value(self):
+        """The inner ``var tag = 7`` ends with its block: the first recv
+        uses the outer ``tag``, 0, so the pair may match and stays."""
+        facts, sites = facts_for(self.SHADOWED_TAG)
+        a, b = site(sites, "mpi_recv", 0), site(sites, "mpi_recv", 1)
+        assert not facts.envelopes_disjoint(a, b)
+        prog = parse(self.SHADOWED_TAG)
+        static = run_static_analysis(prog, cache=False)
+        assert static.dataflow_facts.pruned[PRUNE_ENVELOPE] == 0
+        assert len(static.candidates) == len(
+            run_static_analysis(prog, dataflow=False, cache=False).candidates
+        )
+        report = check_program(parse(self.SHADOWED_TAG), nprocs=2, seed=0)
+        assert CONCURRENT_RECV in report.violations.classes()
 
     def test_compute_mhp_covers_all_calls(self):
         prog = parse(self.DISJOINT_TAGS)

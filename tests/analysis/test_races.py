@@ -20,6 +20,7 @@ from repro.analysis.static_.races import (
     REDUCTION,
     SHARED,
 )
+from repro.home import check_program
 from repro.minilang import parse
 
 
@@ -130,6 +131,29 @@ func main() {
 }""")
         assert region_table(report, "for")["z"] == LOOP_INDEX
         assert not report.candidates
+
+    def test_declaration_in_an_arm_does_not_privatize_the_outer_variable(self):
+        # the inner "var s" lives only in its (never taken) arm: the
+        # update after the if writes the shared outer s
+        src = PROG + """
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    var s = 0;
+    var c = 0;
+    omp parallel num_threads(2) {
+        if (c > 0) {
+            var s = 1;
+        }
+        s = s + 1;
+    }
+    mpi_finalize();
+}"""
+        report = races_for(src)
+        assert {c.var for c in report.candidates} == {"s"}
+        assert {"11:9", "11:13"} <= report.monitored_locs
+        home = check_program(parse(src), seed=0)
+        assert home.violations.count("DataRace") > 0
+        assert home.extras["race_triage"]["confirmed"]
 
     def test_sequential_code_never_races(self):
         report = races_for(PROG + """

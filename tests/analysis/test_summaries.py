@@ -10,6 +10,7 @@ from repro.analysis.static_.summaries import (
     LinForm,
     compute_summaries,
 )
+from repro.home import check_program
 from repro.minilang import parse
 from repro.workloads.npb import lu_mz_source
 
@@ -82,6 +83,38 @@ func main() {
 }""")
         (acc,) = table.summary_for("leaf").accesses
         assert (acc.form.base, acc.form.lo, acc.form.hi) == ("i", 0, 3)
+
+    def test_block_declaration_does_not_leak_past_its_block(self):
+        # the inner "var t = 5" ends with its block: a[t] writes a[3],
+        # which the other threads read concurrently
+        src = PROG + """
+func helper() {
+    var t = 3;
+    {
+        var t = 5;
+    }
+    gdata[t] = 1.0;
+    return 0;
+}
+func main() {
+    var p = mpi_init_thread(MPI_THREAD_MULTIPLE);
+    omp parallel num_threads(2) {
+        omp master {
+            helper();
+        }
+        var x = gdata[3];
+    }
+    mpi_finalize();
+}"""
+        (acc,) = summaries_for(src).summary_for("helper").accesses
+        assert acc.form == LinForm(None, 0, 3, 3)
+        static = run_static_analysis(parse(src), cache=False)
+        (cand,) = static.races.candidates
+        assert cand.var == "gdata" and {cand.a.loc, cand.b.loc} == {"9:10", "18:22"}
+        assert {"9:10", "18:22"} <= static.races.monitored_locs
+        home = check_program(parse(src), seed=0)
+        assert home.violations.count("DataRace") > 0
+        assert home.extras["race_triage"]["confirmed"]
 
     def test_omp_for_body_access_escapes(self):
         # the callee's own worksharing distributes the access; it is

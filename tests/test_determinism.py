@@ -236,6 +236,28 @@ class TestNodeTable:
         assert copy.table.node(5).nid == 5
         assert B.ast_equal(copy, program)
 
+    def test_shadows_lists_declarations_hiding_a_visible_one(self):
+        from repro.minilang import ast_nodes as A
+
+        program = parse("""
+program t;
+var g = 0;
+func main() {
+    var x = 0;
+    { var x = 1; }
+    for (var i = 0; i < 2; i = i + 1) { }
+    for (var i = 0; i < 2; i = i + 1) { }
+    var g = 2;
+}""")
+        table = program.table
+        shadowing = {
+            (node.name, node.loc.line)
+            for node in table.nodes
+            if isinstance(node, A.VarDecl) and node.nid in table.shadows
+        }
+        # sibling loops' indices never see each other
+        assert shadowing == {("x", 6), ("g", 9)}
+
     @pytest.mark.parametrize("name", ["lu", "racy-lu", "div", "ip"])
     def test_regions_follow_parent_links(self, name):
         program = parse(npb_sources()[name])
